@@ -13,18 +13,7 @@ import argparse
 import csv
 import itertools
 
-import numpy as np
-
-from flowseg import (
-    ForceAblation,
-    PipelineConfig,
-    accuracy,
-    generate_scene,
-    preset_scene,
-    rasterize,
-    segment_video,
-)
-from flowseg.evaluation import resample_nearest
+from flowseg import ForceAblation, PipelineConfig, generate_scene, preset_scene, report, segment_video
 
 LABELS = ("damping", "drift/confine", "disturbance")
 
@@ -34,16 +23,17 @@ def combo_name(toggles) -> str:
     return " + ".join(on)
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--preset", default="one-way")
     parser.add_argument("--frames", type=int, default=40)
     parser.add_argument("--window", type=int, default=4)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", default=None, help="CSV output path")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     scene = generate_scene(preset_scene(args.preset, frame_count=args.frames))
+    ground_truth = dict(enumerate(scene.masks, start=1))
     rows = []
     for toggles in itertools.product((True, False), repeat=3):
         if not any(toggles):
@@ -54,12 +44,7 @@ def main() -> None:
             ablation=ForceAblation(*toggles),
         )
         run = segment_video(scene.frames, cfg)
-        scores = []
-        for frame_index, seg_map in run.maps:
-            mask = rasterize(seg_map, cfg.dilation_radius)
-            gt = resample_nearest(scene.masks[frame_index - 1], mask.labels.shape)
-            scores.append(accuracy(mask, gt))
-        rows.append((combo_name(toggles), float(np.mean(scores))))
+        rows.append((combo_name(toggles), report(run, ground_truth, cfg.dilation_radius).mean_accuracy))
 
     width = max(len(name) for name, _ in rows)
     for name, score in sorted(rows, key=lambda r: -r[1]):

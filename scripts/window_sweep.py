@@ -13,7 +13,7 @@ import argparse
 from flowseg import PipelineConfig, bench_compare, generate_scene, preset_scene
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--preset", default="one-way")
     parser.add_argument("--frames", type=int, default=100)
@@ -22,7 +22,7 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", default=None, help="CSV output path")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     scene = generate_scene(preset_scene(args.preset, frame_count=args.frames))
     cfg = PipelineConfig(window_size=args.min_window, seed=args.seed)

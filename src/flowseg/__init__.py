@@ -13,7 +13,6 @@ from .dynamics import (
     NoiseSource,
     ParticleState,
     estimate_group_forces,
-    force_ablation_config,
     propagate_map,
     step_particle,
 )
@@ -45,7 +44,6 @@ from .io import (
 )
 from .keypoints import (
     Group,
-    Keypoint,
     MagOriMaps,
     QuantizedMap,
     SegmentationMap,
@@ -83,7 +81,6 @@ __all__ = [
     "Group",
     "GroupForces",
     "InputError",
-    "Keypoint",
     "LabelMask",
     "LangevinParams",
     "MagOriMaps",
@@ -102,7 +99,6 @@ __all__ = [
     "compute_dense_flow",
     "detect_peaks",
     "estimate_group_forces",
-    "force_ablation_config",
     "generate_scene",
     "group_keypoints",
     "iou",

@@ -18,14 +18,7 @@ import numpy as np
 from . import synth
 from .config import parse_config_file
 from .errors import ConfigError, FlowSegError, InputError, MetricError
-from .evaluation import (
-    LabelMask,
-    accuracy,
-    iou,
-    rasterize,
-    render_overlay,
-    resample_nearest,
-)
+from .evaluation import rasterize, render_overlay, score_frames
 from .flow import _block_mean
 from .io import Frame, read_frame, write_flow_file, write_frame, write_ppm
 from .pipeline import PipelineConfig, segment_video
@@ -40,6 +33,10 @@ EXIT_INPUT = 3
 EXIT_METRIC = 4
 
 SEED_ENV_VAR = "LANGFLOW_SEED"
+
+# Manifest keys that locate or schedule a run, or record its input's frame
+# numbering, but do not change its maps; they are no pipeline settings.
+RUN_KEYS = ("input_dir", "output_dir", "jobs", "first_frame")
 
 _NUMBER_RE = re.compile(r"(\d+)(?!.*\d)")
 
@@ -82,12 +79,6 @@ def _read_masks_dir(path: Path) -> dict[int, np.ndarray]:
     return masks
 
 
-def _write_mask(labels: np.ndarray, path: Path) -> None:
-    if labels.max(initial=0) > 255:
-        raise InputError("more than 255 groups cannot be stored in a P5 mask")
-    write_frame(Frame(labels.astype(np.uint8)), path)
-
-
 def _resolve_seed(flag_seed: int | None, cfg) -> int:
     if flag_seed is not None:
         return flag_seed
@@ -117,15 +108,14 @@ def _parse_window_range(text: str) -> tuple[int, ...]:
 
 def cmd_segment(args) -> int:
     cfg_dict = parse_config_file(args.config)
-    manifest_in = cfg_dict.get_str("input_dir", None)
-    manifest_out = cfg_dict.get_str("output_dir", None)
+    run_keys = {key: cfg_dict.get_str(key, None) for key in RUN_KEYS}
     manifest_jobs = cfg_dict.get_int("jobs", 1)
     seed = _resolve_seed(args.seed, cfg_dict)
     cfg = PipelineConfig.from_config(cfg_dict, seed_override=seed)
     cfg_dict.reject_unknown()
 
-    in_dir = Path(args.input or manifest_in or "")
-    out_dir = Path(args.output or manifest_out or "")
+    in_dir = Path(args.input or run_keys["input_dir"] or "")
+    out_dir = Path(args.output or run_keys["output_dir"] or "")
     if not str(in_dir):
         raise ConfigError("no input directory (use --in or an input_dir config key)")
     if not str(out_dir):
@@ -134,22 +124,28 @@ def cmd_segment(args) -> int:
 
     frames, first_number = _read_frames_dir(in_dir)
     result = segment_video(frames, cfg, jobs=jobs)
+    offset = first_number - 1
+    # Checked before any file is written, so a failed run leaves no output.
+    for frame_index, seg_map in result.maps:
+        if any(g.id > 255 for g in seg_map.groups):
+            raise InputError(
+                f"frame {frame_index + offset}: more than 255 groups cannot be stored in a P5 mask"
+            )
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # jobs is an execution detail, not part of the result-determining
     # config, so it stays out of the manifest
     manifest = cfg.manifest_text(
-        extra={"input_dir": str(in_dir), "output_dir": str(out_dir)},
+        extra={"input_dir": str(in_dir), "output_dir": str(out_dir), "first_frame": first_number},
         header="flowseg segment run manifest (re-runnable as --config)",
     )
     (out_dir / "manifest.txt").write_text(manifest)
 
-    offset = first_number - 1
     with open(out_dir / "groups.jsonl", "w") as groups_fh:
         for frame_index, seg_map in result.maps:
             file_number = frame_index + offset
             mask = rasterize(seg_map, cfg.dilation_radius)
-            _write_mask(mask.labels, out_dir / f"mask_{file_number:06d}.pgm")
+            write_frame(Frame(mask.labels.astype(np.uint8)), out_dir / f"mask_{file_number:06d}.pgm")
             if cfg.write_overlays:
                 small = Frame(
                     np.rint(
@@ -194,45 +190,22 @@ def cmd_eval(args) -> int:
     if missing:
         raise InputError(f"ground truth missing for frames: {missing}")
 
-    window_size = args.window_size
+    window_size, first_frame = args.window_size, 1
     manifest_path = pred_dir / "manifest.txt"
-    if window_size is None and manifest_path.exists():
+    if manifest_path.exists():
         try:
-            window_size = parse_config_file(manifest_path).get_int("window_size")
+            manifest = parse_config_file(manifest_path)
+            first_frame = manifest.get_int("first_frame", 1)
+            if window_size is None:
+                window_size = manifest.get_int("window_size", None)
         except ConfigError:
-            window_size = None
+            pass
 
-    rows = []
-    for number in sorted(preds):
-        pred = preds[number]
-        gt = gts[number]
-        if gt.shape != pred.shape:
-            gt = resample_nearest(gt, pred.shape)
-        acc = accuracy(LabelMask(pred.astype(np.int32)), gt)
-        jac = iou(LabelMask(pred.astype(np.int32)), gt)
-        if window_size:
-            window = (number - 1) // window_size + 1
-            is_start = (number - 1) % window_size == 1
-        else:
-            window, is_start = 0, False
-        rows.append((number, window, acc, jac, is_start))
-
+    report = score_frames(sorted(preds.items()), gts, window_size, first_frame)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["frame_index", "window_index", "accuracy", "iou", "is_window_start"])
-            for number, window, acc, jac, is_start in rows:
-                writer.writerow([number, window, f"{acc:.6f}", f"{jac:.6f}", int(is_start)])
-
-    mean_acc = float(np.mean([r[2] for r in rows]))
-    print(f"frames scored: {len(rows)}")
-    print(f"mean accuracy: {mean_acc:.4f}")
-    if window_size:
-        per_window: dict[int, list[float]] = {}
-        for _, window, acc, _, _ in rows:
-            per_window.setdefault(window, []).append(acc)
-        for window in sorted(per_window):
-            print(f"window {window}: mean accuracy {float(np.mean(per_window[window])):.4f}")
+        report.write_csv(args.out)
+    print(f"frames scored: {len(report.rows)}")
+    print(report.summary())
     return EXIT_OK
 
 
@@ -275,9 +248,8 @@ def cmd_bench(args) -> int:
     window_sizes = _parse_window_range(args.window_sizes)
     if args.config:
         cfg_dict = parse_config_file(args.config)
-        for key in ("input_dir", "output_dir", "jobs"):
-            if key in cfg_dict:
-                cfg_dict.get_str(key, None)
+        for key in RUN_KEYS:
+            cfg_dict.get_str(key, None)
         seed = _resolve_seed(args.seed, cfg_dict)
         cfg = PipelineConfig.from_config(cfg_dict, seed_override=seed)
         cfg_dict.reject_unknown()

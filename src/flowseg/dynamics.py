@@ -28,10 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InputError
-from .io import FlowField
 from .keypoints import Group, SegmentationMap
-
-MASS = 1.0  # fixed; the update equations assume unit particle mass
 
 DEFAULT_GAMMA = 0.8
 DEFAULT_XI_D_X = 0.1
@@ -67,10 +64,6 @@ class LangevinParams:
         for name in ("xi_d_x", "xi_d_y", "confinement_stiffness"):
             if getattr(self, name) < 0:
                 raise InputError(f"{name} must be >= 0")
-
-    @property
-    def mass(self) -> float:
-        return MASS
 
     @property
     def noise_scale(self) -> float:
@@ -123,36 +116,22 @@ class NoiseSource:
         return np.random.Generator(bitgen).standard_normal((count, 2))
 
 
-def estimate_group_forces(
-    group: Group,
-    params: LangevinParams,
-    prev_flow: FlowField | None = None,
-) -> GroupForces:
+def estimate_group_forces(group: Group, params: LangevinParams) -> GroupForces:
     """Estimate the drift and confinement baseline for one group.
 
-    With a previous flow field available the forces are the member sums of
-    finite-difference accelerations (current member velocity minus the
-    previous field sampled at the member pixel, over dt). At a window start
-    only one field exists, so the steady-state fallback gamma * mean
-    velocity is used: it makes the observed group velocity a fixed point of
-    the noise-free update.
+    Flow exists only for a window's first frame pair, so the forces are the
+    steady-state values gamma * mean velocity: they make the observed group
+    velocity a fixed point of the noise-free update. The confinement
+    anchor is the group's centroid row.
     """
     if group.size == 0:
         raise InputError("cannot estimate forces for an empty group")
-    anchor_y = group.centroid[1]
-    if prev_flow is None:
-        mvx, mvy = group.mean_velocity
-        return GroupForces(
-            drift_x=params.gamma_x * mvx,
-            confine_y=params.gamma_y * mvy,
-            anchor_y=anchor_y,
-        )
-    rows, cols = group.pixel_coords(prev_flow.width, prev_flow.height)
-    prev_vx = prev_flow.u[rows, cols].astype(np.float64)
-    prev_vy = prev_flow.v[rows, cols].astype(np.float64)
-    drift_x = MASS * float(np.sum(group.vx - prev_vx)) / params.dt
-    confine_y = MASS * float(np.sum(group.vy - prev_vy)) / params.dt
-    return GroupForces(drift_x=drift_x, confine_y=confine_y, anchor_y=anchor_y)
+    mvx, mvy = group.mean_velocity
+    return GroupForces(
+        drift_x=params.gamma_x * mvx,
+        confine_y=params.gamma_y * mvy,
+        anchor_y=group.centroid[1],
+    )
 
 
 def _step_arrays(x, y, vx, vy, forces: GroupForces, params: LangevinParams, xi):
@@ -274,9 +253,3 @@ class ForceAblation:
         if self.drift_confine:
             return forces
         return replace(forces, drift_x=0.0, confine_y=0.0)
-
-
-def force_ablation_config(
-    external: bool = True, drift_confine: bool = True, disturbance: bool = True
-) -> ForceAblation:
-    return ForceAblation(external=external, drift_confine=drift_confine, disturbance=disturbance)

@@ -8,6 +8,7 @@ as a diagnostic; acceptance numbers use coverage only.
 
 import csv
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 import numpy as np
 from scipy import ndimage
@@ -180,44 +181,61 @@ class AccuracyReport:
         return "\n".join(lines)
 
 
-def report(
-    run: RunResult,
-    ground_truth: dict[int, np.ndarray],
-    dilation_radius: int = DEFAULT_DILATION_RADIUS,
+def score_frames(
+    labelled: Iterable[tuple[int, np.ndarray]],
+    ground_truth: Mapping[int, np.ndarray],
+    window_size: int | None = None,
+    first_frame: int = 1,
 ) -> AccuracyReport:
-    """Score every emitted map against per-frame ground truth masks.
+    """Score (frame_index, labels) pairs against per-frame ground truth.
 
-    Ground truth is resampled (nearest) to each mask's resolution when the
-    dimensions differ. The first emitted frame of each window is flagged.
+    Window 1 spans frames first_frame .. first_frame + window_size - 1, and
+    so on. Without a window size, or before first_frame, a frame gets
+    window 0 and counts toward no window mean. Ground truth is resampled
+    (nearest) to each mask's resolution when the dimensions differ. The
+    first emitted frame of each window (the one after its first frame) is
+    flagged.
     """
     rows = []
     per_window: dict[int, list[float]] = {}
-    for frame_index, seg_map in run.maps:
+    for frame_index, labels in labelled:
         if frame_index not in ground_truth:
             raise MetricError(f"missing ground truth for frame {frame_index}")
-        mask = rasterize(seg_map, dilation_radius)
         gt = np.asarray(ground_truth[frame_index])
-        if gt.shape != mask.labels.shape:
-            gt = resample_nearest(gt, mask.labels.shape)
-        window = run.window_number_of(frame_index)
-        acc = accuracy(mask, gt)
+        if gt.shape != labels.shape:
+            gt = resample_nearest(gt, labels.shape)
+        offset = frame_index - first_frame
+        window = offset // window_size + 1 if window_size and offset >= 0 else 0
+        acc = accuracy(labels, gt)
         rows.append(
             AccuracyRow(
                 frame_index=frame_index,
                 window_index=window,
                 accuracy=acc,
-                iou=iou(mask, gt),
-                is_window_start=frame_index == run.windows[window - 1][0] + 1,
+                iou=iou(labels, gt),
+                is_window_start=window > 0 and offset % window_size == 1,
             )
         )
-        per_window.setdefault(window, []).append(acc)
+        if window:
+            per_window.setdefault(window, []).append(acc)
     if not rows:
-        raise MetricError("run produced no maps to score")
+        raise MetricError("no maps to score")
     return AccuracyReport(
         rows=rows,
         mean_accuracy=float(np.mean([r.accuracy for r in rows])),
         window_means={w: float(np.mean(v)) for w, v in per_window.items()},
     )
+
+
+def report(
+    run: RunResult,
+    ground_truth: Mapping[int, np.ndarray],
+    dilation_radius: int = DEFAULT_DILATION_RADIUS,
+) -> AccuracyReport:
+    """Rasterize every emitted map of ``run`` and score it (see ``score_frames``)."""
+    labelled = ((fi, rasterize(m, dilation_radius).labels) for fi, m in run.maps)
+    first, last = run.windows[0]
+    return score_frames(labelled, ground_truth, last - first + 1, first)
 
 
 def label_color(label_id: int) -> tuple[int, int, int]:

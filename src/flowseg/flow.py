@@ -11,7 +11,7 @@ The estimator is a coarse-to-fine pyramidal least-squares flow:
    Lucas-Kanade least squares over a square window) yields an incremental
    update; a few warp/solve iterations run per level and the flow is
    upsampled (x2) between levels.
-4. The finished field is median-filtered (5x5) to suppress the isolated
+4. The finished field is median-filtered (7x7) to suppress the isolated
    outliers that warping produces along occlusion edges.
 5. At the finest level the structure tensor's smaller eigenvalue decides
    per-pixel validity: flat or single-gradient neighborhoods (aperture

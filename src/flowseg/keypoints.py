@@ -5,7 +5,6 @@ magnitude threshold -> circular histogram peak detection -> 8-connected
 grouping of same-bin keypoints.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,15 +51,6 @@ class QuantizedMap:
         return self.bins.shape[0]
 
 
-@dataclass(frozen=True)
-class Keypoint:
-    x: float
-    y: float
-    vx: float
-    vy: float
-    bin: int
-
-
 @dataclass(eq=False)
 class Group:
     """One spatially connected set of same-bin keypoints."""
@@ -85,12 +75,6 @@ class Group:
     def mean_velocity(self) -> tuple[float, float]:
         return float(self.vx.mean()), float(self.vy.mean())
 
-    def keypoints(self) -> list[Keypoint]:
-        return [
-            Keypoint(float(x), float(y), float(vx), float(vy), self.bin)
-            for x, y, vx, vy in zip(self.x, self.y, self.vx, self.vy)
-        ]
-
     def pixel_coords(self, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
         """Member positions rounded to in-bounds integer (row, col) pairs."""
         rows = np.clip(np.rint(self.y).astype(np.int64), 0, height - 1)
@@ -106,17 +90,6 @@ class SegmentationMap:
     width: int
     height: int
     groups: list[Group] = field(default_factory=list)
-
-    def dump_jsonl(self, fh) -> None:
-        """One group per line: id, bin, centroid, member count."""
-        for g in self.groups:
-            cx, cy = g.centroid
-            fh.write(
-                json.dumps(
-                    {"id": g.id, "bin": g.bin, "centroid": [cx, cy], "members": g.size}
-                )
-                + "\n"
-            )
 
 
 def maps_identical(a: SegmentationMap, b: SegmentationMap) -> bool:

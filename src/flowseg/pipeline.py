@@ -1,18 +1,21 @@
 """Windowed segmentation pipeline.
 
-The video is split into consecutive windows of ``window_size`` frames.
-Per window: dense flow on the first two frames seeds a segmentation map,
-group forces are estimated from it, and the remaining frames are covered
-by stochastic propagation instead of further flow computation, yielding
-window_size - 1 maps per window. Leftover frames that do not fill a whole
-window are skipped (and reported).
+One loop, ``_windows``, cuts a frame source into consecutive windows of
+``window_size`` frames, checking every frame against the first frame's
+size. Per window: dense flow on the first two frames seeds a segmentation
+map, group forces are estimated from it, and the remaining frames are
+covered by stochastic propagation instead of further flow computation,
+yielding window_size - 1 maps per window. ``segment_video`` collects the
+windows of an in-memory sequence (optionally on a thread pool);
+``stream_windows`` yields them one at a time. Leftover frames that do not
+fill a whole window are skipped (and reported).
 
 Frames and windows are numbered 1-based in all public outputs.
 """
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields
 from time import perf_counter
 from typing import Iterable, Iterator, Sequence
 
@@ -37,6 +40,11 @@ PHASE_KEYPOINT = "keypoint"
 PHASE_LANGEVIN = "langevin"
 PHASE_SKIPPED = "skipped"
 
+# Config key prefix of each nested parameter section of PipelineConfig;
+# every other field is a top-level key under its own name.
+SECTION_PREFIXES = {"flow": "flow_", "langevin": "", "ablation": "force_"}
+_GETTERS = {int: ConfigDict.get_int, float: ConfigDict.get_float, bool: ConfigDict.get_bool}
+
 
 @dataclass
 class PipelineConfig:
@@ -60,72 +68,37 @@ class PipelineConfig:
 
     @classmethod
     def from_config(cls, cfg: ConfigDict, seed_override: int | None = None) -> "PipelineConfig":
-        flow = FlowParams(
-            pyramid_levels=cfg.get_int("flow_pyramid_levels", 3),
-            window_radius=cfg.get_int("flow_window_radius", 4),
-            iterations=cfg.get_int("flow_iterations", 4),
-            downscale=cfg.get_int("flow_downscale", 2),
-        )
-        langevin = LangevinParams(
-            gamma_x=cfg.get_float("gamma_x", 0.8),
-            gamma_y=cfg.get_float("gamma_y", 0.8),
-            xi_d_x=cfg.get_float("xi_d_x", 0.1),
-            xi_d_y=cfg.get_float("xi_d_y", 0.5),
-            dt=cfg.get_float("dt", 1.0),
-            confinement_stiffness=cfg.get_float("confinement_stiffness", 0.05),
-            sqrt_dt_noise=cfg.get_bool("sqrt_dt_noise", False),
-        )
-        ablation = ForceAblation(
-            external=cfg.get_bool("force_external", True),
-            drift_confine=cfg.get_bool("force_drift_confine", True),
-            disturbance=cfg.get_bool("force_disturbance", True),
-        )
-        seed = cfg.get_int("seed", 0) if seed_override is None else seed_override
-        return cls(
-            window_size=cfg.get_int("window_size"),
-            seed=seed,
-            flow=flow,
-            magnitude_threshold=cfg.get_float("magnitude_threshold", DEFAULT_MAGNITUDE_THRESHOLD),
-            bin_count=cfg.get_int("bin_count", DEFAULT_BIN_COUNT),
-            peak_min_fraction=cfg.get_float("peak_min_fraction", DEFAULT_PEAK_MIN_FRACTION),
-            min_group_size=cfg.get_int("min_group_size", DEFAULT_MIN_GROUP_SIZE),
-            langevin=langevin,
-            ablation=ablation,
-            dilation_radius=cfg.get_int("dilation_radius", 3),
-            write_overlays=cfg.get_bool("write_overlays", True),
-        )
+        kwargs = _config_kwargs(cls, cfg)
+        if seed_override is not None:
+            kwargs["seed"] = seed_override
+        return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        return {
-            "window_size": self.window_size,
-            "seed": self.seed,
-            "flow_pyramid_levels": self.flow.pyramid_levels,
-            "flow_window_radius": self.flow.window_radius,
-            "flow_iterations": self.flow.iterations,
-            "flow_downscale": self.flow.downscale,
-            "magnitude_threshold": self.magnitude_threshold,
-            "bin_count": self.bin_count,
-            "peak_min_fraction": self.peak_min_fraction,
-            "min_group_size": self.min_group_size,
-            "gamma_x": self.langevin.gamma_x,
-            "gamma_y": self.langevin.gamma_y,
-            "xi_d_x": self.langevin.xi_d_x,
-            "xi_d_y": self.langevin.xi_d_y,
-            "dt": self.langevin.dt,
-            "confinement_stiffness": self.langevin.confinement_stiffness,
-            "sqrt_dt_noise": self.langevin.sqrt_dt_noise,
-            "force_external": self.ablation.external,
-            "force_drift_confine": self.ablation.drift_confine,
-            "force_disturbance": self.ablation.disturbance,
-            "dilation_radius": self.dilation_radius,
-            "write_overlays": self.write_overlays,
-        }
+        values = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in SECTION_PREFIXES:
+                prefix = SECTION_PREFIXES[f.name]
+                values.update({prefix + g.name: getattr(value, g.name) for g in fields(value)})
+            else:
+                values[f.name] = value
+        return values
 
     def manifest_text(self, extra: dict | None = None, header: str | None = None) -> str:
-        values = dict(self.to_dict())
-        if extra:
-            values.update(extra)
-        return format_config(values, header=header)
+        return format_config({**self.to_dict(), **(extra or {})}, header=header)
+
+
+def _config_kwargs(cls, cfg: ConfigDict, prefix: str = "") -> dict:
+    """Constructor arguments of dataclass ``cls`` for the keys present in
+    ``cfg``; absent keys fall back to the dataclass defaults, and a field
+    without a default is a required key."""
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in SECTION_PREFIXES:
+            kwargs[f.name] = f.type(**_config_kwargs(f.type, cfg, SECTION_PREFIXES[f.name]))
+        elif prefix + f.name in cfg or f.default is MISSING:
+            kwargs[f.name] = _GETTERS[f.type](cfg, prefix + f.name)
+    return kwargs
 
 
 @dataclass(frozen=True)
@@ -142,23 +115,15 @@ class RunResult:
     windows: list[tuple[int, int]]  # inclusive 1-based (first, last) frame per window
     skipped_frames: list[int]
 
-    def window_number_of(self, frame_index: int) -> int:
-        for number, (first, last) in enumerate(self.windows, start=1):
-            if first <= frame_index <= last:
-                return number
-        raise InputError(f"frame {frame_index} belongs to no window")
-
     def phase_ms(self, phase: str) -> float:
         return sum(t.milliseconds for t in self.timings if t.phase == phase)
 
 
 def _process_window(
-    window_frames: Sequence[Frame],
-    window_number: int,
-    first_frame: int,
-    cfg: PipelineConfig,
+    window_number: int, window_frames: Sequence[Frame], cfg: PipelineConfig
 ) -> tuple[list[tuple[int, SegmentationMap]], list[PhaseTiming]]:
     timings = []
+    first_frame = (window_number - 1) * cfg.window_size + 1
 
     t0 = perf_counter()
     flow = compute_dense_flow(window_frames[0], window_frames[1], cfg.flow)
@@ -192,49 +157,71 @@ def _process_window(
     return maps, timings
 
 
-def _check_uniform_dims(frames: Sequence[Frame]) -> None:
-    dims = {(f.width, f.height) for f in frames}
-    if len(dims) > 1:
-        raise InputError(f"inconsistent frame dimensions: {sorted(dims)}")
+def _windows(source: Iterable[Frame], w: int) -> Iterator[tuple[int, list[Frame]]]:
+    """Yield (window_number, frames) for each whole window of ``source``.
+
+    Every frame, leftovers included, must have the first frame's size. A
+    failing source raises SourceError naming the last window yielded.
+    """
+    it = iter(source)
+    buffered: list[Frame] = []
+    number = 0
+    dims = None
+    while True:
+        try:
+            frame = next(it)
+        except StopIteration:
+            break
+        except Exception as exc:
+            raise SourceError(
+                f"frame source failed inside window {number + 1}: {exc}", last_window=number
+            ) from exc
+        if dims is None:
+            dims = (frame.width, frame.height)
+        elif (frame.width, frame.height) != dims:
+            raise InputError(
+                f"inconsistent frame dimensions: frame {number * w + len(buffered) + 1} is "
+                f"{(frame.width, frame.height)}, frame 1 is {dims}"
+            )
+        buffered.append(frame)
+        if len(buffered) == w:
+            number += 1
+            yield number, buffered
+            buffered = []
+    if buffered:
+        first = number * w + 1
+        log.info(
+            "skipping %d leftover frame(s) %s (pad the input to a multiple of %d)",
+            len(buffered), list(range(first, first + len(buffered))), w,
+        )
 
 
 def segment_video(frames: Sequence[Frame], cfg: PipelineConfig, jobs: int = 1) -> RunResult:
     """Run the full windowed pipeline over an in-memory frame sequence."""
     total = len(frames)
-    if total < cfg.window_size:
-        raise InputError(
-            f"need at least window_size={cfg.window_size} frames, got {total}"
-        )
-    _check_uniform_dims(frames)
     w = cfg.window_size
-    window_count = total // w
+    if total < w:
+        raise InputError(f"need at least window_size={w} frames, got {total}")
+    windows = list(_windows(frames, w))
 
-    def run(window_idx: int):
-        first = window_idx * w + 1
-        return _process_window(frames[window_idx * w : (window_idx + 1) * w], window_idx + 1, first, cfg)
+    def run(window: tuple[int, list[Frame]]):
+        return _process_window(*window, cfg)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_window = list(pool.map(run, range(window_count)))
+            per_window = list(pool.map(run, windows))
     else:
-        per_window = [run(i) for i in range(window_count)]
+        per_window = [run(window) for window in windows]
 
     maps: list[tuple[int, SegmentationMap]] = []
     timings: list[PhaseTiming] = []
     for window_maps, window_timings in per_window:
         maps.extend(window_maps)
         timings.extend(window_timings)
-
-    skipped = list(range(window_count * w + 1, total + 1))
-    for frame in skipped:
-        timings.append(PhaseTiming(frame, PHASE_SKIPPED, 0.0))
-    if skipped:
-        log.info(
-            "skipping %d leftover frame(s) %s (pad the input to a multiple of %d)",
-            len(skipped), skipped, w,
-        )
-    windows = [(i * w + 1, (i + 1) * w) for i in range(window_count)]
-    return RunResult(maps=maps, timings=timings, windows=windows, skipped_frames=skipped)
+    skipped = list(range(len(windows) * w + 1, total + 1))
+    timings.extend(PhaseTiming(frame, PHASE_SKIPPED, 0.0) for frame in skipped)
+    bounds = [((n - 1) * w + 1, n * w) for n, _ in windows]
+    return RunResult(maps=maps, timings=timings, windows=bounds, skipped_frames=skipped)
 
 
 def stream_windows(
@@ -242,36 +229,5 @@ def stream_windows(
 ) -> Iterator[tuple[int, list[tuple[int, SegmentationMap]]]]:
     """Incrementally yield (window_number, maps) keeping at most one window
     of frames in memory. Matches segment_video output exactly."""
-    it = iter(source)
-    window_number = 0
-    dims: tuple[int, int] | None = None
-    while True:
-        buffered: list[Frame] = []
-        for _ in range(cfg.window_size):
-            try:
-                buffered.append(next(it))
-            except StopIteration:
-                if buffered:
-                    log.info("skipping %d leftover frame(s) at end of stream", len(buffered))
-                return
-            except Exception as exc:
-                raise SourceError(
-                    f"frame source failed inside window {window_number + 1}: {exc}",
-                    last_window=window_number,
-                ) from exc
-        _check_uniform_dims(buffered)
-        if dims is None:
-            dims = (buffered[0].width, buffered[0].height)
-        elif (buffered[0].width, buffered[0].height) != dims:
-            raise InputError(
-                f"inconsistent frame dimensions across windows: {dims} vs "
-                f"{(buffered[0].width, buffered[0].height)}"
-            )
-        window_number += 1
-        first = (window_number - 1) * cfg.window_size + 1
-        maps, _ = _process_window(buffered, window_number, first, cfg)
-        yield window_number, maps
-
-
-def replace_seed(cfg: PipelineConfig, seed: int) -> PipelineConfig:
-    return replace(cfg, seed=seed)
+    for number, window in _windows(source, cfg.window_size):
+        yield number, _process_window(number, window, cfg)[0]

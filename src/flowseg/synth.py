@@ -20,7 +20,7 @@ from scipy import ndimage
 from .config import ConfigDict
 from .dynamics import LangevinParams, NoiseSource, _step_arrays, GroupForces
 from .errors import InputError
-from .evaluation import accuracy, rasterize, resample_nearest
+from .evaluation import report
 from .flow import compute_dense_flow
 from .io import FlowField, Frame
 from .keypoints import segment_flow
@@ -355,6 +355,7 @@ def bench_compare(
         raise InputError("repeats must be >= 1")
 
     baseline_ms = _baseline_per_pair(frames, cfg, repeats)
+    ground_truth = dict(enumerate(ground_truth_masks, start=1))
 
     rows = []
     for w in sorted(window_sizes):
@@ -368,18 +369,10 @@ def bench_compare(
         assert run is not None
         processed = len(run.windows) * w
         proposed_ms = statistics.median(times) / processed
-
-        scores = []
-        for frame_index, seg_map in run.maps:
-            mask = rasterize(seg_map, cfg.dilation_radius)
-            gt = np.asarray(ground_truth_masks[frame_index - 1])
-            if gt.shape != mask.labels.shape:
-                gt = resample_nearest(gt, mask.labels.shape)
-            scores.append(accuracy(mask, gt))
         rows.append(
             BenchRow(
                 window_size=w,
-                mean_accuracy=float(np.mean(scores)),
+                mean_accuracy=report(run, ground_truth, cfg.dilation_radius).mean_accuracy,
                 ms_per_frame_proposed=proposed_ms,
                 ms_per_frame_baseline=baseline_ms,
                 speedup=baseline_ms / proposed_ms,

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from flowseg import Frame, write_frame
+import flowseg.cli
+from flowseg import Frame, Group, SegmentationMap, write_frame
 from flowseg.cli import main
+from flowseg.pipeline import RunResult
 
 SCENE_SPEC = """
 width = 64
@@ -71,7 +73,13 @@ def test_segment_outputs(tmp_path, scene_dir, capsys):
     assert len(timing_lines) == 13  # header + one row per input frame
     manifest = (out / "manifest.txt").read_text()
     assert "window_size = 4" in manifest and "seed = 7" in manifest
-    assert (out / "groups.jsonl").read_text().count('"frame"') > 0
+    assert manifest.endswith("first_frame = 1\n")
+    groups = (out / "groups.jsonl").read_text().splitlines()
+    assert len(groups) == 12
+    assert groups[:2] == [
+        '{"frame": 2, "id": 1, "bin": 0, "centroid": [7.4336, 15.2832], "members": 113}',
+        '{"frame": 3, "id": 1, "bin": 0, "centroid": [8.1022, 15.1601], "members": 113}',
+    ]
 
 
 def test_segment_rerun_from_manifest(tmp_path, scene_dir):
@@ -140,6 +148,34 @@ def test_segment_insufficient_frames(tmp_path, scene_dir, capsys):
     assert code == 3
 
 
+def test_segment_too_many_groups_writes_nothing(tmp_path, scene_dir, monkeypatch, capsys):
+    def run_with_256_groups(frames, cfg, jobs=1):
+        groups = [
+            Group(id=i, bin=0, x=np.array([float(i % 64)]), y=np.array([float(i // 64)]),
+                  vx=np.zeros(1), vy=np.zeros(1), clamped=np.zeros(1, bool))
+            for i in range(1, 257)
+        ]
+        maps = [(2, SegmentationMap(2, 32, 32, groups[:3])), (3, SegmentationMap(3, 32, 32, groups))]
+        return RunResult(maps=maps, timings=[], windows=[(1, 4)], skipped_frames=[])
+
+    monkeypatch.setattr(flowseg.cli, "segment_video", run_with_256_groups)
+    out = tmp_path / "out"
+    out.mkdir()
+    code, _ = run_segment(tmp_path, scene_dir, out_name="out")
+    assert code == 3
+    assert "more than 255 groups" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_segment_seed_flag_overrides_config_seed(tmp_path, scene_dir):
+    cfg = tmp_path / "seeded.cfg"
+    cfg.write_text("window_size = 4\nseed = 3\n")
+    out = tmp_path / "flagged"
+    assert main(["segment", "--in", str(scene_dir / "frames"), "--config", str(cfg),
+                 "--out", str(out), "--seed", "7"]) == 0
+    assert "seed = 7" in (out / "manifest.txt").read_text()
+
+
 def test_segment_env_seed_fallback(tmp_path, scene_dir, monkeypatch):
     monkeypatch.setenv("LANGFLOW_SEED", "99")
     cfg = tmp_path / "pipeline.cfg"
@@ -170,6 +206,27 @@ def test_eval_pipeline_output_scores_high(tmp_path, scene_dir, capsys):
     mean = float([l for l in stdout.splitlines() if "mean accuracy" in l][0].split()[-1])
     assert mean > 0.9
     assert "window 1:" in stdout  # window size recovered from the manifest
+
+
+def test_eval_windows_start_at_first_frame(tmp_path, scene_dir):
+    # frames numbered 100..111 with |W| = 4: windows are 100-103, 104-107
+    # and 108-111, and the first emitted map of each is at 101, 105, 109
+    renumbered = tmp_path / "renumbered"
+    for kind, prefix in (("frames", "frame"), ("gt", "gt")):
+        (renumbered / kind).mkdir(parents=True)
+        for i, p in enumerate(sorted((scene_dir / kind).glob("*.pgm")), start=100):
+            (renumbered / kind / f"{prefix}_{i:06d}.pgm").write_bytes(p.read_bytes())
+    code, out = run_segment(tmp_path, renumbered)
+    assert code == 0
+    assert "first_frame = 100" in (out / "manifest.txt").read_text()
+    report = tmp_path / "report.csv"
+    assert main(["eval", "--pred", str(out), "--gt", str(renumbered / "gt"), "--out", str(report)]) == 0
+    rows = [line.split(",") for line in report.read_text().splitlines()[1:]]
+    assert [(int(r[0]), int(r[1]), int(r[4])) for r in rows] == [
+        (101, 1, 1), (102, 1, 0), (103, 1, 0),
+        (105, 2, 1), (106, 2, 0), (107, 2, 0),
+        (109, 3, 1), (110, 3, 0), (111, 3, 0),
+    ]
 
 
 def test_eval_empty_pred_dir(tmp_path, capsys):
@@ -203,8 +260,13 @@ def test_eval_half_coverage(tmp_path, capsys):
         pred[10:20, 10:20] = 255
         write_frame(Frame(gt), gt_dir / f"gt_{i:06d}.pgm")
         write_frame(Frame(pred), pred_dir / f"mask_{i:06d}.pgm")
-    assert main(["eval", "--pred", str(pred_dir), "--gt", str(gt_dir)]) == 0
-    assert "mean accuracy: 0.5000" in capsys.readouterr().out
+    report = tmp_path / "report.csv"
+    assert main(["eval", "--pred", str(pred_dir), "--gt", str(gt_dir), "--out", str(report)]) == 0
+    assert capsys.readouterr().out == "frames scored: 2\nmean accuracy: 0.5000\n"
+    # without a manifest or --window-size no frame belongs to a window
+    assert report.read_text().splitlines()[1:] == [
+        "1,0,0.500000,0.500000,0", "2,0,0.500000,0.500000,0"
+    ]
 
 
 def test_ou_check_passes_at_defaults(capsys):

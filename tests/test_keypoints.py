@@ -1,5 +1,3 @@
-import io
-import json
 import math
 
 import numpy as np
@@ -313,21 +311,9 @@ def test_group_velocities_sampled_from_flow():
     g = seg.groups[0]
     assert g.mean_velocity == (2.0, -1.0)
     assert g.centroid == (2.0, 2.0)
-    kp = g.keypoints()[0]
-    assert (kp.vx, kp.vy) == (2.0, -1.0)
 
 
 def test_peaks_outside_bin_range_rejected():
     bins = np.full((4, 4), NONE_BIN, np.int16)
     with pytest.raises(InputError):
         group_keypoints(quantized_from_bins(bins), {9})
-
-
-def test_jsonl_dump():
-    bins = np.full((20, 20), NONE_BIN, np.int16)
-    bins[2:8, 2:8] = 1
-    seg = group_keypoints(quantized_from_bins(bins), {1})
-    buf = io.StringIO()
-    seg.dump_jsonl(buf)
-    lines = [json.loads(line) for line in buf.getvalue().splitlines()]
-    assert lines == [{"id": 1, "bin": 1, "centroid": [4.5, 4.5], "members": 36}]

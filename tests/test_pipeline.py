@@ -202,6 +202,33 @@ def test_jobs_do_not_change_results(small_frames):
         assert maps_identical(map_a, map_b)
 
 
+@settings(max_examples=20)
+@given(total=st.integers(3, 20), window=st.integers(3, 6), seed=st.integers(0, 2**63))
+def test_batch_streaming_and_jobs_agree(small_frames, total, window, seed):
+    cfg = small_config(window_size=window, seed=seed)
+    frames = small_frames[:total]
+    streamed = [m for _, maps in stream_windows(iter(frames), cfg) for m in maps]
+    if total < window:
+        assert streamed == []
+        with pytest.raises(InputError):
+            segment_video(frames, cfg)
+        return
+    batch = segment_video(frames, cfg).maps
+    threaded = segment_video(frames, cfg, jobs=3).maps
+    assert len(batch) == len(streamed) == len(threaded) == (total // window) * (window - 1)
+    for (fa, a), (fb, b), (fc, c) in zip(batch, streamed, threaded):
+        assert fa == fb == fc
+        assert maps_identical(a, b) and maps_identical(a, c)
+
+
+def test_odd_frame_size_in_leftover_tail_rejected(small_frames):
+    frames = small_frames[:8] + [Frame(np.zeros((32, 64), np.uint8))]
+    with pytest.raises(InputError):
+        segment_video(frames, small_config())
+    with pytest.raises(InputError):
+        list(stream_windows(iter(frames), small_config()))
+
+
 def test_window_size_validation():
     with pytest.raises(InputError):
         PipelineConfig(window_size=2)
