@@ -11,8 +11,10 @@ The estimator is a coarse-to-fine pyramidal least-squares flow:
    Lucas-Kanade least squares over a square window) yields an incremental
    update; a few warp/solve iterations run per level and the flow is
    upsampled (x2) between levels.
-4. The finished field is median-filtered (7x7) to suppress the isolated
-   outliers that warping produces along occlusion edges.
+4. The finished field is median-filtered (7x7, borders replicated) to
+   suppress the isolated outliers that warping produces along occlusion
+   edges. The median is an exact partition over the window stack, taken a
+   fixed number of rows at a time so temporary memory stays bounded.
 5. At the finest level the structure tensor's smaller eigenvalue decides
    per-pixel validity: flat or single-gradient neighborhoods (aperture
    cases) are marked invalid and their flow is zeroed.
@@ -25,6 +27,7 @@ no claims near occlusions or for large rotations.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .errors import InputError
@@ -36,6 +39,9 @@ MIN_LEVEL_SIZE = 8
 TEXTURE_EIGEN_FLOOR = 1.0
 _DET_EPS = 1e-6
 _MEDIAN_SIZE = 7
+# Rows of the field whose 7x7 windows are copied out and partitioned at
+# once: temporary memory is 49 floats per pixel of one such band.
+_MEDIAN_CHUNK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -70,18 +76,16 @@ def _decimate(img: np.ndarray) -> np.ndarray:
     return ndimage.gaussian_filter(img, 1.0, mode="nearest")[::2, ::2]
 
 
-def _upsample(field: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    hh, ww = shape
-    yy, xx = np.mgrid[0:hh, 0:ww]
+def _upsample(field: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Bilinear x2 upsampling of ``field`` onto the finer level whose
+    ``(row, column)`` index grid is ``grid``."""
+    return ndimage.map_coordinates(field, grid / 2.0, order=1, mode="nearest")
+
+
+def _warp(img: np.ndarray, u: np.ndarray, v: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return ndimage.map_coordinates(
-        field, [yy / 2.0, xx / 2.0], order=1, mode="nearest"
+        img, [grid[0] + v, grid[1] + u], order=1, mode="nearest"
     )
-
-
-def _warp(img: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    h, w = img.shape
-    yy, xx = np.mgrid[0:h, 0:w]
-    return ndimage.map_coordinates(img, [yy + v, xx + u], order=1, mode="nearest")
 
 
 def _window_sum(img: np.ndarray, radius: int) -> np.ndarray:
@@ -89,9 +93,9 @@ def _window_sum(img: np.ndarray, radius: int) -> np.ndarray:
     return ndimage.uniform_filter(img, size=size, mode="nearest") * (size * size)
 
 
-def _refine(a, b, u, v, radius: int, iterations: int):
+def _refine(a, b, u, v, radius: int, iterations: int, grid: np.ndarray):
     for _ in range(iterations):
-        bw = _warp(b, u, v)
+        bw = _warp(b, u, v, grid)
         iy, ix = np.gradient(0.5 * (a + bw))
         it = bw - a
         sxx = _window_sum(ix * ix, radius)
@@ -107,6 +111,30 @@ def _refine(a, b, u, v, radius: int, iterations: int):
         u = u + du
         v = v + dv
     return u, v
+
+
+def _median(field: np.ndarray) -> np.ndarray:
+    """7x7 median of ``field`` with borders replicated.
+
+    For finite input the result equals
+    ``scipy.ndimage.median_filter(field, size=7, mode="nearest")`` exactly:
+    edge padding replicates the border as ``mode="nearest"`` does, and the
+    median of 49 values is the element ``np.partition`` puts at index 24.
+    (Where 0.0 and -0.0 tie for the median, either sign may come out.)
+    NaN is unsupported (partition and scipy order it differently); flow
+    never produces NaN because ``_refine`` divides only where ``det`` is
+    above ``_DET_EPS``.
+    """
+    r = _MEDIAN_SIZE // 2
+    mid = _MEDIAN_SIZE * _MEDIAN_SIZE // 2
+    windows = sliding_window_view(np.pad(field, r, mode="edge"), (_MEDIAN_SIZE, _MEDIAN_SIZE))
+    out = np.empty_like(field)
+    for top in range(0, field.shape[0], _MEDIAN_CHUNK_ROWS):
+        band = np.ascontiguousarray(windows[top : top + _MEDIAN_CHUNK_ROWS])
+        stack = band.reshape(band.shape[0], band.shape[1], -1)
+        stack.partition(mid, axis=-1)
+        out[top : top + _MEDIAN_CHUNK_ROWS] = stack[..., mid]
+    return out
 
 
 def _textured(img: np.ndarray, radius: int) -> np.ndarray:
@@ -151,14 +179,17 @@ def compute_dense_flow(a: Frame, b: Frame, params: FlowParams = FlowParams()) ->
     u = np.zeros_like(pyr_a[-1])
     v = np.zeros_like(pyr_a[-1])
     for level in range(len(pyr_a) - 1, -1, -1):
+        # (row, column) index of every pixel of this level, shared by the
+        # upsampling onto it and by every warp on it.
+        grid = np.indices(pyr_a[level].shape, dtype=np.float64)
         if level < len(pyr_a) - 1:
-            u = _upsample(u, pyr_a[level].shape) * 2.0
-            v = _upsample(v, pyr_a[level].shape) * 2.0
+            u = _upsample(u, grid) * 2.0
+            v = _upsample(v, grid) * 2.0
         u, v = _refine(
-            pyr_a[level], pyr_b[level], u, v, params.window_radius, params.iterations
+            pyr_a[level], pyr_b[level], u, v, params.window_radius, params.iterations, grid
         )
 
-    u = ndimage.median_filter(u, size=_MEDIAN_SIZE, mode="nearest")
-    v = ndimage.median_filter(v, size=_MEDIAN_SIZE, mode="nearest")
+    u = _median(u)
+    v = _median(v)
     valid = _textured(base_a, params.window_radius)
     return FlowField(u=u, v=v, valid=valid)

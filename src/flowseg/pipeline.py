@@ -8,7 +8,8 @@ covered by stochastic propagation instead of further flow computation,
 yielding window_size - 1 maps per window. ``segment_video`` collects the
 windows of an in-memory sequence (optionally on a thread pool);
 ``stream_windows`` yields them one at a time. Leftover frames that do not
-fill a whole window are skipped (and reported).
+fill a whole window are skipped (and reported). On both paths each
+window's per-phase timings are logged at DEBUG.
 
 Frames and windows are numbered 1-based in all public outputs.
 """
@@ -154,6 +155,8 @@ def _process_window(
         frame = first_frame + 2 + k
         timings.append(PhaseTiming(frame, PHASE_LANGEVIN, (perf_counter() - t0) * 1e3))
         maps.append((frame, current))
+    for t in timings:
+        log.debug("window %d frame %d %s %.3f ms", window_number, t.frame_index, t.phase, t.milliseconds)
     return maps, timings
 
 

@@ -1,7 +1,20 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
-from flowseg import FlowParams, Frame, InputError, compute_dense_flow, noise_texture
+from flowseg import (
+    FlowParams,
+    Frame,
+    InputError,
+    compute_dense_flow,
+    generate_scene,
+    noise_texture,
+    preset_scene,
+)
+from flowseg import flow as flow_module
 
 SHIFTS = [(1, 0), (0, 1), (2, 2), (-3, 1)]
 
@@ -105,3 +118,52 @@ def test_determinism():
 def test_param_validation(kwargs):
     with pytest.raises(InputError):
         FlowParams(**kwargs)
+
+
+def scipy_median(field):
+    return ndimage.median_filter(field, size=7, mode="nearest")
+
+
+def median_input(kind, shape, seed):
+    if kind == "constant":
+        return np.full(shape, 3.25)
+    field = np.random.default_rng(seed).normal(size=shape)
+    return np.round(field * 2.0) / 2.0 if kind == "ties" else field
+
+
+@pytest.mark.parametrize("kind", ["normal", "ties", "constant"])
+@pytest.mark.parametrize("shape", [(8, 8), (8, 161), (37, 53), (120, 160)])
+def test_median_matches_scipy(shape, kind):
+    field = median_input(kind, shape, seed=shape[0] * shape[1])
+    assert np.array_equal(flow_module._median(field), scipy_median(field))
+
+
+def test_median_memory_bounded():
+    field = np.random.default_rng(5).normal(size=(540, 960))
+    tracemalloc.start()
+    try:
+        flow_module._median(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * field.nbytes
+
+
+def flow_pairs():
+    one_way = generate_scene(preset_scene("one-way", 2)).frames
+    two_way = generate_scene(preset_scene("two-way", 2)).frames
+    noisy = generate_scene(replace(preset_scene("two-way", 2), noise_level=6.0)).frames
+    return {"one-way": one_way, "two-way": two_way, "two-way-noisy": noisy}
+
+
+@pytest.mark.parametrize("downscale", [1, 2])
+def test_flow_unchanged_by_partition_median(downscale, monkeypatch):
+    params = FlowParams(downscale=downscale)
+    for name, (a, b) in flow_pairs().items():
+        fast = compute_dense_flow(a, b, params)
+        with monkeypatch.context() as patch:
+            patch.setattr(flow_module, "_median", scipy_median)
+            reference = compute_dense_flow(a, b, params)
+        assert np.array_equal(fast.u, reference.u), name
+        assert np.array_equal(fast.v, reference.v), name
+        assert np.array_equal(fast.valid, reference.valid), name

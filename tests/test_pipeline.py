@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,6 +169,28 @@ def test_streaming_matches_batch(small_frames):
     for (fi_a, map_a), (fi_b, map_b) in zip(run.maps, flat):
         assert fi_a == fi_b
         assert maps_identical(map_a, map_b)
+
+
+def test_streaming_logs_phase_timings(small_frames, caplog):
+    cfg = small_config()
+    frames = small_frames[:9]
+    with caplog.at_level(logging.DEBUG, logger="flowseg.pipeline"):
+        list(stream_windows(iter(frames), cfg))
+    rows = [
+        re.fullmatch(r"window (\d+) frame (\d+) (\w+) \d+\.\d{3} ms", r.getMessage())
+        for r in caplog.records
+        if r.name == "flowseg.pipeline" and r.levelno == logging.DEBUG
+    ]
+    assert all(rows)
+    logged = [(int(m[1]), int(m[2]), m[3]) for m in rows]
+    assert logged == [
+        (1, 1, PHASE_FLOW), (1, 2, PHASE_KEYPOINT), (1, 3, PHASE_LANGEVIN), (1, 4, PHASE_LANGEVIN),
+        (2, 5, PHASE_FLOW), (2, 6, PHASE_KEYPOINT), (2, 7, PHASE_LANGEVIN), (2, 8, PHASE_LANGEVIN),
+    ]
+    batch = segment_video(frames, cfg).timings
+    assert [(f, p) for _, f, p in logged] == [
+        (t.frame_index, t.phase) for t in batch if t.phase != PHASE_SKIPPED
+    ]
 
 
 def test_streaming_empty_source():
