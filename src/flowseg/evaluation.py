@@ -57,45 +57,64 @@ def rasterize(seg_map: SegmentationMap, dilation_radius: int = DEFAULT_DILATION_
 
     At radius 0 both the dilation and the opening are skipped, so the mask
     is exactly the member pixel set. Where grown groups overlap, the pixel
-    goes to the group with the nearer centroid, ties to the lower id.
+    goes to the group with the nearer centroid, ties to the lower id. A
+    group without members paints nothing.
+
+    Each group's morphology runs on a crop: its member bounding box grown
+    by ``dilation_radius + 2`` on every side (no margin at radius 0) and
+    clipped to the map. The result equals the same morphology over the
+    whole map: the disc reaches at most ``r`` px from a member, the
+    opening's erosion reads one px beyond that, and the opening never
+    grows the set, so everything the morphology reads or writes lies
+    within ``r + 1`` px of a member and inside the crop. Where a crop meets
+    the frame edge it ends exactly there, without padding, so the erosion
+    sees the same out-of-frame background as on the whole map.
     """
     if dilation_radius < 0:
         raise InputError("dilation_radius must be >= 0")
     h, w = seg_map.height, seg_map.width
     labels = np.zeros((h, w), dtype=np.int32)
-    if not seg_map.groups:
+
+    disc = disc_element(dilation_radius) if dilation_radius > 0 else None
+    margin = dilation_radius + 2 if disc is not None else 0
+    shaped = []  # (group, box, crop mask) for groups with members
+    for g in seg_map.groups:
+        rows, cols = g.pixel_coords(w, h)
+        if rows.size == 0:
+            continue
+        top, left = max(rows.min() - margin, 0), max(cols.min() - margin, 0)
+        bottom, right = min(rows.max() + margin + 1, h), min(cols.max() + margin + 1, w)
+        crop = np.zeros((bottom - top, right - left), dtype=bool)
+        crop[rows - top, cols - left] = True
+        if disc is not None:
+            crop = ndimage.binary_dilation(crop, structure=disc)
+            crop = ndimage.binary_opening(crop, structure=_OPENING_STRUCT)
+        shaped.append((g, (slice(top, bottom), slice(left, right)), crop))
+    if not shaped:
         return LabelMask(labels)
 
-    masks = []
-    disc = disc_element(dilation_radius) if dilation_radius > 0 else None
-    for g in seg_map.groups:
-        mask = np.zeros((h, w), dtype=bool)
-        rows, cols = g.pixel_coords(w, h)
-        mask[rows, cols] = True
-        if disc is not None:
-            mask = ndimage.binary_dilation(mask, structure=disc)
-            mask = ndimage.binary_opening(mask, structure=_OPENING_STRUCT)
-        masks.append(mask)
-
     coverage = np.zeros((h, w), dtype=np.int32)
-    for mask in masks:
-        coverage += mask
-    for g, mask in zip(seg_map.groups, masks):
-        labels[mask & (coverage == 1)] = g.id
+    for _, box, crop in shaped:
+        coverage[box] += crop
+    for g, box, crop in shaped:
+        region = labels[box]
+        region[crop & (coverage[box] == 1)] = g.id
 
     contested = coverage > 1
     if contested.any():
         rows, cols = np.nonzero(contested)
-        dist = np.full((len(seg_map.groups), rows.size), np.inf)
-        for k, (g, mask) in enumerate(zip(seg_map.groups, masks)):
-            covering = mask[rows, cols]
+        dist = np.full((len(shaped), rows.size), np.inf)
+        for k, (g, (rs, cs), crop) in enumerate(shaped):
+            inside = (rows >= rs.start) & (rows < rs.stop) & (cols >= cs.start) & (cols < cs.stop)
+            covering = np.zeros(rows.size, dtype=bool)
+            covering[inside] = crop[rows[inside] - rs.start, cols[inside] - cs.start]
             cx, cy = g.centroid
             d2 = (cols - cx) ** 2 + (rows - cy) ** 2
             dist[k, covering] = d2[covering]
         # argmin returns the first minimum; groups are in ascending id
         # order, so exact ties resolve to the lower id.
         winner = np.argmin(dist, axis=0)
-        ids = np.array([g.id for g in seg_map.groups], dtype=np.int32)
+        ids = np.array([g.id for g, _, _ in shaped], dtype=np.int32)
         labels[rows, cols] = ids[winner]
     return LabelMask(labels)
 
@@ -254,19 +273,22 @@ def render_overlay(
     palette: dict[int, tuple[int, int, int]] | None = None,
     alpha: float = OVERLAY_ALPHA,
 ) -> np.ndarray:
-    """Blend label colors over the grayscale frame; background passes through."""
+    """Blend label colors over the grayscale frame; background passes through.
+
+    Every labeled pixel is blended in one step through a color table with
+    one row per label present, found by binary search in the sorted ids.
+    """
     if (frame.height, frame.width) != (mask.height, mask.width):
         raise InputError(
             f"frame {frame.width}x{frame.height} does not match mask {mask.width}x{mask.height}"
         )
     gray = frame.data.astype(np.float64)
     rgb = np.repeat(gray[:, :, None], 3, axis=2)
-    for label_id in np.unique(mask.labels):
-        if label_id == 0:
-            continue
-        color = (palette or {}).get(int(label_id)) or label_color(int(label_id))
-        where = mask.labels == label_id
-        for c in range(3):
-            channel = rgb[:, :, c]
-            channel[where] = (1.0 - alpha) * gray[where] + alpha * color[c]
+    fg = mask.labels != 0
+    labeled = mask.labels[fg]
+    ids = np.unique(labeled)
+    lut = np.array(
+        [(palette or {}).get(int(i)) or label_color(int(i)) for i in ids], dtype=np.float64
+    ).reshape(-1, 3)
+    rgb[fg] = (1.0 - alpha) * gray[fg][:, None] + alpha * lut[np.searchsorted(ids, labeled)]
     return np.clip(np.rint(rgb), 0, 255).astype(np.uint8)

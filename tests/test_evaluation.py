@@ -1,20 +1,28 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from flowseg import (
+    BlockSpec,
     Frame,
     InputError,
     LabelMask,
     MetricError,
+    PipelineConfig,
+    SceneSpec,
     accuracy,
+    generate_scene,
     iou,
     rasterize,
     render_overlay,
     report,
+    segment_video,
 )
-from flowseg.evaluation import disc_element, resample_nearest
+from flowseg.evaluation import OVERLAY_ALPHA, disc_element, label_color, resample_nearest
 from flowseg.keypoints import Group, SegmentationMap
 from flowseg.pipeline import RunResult
 
@@ -135,6 +143,149 @@ def test_rasterize_matches_oracle(seed, radius, n_groups):
         groups.append(group_at(sorted(pixels), gid=gid))
     mask = rasterize(seg_map(groups, width=20, height=20), dilation_radius=radius)
     assert np.array_equal(mask.labels, oracle_rasterize(groups, 20, 20, radius))
+
+
+# --- cropped morphology against the full-frame reference ----------------------
+
+
+def reference_rasterize(seg_map, dilation_radius):
+    """Full-frame rasterize: every group's morphology over the whole map."""
+    h, w = seg_map.height, seg_map.width
+    labels = np.zeros((h, w), dtype=np.int32)
+    if not seg_map.groups:
+        return labels
+    masks = []
+    disc = disc_element(dilation_radius) if dilation_radius > 0 else None
+    for g in seg_map.groups:
+        mask = np.zeros((h, w), dtype=bool)
+        rows, cols = g.pixel_coords(w, h)
+        mask[rows, cols] = True
+        if disc is not None:
+            mask = ndimage.binary_dilation(mask, structure=disc)
+            mask = ndimage.binary_opening(mask, structure=np.ones((3, 3), dtype=bool))
+        masks.append(mask)
+    coverage = np.zeros((h, w), dtype=np.int32)
+    for mask in masks:
+        coverage += mask
+    for g, mask in zip(seg_map.groups, masks):
+        labels[mask & (coverage == 1)] = g.id
+    contested = coverage > 1
+    if contested.any():
+        rows, cols = np.nonzero(contested)
+        dist = np.full((len(seg_map.groups), rows.size), np.inf)
+        for k, (g, mask) in enumerate(zip(seg_map.groups, masks)):
+            covering = mask[rows, cols]
+            cx, cy = g.centroid
+            d2 = (cols - cx) ** 2 + (rows - cy) ** 2
+            dist[k, covering] = d2[covering]
+        winner = np.argmin(dist, axis=0)
+        ids = np.array([g.id for g in seg_map.groups], dtype=np.int32)
+        labels[rows, cols] = ids[winner]
+    return labels
+
+
+def block_group(top, left, height, width, gid):
+    return group_at([(y, x) for y in range(top, top + height) for x in range(left, left + width)],
+                    gid=gid)
+
+
+def empty_group(gid):
+    return group_at([], gid=gid)
+
+
+# Each case builds groups for a (width, height, radius); the crop margin is
+# radius + 2, so "short of an edge" cases place the member box from it.
+CROP_CASES = {
+    "touch_each_edge": lambda w, h, r: [
+        block_group(0, w // 2 - 3, 4, 6, 1),
+        block_group(h // 2 - 3, 0, 6, 4, 2),
+        block_group(h // 2 - 3, w - 4, 6, 4, 3),
+        block_group(h - 4, w // 2 - 3, 4, 6, 4),
+    ],
+    "touch_each_corner": lambda w, h, r: [
+        block_group(0, 0, 5, 5, 1),
+        block_group(0, w - 5, 5, 5, 2),
+        block_group(h - 5, 0, 5, 5, 3),
+        block_group(h - 5, w - 5, 5, 5, 4),
+    ],
+    "crop_ends_two_px_short_of_top_left": lambda w, h, r: [
+        block_group(r + 4, r + 4, 4, 5, 1),
+    ],
+    "crop_ends_one_px_short_of_bottom_right": lambda w, h, r: [
+        block_group(h - r - 7, w - r - 8, 4, 5, 1),
+    ],
+    "overlap_with_equidistant_contested_pixels": lambda w, h, r: [
+        block_group(h // 2 - 3, w // 2 - 6, 7, 4, 1),
+        block_group(h // 2 - 3, w // 2 + 3, 7, 4, 2),
+        block_group(h // 2 + 5, w // 2 - 2, 3, 5, 3),
+    ],
+    # half-pixel steps round half to even, so every row and column is hit
+    "members_out_of_frame_and_at_half_pixels": lambda w, h, r: [
+        group_at([(y, x) for y in np.arange(5.5, 10) for x in np.arange(7.5, 12, 0.5)]
+                 + [(-2.3, 10.0), (7.5, -0.6)], gid=1),
+        group_at([(y, x) for y in np.arange(h - 7.5, h - 2, 0.5) for x in np.arange(w - 9.5, w - 4)]
+                 + [(h + 4.0, w - 6.5), (h - 4.5, w + 1.7), (h - 0.5, w - 0.5)], gid=2),
+    ],
+    "empty_group_between_overlapping_groups": lambda w, h, r: [
+        block_group(10, 10, 5, 5, 1),
+        empty_group(2),
+        block_group(10, 17, 5, 5, 3),
+    ],
+}
+
+
+@pytest.mark.parametrize("width,height", [(64, 48), (160, 120)])
+@pytest.mark.parametrize("case", sorted(CROP_CASES))
+def test_cropped_rasterize_equals_full_frame_reference(case, width, height):
+    for radius in range(6):
+        m = seg_map(CROP_CASES[case](width, height, radius), width=width, height=height)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels = rasterize(m, radius).labels
+        with warnings.catch_warnings():
+            # the reference takes the centroid of an empty group: nan, with a warning
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = reference_rasterize(m, radius)
+        assert np.array_equal(labels, expected), radius
+
+
+def test_only_empty_groups_paint_nothing():
+    m = seg_map([empty_group(1), empty_group(2)])
+    for radius in (0, 3):
+        assert not rasterize(m, radius).labels.any()
+
+
+def crowd_spec(frames=10):
+    """Twelve 40x40 blocks on a 4x3 grid of 80x80 cells, all eight
+    directions present, each path inside its own cell (the shape of the
+    benchmark's crowd workload, placed without a seed)."""
+    directions = ((2, 0), (2, 2), (0, 2), (-2, 2), (-2, 0), (-2, -2), (0, -2), (2, -2))
+    headings = (0, 5, 2, 7, 4, 1, 6, 3, 0, 2, 4, 6)
+    blocks = []
+    for cell, heading in enumerate(headings):
+        vx, vy = directions[heading]
+        x = (cell % 4) * 80 + 20 - vx * (frames - 1) // 2
+        y = (cell // 4) * 80 + 20 - vy * (frames - 1) // 2
+        blocks.append(BlockSpec(rect=(x, y, 40, 40), velocity=(float(vx), float(vy)),
+                                texture_seed=cell + 1))
+    return SceneSpec(320, 240, frames, tuple(blocks), background_seed=99)
+
+
+@pytest.mark.parametrize("scene", ["crowd", "one-way"])
+def test_cropped_rasterize_equals_full_frame_reference_on_scenes(scene, one_way_scene):
+    if scene == "crowd":
+        data = generate_scene(crowd_spec())
+        assert not data.truncated
+        frames, window = data.frames, 10
+    else:
+        frames, window = one_way_scene.frames, 4
+    run = segment_video(frames, PipelineConfig(window_size=window, seed=1))
+    assert len(run.maps) == 9
+    if scene == "crowd":
+        assert min(len(m.groups) for _, m in run.maps) >= 8
+    for _, m in run.maps:
+        for radius in (0, 1, 3, 5):
+            assert np.array_equal(rasterize(m, radius).labels, reference_rasterize(m, radius))
 
 
 # --- the coverage metric -------------------------------------------------------
@@ -309,3 +460,36 @@ def test_overlay_deterministic():
 def test_overlay_dim_mismatch():
     with pytest.raises(InputError):
         render_overlay(Frame(np.zeros((8, 8), np.uint8)), LabelMask(np.zeros((4, 4), np.int32)))
+
+
+def reference_overlay(frame, mask, palette=None, alpha=OVERLAY_ALPHA):
+    """One full-frame compare and three masked writes per label."""
+    gray = frame.data.astype(np.float64)
+    rgb = np.repeat(gray[:, :, None], 3, axis=2)
+    for label_id in np.unique(mask.labels):
+        if label_id == 0:
+            continue
+        color = (palette or {}).get(int(label_id)) or label_color(int(label_id))
+        where = mask.labels == label_id
+        for c in range(3):
+            channel = rgb[:, :, c]
+            channel[where] = (1.0 - alpha) * gray[where] + alpha * color[c]
+    return np.clip(np.rint(rgb), 0, 255).astype(np.uint8)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_overlay_matches_per_label_reference(seed):
+    rng = np.random.default_rng(seed)
+    h, w = (120, 160) if seed % 2 else (37, 53)
+    frame = Frame(rng.integers(0, 256, (h, w), dtype=np.uint8))
+    ids = rng.choice(np.arange(1, 256), size=int(rng.integers(1, 41)), replace=False)
+    labels = np.where(rng.random((h, w)) < 0.4, 0, rng.choice(ids, size=(h, w)))
+    mask = LabelMask(labels.astype(np.int32))
+    palette = {int(i): tuple(int(c) for c in rng.integers(0, 256, 3)) for i in ids[::3]}
+    palette[256] = (1, 2, 3)  # an id absent from the map
+    for pal in (None, palette):
+        for alpha in (OVERLAY_ALPHA, 0.3):
+            out = render_overlay(frame, mask, pal, alpha)
+            ref = reference_overlay(frame, mask, pal, alpha)
+            assert out.dtype == ref.dtype and out.shape == ref.shape
+            assert out.tobytes() == ref.tobytes()
