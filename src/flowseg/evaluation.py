@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import InputError, MetricError
 from .io import Frame
@@ -19,7 +18,7 @@ from .keypoints import SegmentationMap
 from .pipeline import RunResult
 
 DEFAULT_DILATION_RADIUS = 3
-_OPENING_STRUCT = np.ones((3, 3), dtype=bool)
+_STACK_VOXELS = 1 << 22  # booleans per crop stack; more groups take more stacks
 _GOLDEN = 0.61803398875
 OVERLAY_ALPHA = 0.5
 
@@ -52,6 +51,30 @@ def disc_element(radius: int) -> np.ndarray:
     return (xx * xx + yy * yy) <= r * r
 
 
+def pixel_coords(x, y, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions rounded to the nearest pixel and clipped to the frame: (rows, cols)."""
+    rows = np.clip(np.rint(y).astype(np.int64), 0, height - 1)
+    cols = np.clip(np.rint(x).astype(np.int64), 0, width - 1)
+    return rows, cols
+
+
+def _dilate(stack: np.ndarray, element: np.ndarray) -> np.ndarray:
+    """OR of every slot of ``stack`` (groups, rows, cols) shifted by each offset
+    of a symmetric, row-convex ``element``; zeros enter at the slot edges."""
+    r = element.shape[0] // 2
+    half_widths = element[r:, r:].sum(axis=1) - 1  # per row offset 0..r
+    wide = stack.copy()  # stack grown by k px to each side along a row
+    out = np.zeros_like(stack)
+    for k in range(r + 1):
+        if k:
+            wide[..., k:] |= stack[..., :-k]
+            wide[..., :-k] |= stack[..., k:]
+        for d in np.flatnonzero(half_widths == k):
+            out[:, d:] |= wide[:, : -d or None]
+            out[:, : -d or None] |= wide[:, d:]
+    return out
+
+
 def rasterize(seg_map: SegmentationMap, dilation_radius: int = DEFAULT_DILATION_RADIUS) -> LabelMask:
     """Paint member pixels per group, grow by a disc, then open once (3x3).
 
@@ -60,63 +83,76 @@ def rasterize(seg_map: SegmentationMap, dilation_radius: int = DEFAULT_DILATION_
     goes to the group with the nearer centroid, ties to the lower id. A
     group without members paints nothing.
 
-    Each group's morphology runs on a crop: its member bounding box grown
+    Each group's morphology runs on its crop: the member bounding box grown
     by ``dilation_radius + 2`` on every side (no margin at radius 0) and
     clipped to the map. The result equals the same morphology over the
     whole map: the disc reaches at most ``r`` px from a member, the
     opening's erosion reads one px beyond that, and the opening never
     grows the set, so everything the morphology reads or writes lies
-    within ``r + 1`` px of a member and inside the crop. Where a crop meets
-    the frame edge it ends exactly there, without padding, so the erosion
-    sees the same out-of-frame background as on the whole map.
+    within ``r + 1`` px of a member and inside the crop. Crops sit at the
+    top-left of the slots of boolean stacks (groups, rows, cols) of at most
+    ``_STACK_VOXELS`` voxels; ANDing each slot with its crop after the
+    dilation makes the erosion read background past a crop cut off by the
+    frame edge, as past the frame, so the opening stays inside the crop.
     """
     if dilation_radius < 0:
         raise InputError("dilation_radius must be >= 0")
     h, w = seg_map.height, seg_map.width
-    labels = np.zeros((h, w), dtype=np.int32)
+    labels = np.zeros(h * w, dtype=np.int32)
+    groups = [g for g in seg_map.groups if g.size]
+    if not groups:
+        return LabelMask(labels.reshape(h, w))
 
-    disc = disc_element(dilation_radius) if dilation_radius > 0 else None
-    margin = dilation_radius + 2 if disc is not None else 0
-    shaped = []  # (group, box, crop mask) for groups with members
-    for g in seg_map.groups:
-        rows, cols = g.pixel_coords(w, h)
-        if rows.size == 0:
-            continue
-        top, left = max(rows.min() - margin, 0), max(cols.min() - margin, 0)
-        bottom, right = min(rows.max() + margin + 1, h), min(cols.max() + margin + 1, w)
-        crop = np.zeros((bottom - top, right - left), dtype=bool)
-        crop[rows - top, cols - left] = True
-        if disc is not None:
-            crop = ndimage.binary_dilation(crop, structure=disc)
-            crop = ndimage.binary_opening(crop, structure=_OPENING_STRUCT)
-        shaped.append((g, (slice(top, bottom), slice(left, right)), crop))
-    if not shaped:
-        return LabelMask(labels)
+    sizes = [g.size for g in groups]
+    member = np.repeat(np.arange(len(groups)), sizes)
+    starts = np.cumsum([0] + sizes)
+    x, y = np.concatenate([g.x for g in groups]), np.concatenate([g.y for g in groups])
+    rows, cols = pixel_coords(x, y, w, h)
+    margin = dilation_radius + 2 if dilation_radius > 0 else 0
+    top = np.maximum(np.minimum.reduceat(rows, starts[:-1]) - margin, 0)
+    left = np.maximum(np.minimum.reduceat(cols, starts[:-1]) - margin, 0)
+    crop_h = np.minimum(np.maximum.reduceat(rows, starts[:-1]) + margin + 1, h) - top
+    crop_w = np.minimum(np.maximum.reduceat(cols, starts[:-1]) + margin + 1, w) - left
+    slot = (int(crop_h.max()), int(crop_w.max()))
+    per_stack = max(1, _STACK_VOXELS // (slot[0] * slot[1]))
 
-    coverage = np.zeros((h, w), dtype=np.int32)
-    for _, box, crop in shaped:
-        coverage[box] += crop
-    for g, box, crop in shaped:
-        region = labels[box]
-        region[crop & (coverage[box] == 1)] = g.id
+    pix, owner = [], []
+    for first in range(0, len(groups), per_stack):
+        end = min(first + per_stack, len(groups))
+        m = slice(starts[first], starts[end])
+        grp = member[m]
+        stack = np.zeros((end - first,) + slot, dtype=bool)
+        stack[grp - first, rows[m] - top[grp], cols[m] - left[grp]] = True
+        if dilation_radius > 0:
+            stack = _dilate(stack, disc_element(dilation_radius))
+            stack &= np.arange(slot[0])[:, None] < crop_h[first:end, None, None]
+            stack &= np.arange(slot[1]) < crop_w[first:end, None, None]
+            core = np.zeros_like(stack)  # 3x3 erosion: background past the slot
+            core[..., 1:-1] = stack[..., :-2] & stack[..., 1:-1] & stack[..., 2:]
+            core[:, 1:-1] = core[:, :-2] & core[:, 1:-1] & core[:, 2:]
+            core[:, [0, -1]] = False
+            stack = _dilate(core, np.ones((3, 3), dtype=bool))
+        k, yy, xx = np.nonzero(stack)
+        k += first
+        pix.append((yy + top[k]) * w + xx + left[k])
+        owner.append(k)
+    pix, owner = np.concatenate(pix), np.concatenate(owner)
 
-    contested = coverage > 1
-    if contested.any():
-        rows, cols = np.nonzero(contested)
-        dist = np.full((len(shaped), rows.size), np.inf)
-        for k, (g, (rs, cs), crop) in enumerate(shaped):
-            inside = (rows >= rs.start) & (rows < rs.stop) & (cols >= cs.start) & (cols < cs.stop)
-            covering = np.zeros(rows.size, dtype=bool)
-            covering[inside] = crop[rows[inside] - rs.start, cols[inside] - cs.start]
-            cx, cy = g.centroid
-            d2 = (cols - cx) ** 2 + (rows - cy) ** 2
-            dist[k, covering] = d2[covering]
-        # argmin returns the first minimum; groups are in ascending id
-        # order, so exact ties resolve to the lower id.
-        winner = np.argmin(dist, axis=0)
-        ids = np.array([g.id for g, _, _ in shaped], dtype=np.int32)
-        labels[rows, cols] = ids[winner]
-    return LabelMask(labels)
+    ids = np.array([g.id for g in groups], dtype=np.int32)
+    once = np.bincount(pix, minlength=h * w)[pix] == 1
+    labels[pix[once]] = ids[owner[once]]
+    if not once.all():
+        pix, owner = pix[~once], owner[~once]
+        centroids = np.zeros((len(groups), 2))
+        for k in np.unique(owner):  # often a few groups of many
+            centroids[k] = groups[k].centroid
+        rows, cols = np.divmod(pix, w)
+        d2 = (cols - centroids[owner, 0]) ** 2 + (rows - centroids[owner, 1]) ** 2
+        order = np.lexsort((ids[owner], d2, pix))
+        pix, owner = pix[order], owner[order]
+        nearest = np.r_[True, pix[1:] != pix[:-1]]  # first entry of each pixel
+        labels[pix[nearest]] = ids[owner[nearest]]
+    return LabelMask(labels.reshape(h, w))
 
 
 def _as_labels(mask) -> np.ndarray:

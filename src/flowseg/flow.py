@@ -114,12 +114,16 @@ def _refine(a, b, u, v, radius: int, iterations: int, grid: np.ndarray):
 
 
 def _median(field: np.ndarray) -> np.ndarray:
-    """7x7 median of ``field`` with borders replicated.
+    """7x7 median of ``field`` with borders replicated, in float32.
 
     For finite input the result equals
-    ``scipy.ndimage.median_filter(field, size=7, mode="nearest")`` exactly:
-    edge padding replicates the border as ``mode="nearest"`` does, and the
-    median of 49 values is the element ``np.partition`` puts at index 24.
+    ``scipy.ndimage.median_filter(field, size=7, mode="nearest")`` cast to
+    float32 exactly: edge padding replicates the border as
+    ``mode="nearest"`` does, the median of 49 values is the element
+    ``np.partition`` puts at index 24, and rounding to float32 first picks
+    the same element, since a monotone cast keeps the order. ``FlowField``
+    stores float32, so flow's output does not change, and the partition
+    moves half the bytes.
     (Where 0.0 and -0.0 tie for the median, either sign may come out.)
     NaN is unsupported (partition and scipy order it differently); flow
     never produces NaN because ``_refine`` divides only where ``det`` is
@@ -127,6 +131,7 @@ def _median(field: np.ndarray) -> np.ndarray:
     """
     r = _MEDIAN_SIZE // 2
     mid = _MEDIAN_SIZE * _MEDIAN_SIZE // 2
+    field = np.asarray(field, dtype=np.float32)
     windows = sliding_window_view(np.pad(field, r, mode="edge"), (_MEDIAN_SIZE, _MEDIAN_SIZE))
     out = np.empty_like(field)
     for top in range(0, field.shape[0], _MEDIAN_CHUNK_ROWS):

@@ -75,12 +75,6 @@ class Group:
     def mean_velocity(self) -> tuple[float, float]:
         return float(self.vx.mean()), float(self.vy.mean())
 
-    def pixel_coords(self, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
-        """Member positions rounded to in-bounds integer (row, col) pairs."""
-        rows = np.clip(np.rint(self.y).astype(np.int64), 0, height - 1)
-        cols = np.clip(np.rint(self.x).astype(np.int64), 0, width - 1)
-        return rows, cols
-
 
 @dataclass(eq=False)
 class SegmentationMap:

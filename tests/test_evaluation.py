@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,7 +23,14 @@ from flowseg import (
     report,
     segment_video,
 )
-from flowseg.evaluation import OVERLAY_ALPHA, disc_element, label_color, resample_nearest
+from flowseg import evaluation
+from flowseg.evaluation import (
+    OVERLAY_ALPHA,
+    disc_element,
+    label_color,
+    pixel_coords,
+    resample_nearest,
+)
 from flowseg.keypoints import Group, SegmentationMap
 from flowseg.pipeline import RunResult
 
@@ -149,16 +157,19 @@ def test_rasterize_matches_oracle(seed, radius, n_groups):
 
 
 def reference_rasterize(seg_map, dilation_radius):
-    """Full-frame rasterize: every group's morphology over the whole map."""
+    """Full-frame rasterize: every group's morphology over the whole map.
+    Groups are taken in id order, so argmin settles exact ties to the
+    lower id."""
     h, w = seg_map.height, seg_map.width
     labels = np.zeros((h, w), dtype=np.int32)
-    if not seg_map.groups:
+    groups = sorted(seg_map.groups, key=lambda g: g.id)
+    if not groups:
         return labels
     masks = []
     disc = disc_element(dilation_radius) if dilation_radius > 0 else None
-    for g in seg_map.groups:
+    for g in groups:
         mask = np.zeros((h, w), dtype=bool)
-        rows, cols = g.pixel_coords(w, h)
+        rows, cols = pixel_coords(g.x, g.y, w, h)
         mask[rows, cols] = True
         if disc is not None:
             mask = ndimage.binary_dilation(mask, structure=disc)
@@ -167,19 +178,19 @@ def reference_rasterize(seg_map, dilation_radius):
     coverage = np.zeros((h, w), dtype=np.int32)
     for mask in masks:
         coverage += mask
-    for g, mask in zip(seg_map.groups, masks):
+    for g, mask in zip(groups, masks):
         labels[mask & (coverage == 1)] = g.id
     contested = coverage > 1
     if contested.any():
         rows, cols = np.nonzero(contested)
-        dist = np.full((len(seg_map.groups), rows.size), np.inf)
-        for k, (g, mask) in enumerate(zip(seg_map.groups, masks)):
+        dist = np.full((len(groups), rows.size), np.inf)
+        for k, (g, mask) in enumerate(zip(groups, masks)):
             covering = mask[rows, cols]
             cx, cy = g.centroid
             d2 = (cols - cx) ** 2 + (rows - cy) ** 2
             dist[k, covering] = d2[covering]
         winner = np.argmin(dist, axis=0)
-        ids = np.array([g.id for g in seg_map.groups], dtype=np.int32)
+        ids = np.array([g.id for g in groups], dtype=np.int32)
         labels[rows, cols] = ids[winner]
     return labels
 
@@ -231,13 +242,20 @@ CROP_CASES = {
         empty_group(2),
         block_group(10, 17, 5, 5, 3),
     ],
+    # crops cut off by the right and bottom frame edges, smaller than the
+    # block's, so they fill only part of their slot in the crop stack
+    "small_groups_on_right_and_bottom_edges_beside_a_larger_crop": lambda w, h, r: [
+        block_group(h // 2 - 4, w // 2 - 4, 8, 8, 1),
+        group_at([(h // 2, w - 1), (h // 2 + 1, w - 1)], gid=2),
+        group_at([(h - 1, w // 2)], gid=3),
+    ],
 }
 
 
 @pytest.mark.parametrize("width,height", [(64, 48), (160, 120)])
 @pytest.mark.parametrize("case", sorted(CROP_CASES))
 def test_cropped_rasterize_equals_full_frame_reference(case, width, height):
-    for radius in range(6):
+    for radius in range(8):
         m = seg_map(CROP_CASES[case](width, height, radius), width=width, height=height)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -247,6 +265,63 @@ def test_cropped_rasterize_equals_full_frame_reference(case, width, height):
             warnings.simplefilter("ignore", RuntimeWarning)
             expected = reference_rasterize(m, radius)
         assert np.array_equal(labels, expected), radius
+
+
+def random_map(rng, width, height):
+    """Up to 25 groups in shuffled id order: some empty, blobs of mixed
+    spread on a half-pixel lattice, some members out of frame."""
+    count = int(rng.integers(1, 26))
+    groups = []
+    for gid in rng.permutation(np.arange(1, count + 1)):
+        n = 0 if rng.random() < 0.2 else int(rng.integers(1, 40))
+        spread = rng.uniform(0.5, 6.0)
+        cy, cx = rng.uniform(-3, height + 3), rng.uniform(-3, width + 3)
+        ys = np.round((cy + rng.normal(0, spread, n)) * 2) / 2
+        xs = np.round((cx + rng.normal(0, spread, n)) * 2) / 2
+        groups.append(group_at(list(zip(ys, xs)), gid=int(gid)))
+    return seg_map(groups, width=width, height=height)
+
+
+# a small stack cap puts a few groups in each chunk, the default all of them
+@pytest.mark.parametrize("stack_voxels", [2000, evaluation._STACK_VOXELS])
+def test_rasterize_equals_full_frame_reference_on_random_maps(stack_voxels, monkeypatch):
+    monkeypatch.setattr(evaluation, "_STACK_VOXELS", stack_voxels)
+    rng = np.random.default_rng(20240531)
+    for case in range(200):
+        width, height = int(rng.integers(4, 72)), int(rng.integers(4, 56))
+        m = random_map(rng, width, height)
+        radius = case % 7
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # reference: empty centroid
+            expected = reference_rasterize(m, radius)
+        assert np.array_equal(rasterize(m, radius).labels, expected), (case, radius)
+
+
+def test_equidistant_tie_goes_to_lower_id_in_any_list_order():
+    # column 12 lies 4.5 px from both centroids (x = 7.5 and 16.5)
+    low = block_group(10, 6, 8, 4, 1)
+    high = block_group(10, 15, 8, 4, 2)
+    expected = oracle_rasterize([low, high], 32, 32, 3)
+    assert (expected[:, 12] == 1).sum() > 0
+    for groups in ([low, high], [high, low]):
+        assert np.array_equal(rasterize(seg_map(groups), 3).labels, expected)
+
+
+def test_rasterize_memory_bounded_for_many_frame_wide_groups():
+    # 255 groups whose member boxes each span a 540x960 frame: unchunked,
+    # their crops alone would take 255 frames of booleans
+    h, w = 540, 960
+    groups = [
+        group_at([(0, 0), (h - 1, w - 1), (gid, 3 * gid)], gid=gid) for gid in range(1, 256)
+    ]
+    tracemalloc.start()
+    try:
+        labels = rasterize(seg_map(groups, width=w, height=h), 3).labels
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * h * w
+    assert np.unique(labels).size == 256
 
 
 def test_only_empty_groups_paint_nothing():
@@ -284,7 +359,7 @@ def test_cropped_rasterize_equals_full_frame_reference_on_scenes(scene, one_way_
     if scene == "crowd":
         assert min(len(m.groups) for _, m in run.maps) >= 8
     for _, m in run.maps:
-        for radius in (0, 1, 3, 5):
+        for radius in range(8):
             assert np.array_equal(rasterize(m, radius).labels, reference_rasterize(m, radius))
 
 
