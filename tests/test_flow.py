@@ -6,9 +6,11 @@ import pytest
 from scipy import ndimage
 
 from flowseg import (
+    BlockSpec,
     FlowParams,
     Frame,
     InputError,
+    SceneSpec,
     compute_dense_flow,
     generate_scene,
     noise_texture,
@@ -166,4 +168,105 @@ def test_flow_unchanged_by_partition_median(downscale, monkeypatch):
             reference = compute_dense_flow(a, b, params)
         assert np.array_equal(fast.u, reference.u), name
         assert np.array_equal(fast.v, reference.v), name
+        assert np.array_equal(fast.valid, reference.valid), name
+
+
+# The general-purpose forms that four pieces of flow replaced with cheaper
+# routes to the same bits; each test below compares bit patterns with one.
+
+
+def reference_upsample(field, shape):
+    return ndimage.map_coordinates(field, np.indices(shape) / 2.0, order=1, mode="nearest")
+
+
+def reference_block_mean(img, factor):
+    if factor == 1:
+        return img
+    h, w = img.shape
+    return img.reshape(h // factor, factor, w // factor, factor).mean(axis=(1, 3))
+
+
+def reference_window_sum(stack, radius):
+    size = 2 * radius + 1
+    return np.stack(
+        [ndimage.uniform_filter(img, size=size, mode="nearest") * (size * size) for img in stack]
+    )
+
+
+def reference_median(field):
+    """The float32 partition median: the element at index 24 of each
+    edge-padded 7x7 window."""
+    field = np.asarray(field, dtype=np.float32)
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(field, 3, mode="edge"), (7, 7))
+    return np.partition(windows.reshape(*field.shape, 49), 24, axis=-1)[..., 24]
+
+
+def same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+@pytest.mark.parametrize("kind", ["normal", "halves", "negative-zero"])
+@pytest.mark.parametrize("shape", [(16, 20), (15, 21), (17, 16), (53, 37), (120, 160)])
+def test_upsample_matches_map_coordinates(shape, kind):
+    coarse = ((shape[0] + 1) // 2, (shape[1] + 1) // 2)
+    field = np.random.default_rng(shape[0] * shape[1]).normal(size=coarse) * 3.0
+    if kind == "halves":
+        field = np.round(field * 2.0) / 2.0
+    elif kind == "negative-zero":
+        field = np.full(coarse, -0.0)
+    assert same_bits(flow_module._upsample(field, shape), reference_upsample(field, shape))
+
+
+@pytest.mark.parametrize("factor", [1, 2, 3, 4])
+def test_block_mean_matches_reshape_mean(factor):
+    img = np.random.default_rng(factor).integers(0, 256, size=(24, 36)).astype(np.float64)
+    assert same_bits(flow_module._block_mean(img, factor), reference_block_mean(img, factor))
+
+
+@pytest.mark.parametrize("radius", [1, 4])
+@pytest.mark.parametrize("shape", [(120, 160), (37, 53), (8, 9)])
+def test_stacked_window_sum_matches_one_call_per_image(shape, radius):
+    stack = np.random.default_rng(radius).normal(size=(5, *shape))
+    assert same_bits(flow_module._window_sum(stack, radius), reference_window_sum(stack, radius))
+
+
+@pytest.mark.parametrize("kind", ["normal", "ties", "constant"])
+@pytest.mark.parametrize("shape", [(8, 8), (8, 161), (37, 53), (120, 160)])
+def test_median_matches_float_partition_bits(shape, kind):
+    # + 0.0 turns the -0.0 that rounding leaves into 0.0: the keys order
+    # the two zeros, a float partition does not.
+    field = median_input(kind, shape, seed=shape[0] + shape[1]) + 0.0
+    fast = flow_module._median(field)
+    assert np.array_equal(fast.view(np.int32), reference_median(field).view(np.int32))
+
+
+@pytest.mark.parametrize("negatives, expect_negative", [(25, True), (24, False)])
+def test_median_orders_negative_zero_below_zero(negatives, expect_negative):
+    # The centre pixel's 7x7 window is the whole field, sorted -0.0 first.
+    field = np.zeros(49)
+    field[:negatives] = -0.0
+    median = flow_module._median(field.reshape(7, 7))[3, 3]
+    assert median == 0.0 and bool(np.signbit(median)) is expect_negative
+
+
+def odd_pyramid_pair():
+    """106x74 frames: the pyramid at downscale 1 is 106x74, 53x37, 27x19."""
+    blocks = (BlockSpec(rect=(20, 30, 30, 40), velocity=(2.0, 1.0), texture_seed=5),)
+    return generate_scene(SceneSpec(74, 106, 2, blocks, background_seed=3)).frames
+
+
+@pytest.mark.parametrize("downscale", [1, 2])
+def test_flow_unchanged_by_exact_forms(downscale, monkeypatch):
+    params = FlowParams(downscale=downscale)
+    pairs = {**flow_pairs(), "odd-pyramid": odd_pyramid_pair()}
+    for name, (a, b) in pairs.items():
+        fast = compute_dense_flow(a, b, params)
+        with monkeypatch.context() as patch:
+            patch.setattr(flow_module, "_median", reference_median)
+            patch.setattr(flow_module, "_upsample", reference_upsample)
+            patch.setattr(flow_module, "_block_mean", reference_block_mean)
+            patch.setattr(flow_module, "_window_sum", reference_window_sum)
+            reference = compute_dense_flow(a, b, params)
+        assert np.array_equal(fast.u.view(np.int32), reference.u.view(np.int32)), name
+        assert np.array_equal(fast.v.view(np.int32), reference.v.view(np.int32)), name
         assert np.array_equal(fast.valid, reference.valid), name
