@@ -121,6 +121,8 @@ def cmd_segment(args) -> int:
     if not str(out_dir):
         raise ConfigError("no output directory (use --out or an output_dir config key)")
     jobs = args.jobs if args.jobs is not None else manifest_jobs
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
 
     frames, first_number = _read_frames_dir(in_dir)
     result = segment_video(frames, cfg, jobs=jobs)
@@ -200,6 +202,8 @@ def cmd_eval(args) -> int:
                 window_size = manifest.get_int("window_size", None)
         except ConfigError:
             pass
+    if window_size is not None and window_size < 1:
+        raise ConfigError(f"window size must be >= 1, got {window_size}")
 
     report = score_frames(sorted(preds.items()), gts, window_size, first_frame)
     if args.out:

@@ -249,8 +249,10 @@ def score_frames(
     window 0 and counts toward no window mean. Ground truth is resampled
     (nearest) to each mask's resolution when the dimensions differ. The
     first emitted frame of each window (the one after its first frame) is
-    flagged.
+    flagged. Raises InputError for a window size below 1.
     """
+    if window_size is not None and window_size < 1:
+        raise InputError(f"window_size must be >= 1, got {window_size}")
     rows = []
     per_window: dict[int, list[float]] = {}
     for frame_index, labels in labelled:

@@ -10,19 +10,29 @@ The estimator is a coarse-to-fine pyramidal least-squares flow:
    onto the first and a windowed 2x2 normal-equation solve (classic
    Lucas-Kanade least squares over a square window) yields an incremental
    update; a few warp/solve iterations run per level and the flow is
-   upsampled (x2) between levels. The upsampling gives the same bits as
-   ``scipy.ndimage.map_coordinates(order=1, mode="nearest")`` at the
-   fine grid's coordinates halved, from a few whole-array operations
-   (see ``_upsample``).
+   upsampled (x2) between levels. Each level's iterations write into one
+   set of buffers allocated when the level starts (see ``_refine``). The
+   warp is a bilinear gather and the gradients are written in place; both
+   give the same bits as the general-purpose calls they stand for,
+   ``scipy.ndimage.map_coordinates(order=1, mode="nearest")`` and
+   ``np.gradient`` (see ``_Gather`` and ``_gradient``). The upsampling
+   gives the same bits as ``map_coordinates`` at the fine grid's
+   coordinates halved, from a few whole-array operations (see
+   ``_upsample``).
 4. The finished field is median-filtered (7x7, borders replicated) to
    suppress the isolated outliers that warping produces along occlusion
    edges. The median is an exact partition over the window stack, taken a
-   fixed number of rows at a time so temporary memory stays bounded, and
-   it partitions order-preserving int32 keys of the float32 field, which
-   select the same element as the floats do (see ``_median``).
+   fixed number of rows at a time so temporary memory stays bounded; it
+   partitions order-preserving int32 keys of the float32 field, which
+   select the same element as the floats do, and copies each window out
+   as one contiguous run (see ``_median``).
 5. At the finest level the structure tensor's smaller eigenvalue decides
    per-pixel validity: flat or single-gradient neighborhoods (aperture
-   cases) are marked invalid and their flow is zeroed.
+   cases) are marked invalid and their flow is zeroed. The gradients and
+   their products go into preallocated buffers here too.
+
+Coordinates and fields are assumed finite: NaN or infinite values make the
+exact forms and the general-purpose calls part ways.
 
 The estimator promises accurate *rigid translation* recovery (the pipeline
 only ever consumes flow statistics over dense textured regions); it makes
@@ -32,7 +42,7 @@ no claims near occlusions or for large rotations.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy import ndimage
 
 from .errors import InputError
@@ -104,56 +114,179 @@ def _upsample(field: np.ndarray, shape: tuple) -> np.ndarray:
     of weights per axis. Each slice repeats scipy's arithmetic: ``w0 = 1 -
     frac``, ``w1 = 1 - w0``, each corner times its row weight and then its
     column weight, and the four corners summed in order onto ``0.0``.
+
+    The weights are exact: ``(1, 0)`` along an axis of even parity and
+    ``(0.5, 0.5)`` along one of odd parity. A weight of 1 leaves a corner's
+    bits as they are, and a weight of 0 makes the term ``+-0.0``. A sum
+    that starts from ``0.0 +`` is never ``-0.0``, and adding ``+-0.0`` to
+    any other float leaves it unchanged, so the zero-weight corners are
+    skipped and the unit weights not applied: the even-even slice is
+    ``0.0 + corner``, the two mixed slices sum two halved corners, and
+    only the odd-odd slice sums all four. (An infinite ``field`` value
+    would break this, since ``inf * 0`` is NaN.)
     """
     padded = np.pad(field, ((0, 1), (0, 1)), mode="edge")
     out = np.empty(shape)
     for a in (0, 1):
-        wr0 = 1.0 - 0.5 * a
-        wr1 = 1.0 - wr0
         for b in (0, 1):
-            wc0 = 1.0 - 0.5 * b
-            wc1 = 1.0 - wc0
             dst = out[a::2, b::2]
             h, w = dst.shape
-            dst[...] = (
-                0.0
-                + padded[:h, :w] * wr0 * wc0
-                + padded[:h, 1 : w + 1] * wr0 * wc1
-                + padded[1 : h + 1, :w] * wr1 * wc0
-                + padded[1 : h + 1, 1 : w + 1] * wr1 * wc1
-            )
+            total = 0.0
+            for dr in range(a + 1):
+                for dc in range(b + 1):
+                    term = padded[dr : dr + h, dc : dc + w]
+                    if a:
+                        term = term * 0.5
+                    if b:
+                        term = term * 0.5
+                    total = total + term
+            dst[...] = total
     return out
 
 
-def _warp(img: np.ndarray, u: np.ndarray, v: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    return ndimage.map_coordinates(
-        img, [grid[0] + v, grid[1] + u], order=1, mode="nearest"
-    )
+def _gradient(f: np.ndarray, gy: np.ndarray, gx: np.ndarray) -> None:
+    """Write ``np.gradient(f)`` into ``gy`` (along rows) and ``gx`` (along
+    columns) with the same bits.
+
+    For unit spacing ``np.gradient`` takes central differences
+    ``(f[2:] - f[:-2]) / 2.0`` inside and one-sided differences ``f[1] -
+    f[0]`` and ``f[-1] - f[-2]`` at the two edges (divided by a spacing of
+    1.0, which changes no bits). The same operations run here, each
+    written straight into its slice of the output. Both sides of ``f``
+    must be at least 2.
+    """
+    np.subtract(f[2:], f[:-2], out=gy[1:-1])
+    gy[1:-1] /= 2.0
+    np.subtract(f[1], f[0], out=gy[0])
+    np.subtract(f[-1], f[-2], out=gy[-1])
+    np.subtract(f[:, 2:], f[:, :-2], out=gx[:, 1:-1])
+    gx[:, 1:-1] /= 2.0
+    np.subtract(f[:, 1], f[:, 0], out=gx[:, 0])
+    np.subtract(f[:, -1], f[:, -2], out=gx[:, -1])
+
+
+class _Gather:
+    """Bilinear samples of ``img`` at points given as arrays of ``shape``,
+    written into buffers allocated once.
+
+    ``gather(rows, cols, out)`` writes the same bits as
+    ``ndimage.map_coordinates(img, [rows, cols], order=1, mode="nearest")``
+    by repeating scipy's arithmetic per axis and per corner:
+
+    - ``t = c - floor(c)``, ``w0 = 1 - t`` and ``w1 = 1 - w0``;
+    - the corner indices ``floor(c)`` and ``floor(c) + 1`` are clamped to
+      the image, not the coordinate, so a point half a pixel outside the
+      image still mixes two copies of the edge pixel;
+    - each corner value is multiplied by its row weight, then by its
+      column weight;
+    - the products are summed onto ``0.0`` in the order r0c0, r0c1, r1c0,
+      r1c1.
+
+    The float floor is clamped to ``[-1, n - 1]`` before the integer cast,
+    which leaves the clamped corner indices as they were: the lower corner
+    then only needs clamping from below and the upper one from above, and
+    the cast stays in range for any finite coordinate. NaN or infinite
+    coordinates are unsupported: scipy and this form treat them
+    differently, and flow never produces them (see ``_median``).
+    """
+
+    def __init__(self, img: np.ndarray, shape: tuple):
+        self._flat = np.ravel(img)
+        self._size = img.shape
+        self._floor = np.empty(shape)
+        # Row weights w0, w1, then column weights w0, w1.
+        self._weights = np.empty((4, *shape))
+        # Row corners times the row length, then column corners: their
+        # sums are flat indices into ``img``.
+        self._corners = np.empty((4, *shape), dtype=np.intp)
+        self._index = np.empty(shape, dtype=np.intp)
+        self._term = np.empty(shape)
+
+    def _axis(self, coord, n, weights, corners):
+        floor = self._floor
+        np.floor(coord, out=floor)
+        np.subtract(coord, floor, out=weights[1])
+        np.subtract(1.0, weights[1], out=weights[0])
+        np.subtract(1.0, weights[0], out=weights[1])
+        np.clip(floor, -1, n - 1, out=floor)
+        np.copyto(corners[0], floor, casting="unsafe")
+        np.add(corners[0], 1, out=corners[1])
+        np.maximum(corners[0], 0, out=corners[0])
+        np.minimum(corners[1], n - 1, out=corners[1])
+
+    def __call__(self, rows: np.ndarray, cols: np.ndarray, out: np.ndarray) -> None:
+        h, w = self._size
+        row_w, col_w = self._weights[:2], self._weights[2:]
+        row_i, col_i = self._corners[:2], self._corners[2:]
+        self._axis(rows, h, row_w, row_i)
+        row_i *= w
+        self._axis(cols, w, col_w, col_i)
+        term = self._term
+        for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            np.add(row_i[r], col_i[c], out=self._index)
+            np.take(self._flat, self._index, out=term, mode="clip")
+            term *= row_w[r]
+            term *= col_w[c]
+            if r or c:
+                out += term
+            else:
+                np.add(0.0, term, out=out)
 
 
 def _window_sum(stack: np.ndarray, radius: int) -> np.ndarray:
     """Square-window sums of each image of ``stack`` (``(k, rows, cols)``),
     borders replicated. ``uniform_filter`` skips an axis of size 1, so one
-    call equals ``k`` calls on the images one at a time."""
+    call equals ``k`` calls on the images one at a time; the means are
+    scaled to sums in place, with the same bits as a scaled copy."""
     size = 2 * radius + 1
-    return ndimage.uniform_filter(stack, size=(1, size, size), mode="nearest") * (size * size)
+    sums = ndimage.uniform_filter(stack, size=(1, size, size), mode="nearest")
+    sums *= size * size
+    return sums
 
 
 def _refine(a, b, u, v, radius: int, iterations: int, grid: np.ndarray):
+    """Run ``iterations`` warp/solve steps on one pyramid level and return
+    the refined ``(u, v)``; the inputs are not modified.
+
+    Every iteration writes into buffers allocated once here, through
+    ``out=`` ufuncs in the order of the plain expressions ``0.5 * (a +
+    bw)``, ``bw - a``, ``ix * iy``, ``sxx * syy - sxy * sxy``, ``(sxy * syt
+    - syy * sxt) / det`` and so on, so each value has the bits those
+    expressions give. Where ``det > _DET_EPS`` is false the divisor is set
+    to 1.0 and the update to 0.0 by masked assignment, as ``np.where(det >
+    _DET_EPS, ...)`` would select them.
+    """
+    shape = a.shape
+    gather = _Gather(b, shape)
+    u = np.array(u, dtype=np.float64)
+    v = np.array(v, dtype=np.float64)
+    rows, cols, bw, mean, it, ix, iy, det, update, term = np.empty((10, *shape))
+    products = np.empty((5, *shape))
+    flat = np.empty(shape, dtype=bool)
     for _ in range(iterations):
-        bw = _warp(b, u, v, grid)
-        iy, ix = np.gradient(0.5 * (a + bw))
-        it = bw - a
-        sxx, sxy, syy, sxt, syt = _window_sum(
-            np.stack([ix * ix, ix * iy, iy * iy, ix * it, iy * it]), radius
-        )
-        det = sxx * syy - sxy * sxy
-        ok = det > _DET_EPS
-        safe = np.where(ok, det, 1.0)
-        du = np.where(ok, (sxy * syt - syy * sxt) / safe, 0.0)
-        dv = np.where(ok, (sxy * sxt - sxx * syt) / safe, 0.0)
-        u = u + du
-        v = v + dv
+        np.add(grid[0], v, out=rows)
+        np.add(grid[1], u, out=cols)
+        gather(rows, cols, bw)
+        np.add(a, bw, out=mean)
+        mean *= 0.5
+        _gradient(mean, iy, ix)
+        np.subtract(bw, a, out=it)
+        for slot, (p, q) in zip(products, ((ix, ix), (ix, iy), (iy, iy), (ix, it), (iy, it))):
+            np.multiply(p, q, out=slot)
+        sxx, sxy, syy, sxt, syt = _window_sum(products, radius)
+        np.multiply(sxx, syy, out=det)
+        np.multiply(sxy, sxy, out=term)
+        det -= term
+        np.greater(det, _DET_EPS, out=flat)
+        np.logical_not(flat, out=flat)
+        np.copyto(det, 1.0, where=flat)
+        for field, (p, q, r, s) in ((u, (sxy, syt, syy, sxt)), (v, (sxy, sxt, sxx, syt))):
+            np.multiply(p, q, out=update)
+            np.multiply(r, s, out=term)
+            update -= term
+            update /= det
+            np.copyto(update, 0.0, where=flat)
+            field += update
     return u, v
 
 
@@ -186,25 +319,42 @@ def _median(field: np.ndarray) -> np.ndarray:
     NaN is unsupported (partition and scipy order it differently); flow
     never produces NaN because ``_refine`` divides only where ``det`` is
     above ``_DET_EPS``.
+
+    Each band of rows first copies its 7-row column strips into a
+    contiguous ``(rows, cols + 6, 7)`` array. A pixel's 49 keys, its 7
+    strips side by side, are then one contiguous run of it, so a strided
+    view with one run per pixel copies them out whole. The window's
+    elements come out column by column instead of row by row, which no
+    rank statistic can see.
     """
     r = _MEDIAN_SIZE // 2
     mid = _MEDIAN_SIZE * _MEDIAN_SIZE // 2
     bits = np.asarray(field, dtype=np.float32).view(np.int32)
     keys = bits ^ ((bits >> 31) & 0x7FFFFFFF)
-    windows = sliding_window_view(np.pad(keys, r, mode="edge"), (_MEDIAN_SIZE, _MEDIAN_SIZE))
+    padded = np.pad(keys, r, mode="edge")
+    height, width = keys.shape
     out = np.empty_like(keys)
-    for top in range(0, keys.shape[0], _MEDIAN_CHUNK_ROWS):
-        band = np.ascontiguousarray(windows[top : top + _MEDIAN_CHUNK_ROWS])
-        stack = band.reshape(band.shape[0], band.shape[1], -1)
+    for top in range(0, height, _MEDIAN_CHUNK_ROWS):
+        rows = min(_MEDIAN_CHUNK_ROWS, height - top)
+        strips = np.ascontiguousarray(
+            sliding_window_view(padded[top : top + rows + 2 * r], _MEDIAN_SIZE, axis=0)
+        )
+        stack = as_strided(
+            strips, (rows, width, _MEDIAN_SIZE * _MEDIAN_SIZE), strips.strides, writeable=False
+        ).copy()
         stack.partition(mid, axis=-1)
-        out[top : top + _MEDIAN_CHUNK_ROWS] = stack[..., mid]
+        out[top : top + rows] = stack[..., mid]
     out ^= (out >> 31) & 0x7FFFFFFF
     return out.view(np.float32)
 
 
 def _textured(img: np.ndarray, radius: int) -> np.ndarray:
-    iy, ix = np.gradient(img)
-    sxx, sxy, syy = _window_sum(np.stack([ix * ix, ix * iy, iy * iy]), radius)
+    iy, ix = np.empty((2, *img.shape))
+    _gradient(img, iy, ix)
+    products = np.empty((3, *img.shape))
+    for slot, (p, q) in zip(products, ((ix, ix), (ix, iy), (iy, iy))):
+        np.multiply(p, q, out=slot)
+    sxx, sxy, syy = _window_sum(products, radius)
     disc = np.sqrt(np.maximum((sxx - syy) ** 2 + 4.0 * sxy * sxy, 0.0))
     lam_min = 0.5 * (sxx + syy - disc)
     window_px = (2 * radius + 1) ** 2

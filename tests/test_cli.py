@@ -136,6 +136,22 @@ def test_segment_unknown_key(tmp_path, scene_dir, capsys):
     assert "windoow_size" in err and "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "config, flags",
+    [("", ["--jobs", "-2"]), ("", ["--jobs", "0"]), ("jobs = 0\n", [])],
+    ids=["flag-negative", "flag-zero", "config-zero"],
+)
+def test_segment_rejects_jobs_below_one(tmp_path, scene_dir, capsys, config, flags):
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text(PIPELINE_CONFIG + config)
+    out = tmp_path / "x"
+    code = main(["segment", "--in", str(scene_dir / "frames"), "--config", str(cfg),
+                 "--out", str(out), *flags])
+    assert code == 2
+    assert "jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_segment_insufficient_frames(tmp_path, scene_dir, capsys):
     cfg = tmp_path / "pipeline.cfg"
     cfg.write_text("window_size = 12\nflow_downscale = 2\n")
@@ -227,6 +243,16 @@ def test_eval_windows_start_at_first_frame(tmp_path, scene_dir):
         (105, 2, 1), (106, 2, 0), (107, 2, 0),
         (109, 3, 1), (110, 3, 0), (111, 3, 0),
     ]
+
+
+@pytest.mark.parametrize("window_size", ["-3", "0"])
+def test_eval_rejects_window_size_below_one(tmp_path, scene_dir, capsys, window_size):
+    code = main(["eval", "--pred", str(scene_dir / "gt"), "--gt", str(scene_dir / "gt"),
+                 "--window-size", window_size])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "window size" in captured.err
+    assert "window -1" not in captured.out
 
 
 def test_eval_empty_pred_dir(tmp_path, capsys):

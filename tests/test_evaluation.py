@@ -30,6 +30,7 @@ from flowseg.evaluation import (
     label_color,
     pixel_coords,
     resample_nearest,
+    score_frames,
 )
 from flowseg.keypoints import Group, SegmentationMap
 from flowseg.pipeline import RunResult
@@ -505,6 +506,18 @@ def test_report_csv_roundtrip(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "frame_index,window_index,accuracy,iou,is_window_start"
     assert lines[1].startswith("2,1,1.000000,1.000000,1")
+
+
+@pytest.mark.parametrize("window_size", [-3, 0])
+def test_score_frames_rejects_window_size_below_one(window_size):
+    mask = np.zeros((8, 8), np.uint8)
+    mask[2:4, 2:4] = 1
+    labelled = [(2, mask), (3, mask)]
+    with pytest.raises(InputError, match="window_size"):
+        score_frames(labelled, {2: mask, 3: mask}, window_size=window_size)
+    # None still means no windows: every frame gets window 0.
+    rows = score_frames(labelled, {2: mask, 3: mask}, window_size=None).rows
+    assert [r.window_index for r in rows] == [0, 0]
 
 
 # --- overlays --------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -262,6 +263,144 @@ def test_flow_unchanged_by_exact_forms(downscale, monkeypatch):
     for name, (a, b) in pairs.items():
         fast = compute_dense_flow(a, b, params)
         with monkeypatch.context() as patch:
+            patch.setattr(flow_module, "_median", reference_median)
+            patch.setattr(flow_module, "_upsample", reference_upsample)
+            patch.setattr(flow_module, "_block_mean", reference_block_mean)
+            patch.setattr(flow_module, "_window_sum", reference_window_sum)
+            reference = compute_dense_flow(a, b, params)
+        assert np.array_equal(fast.u.view(np.int32), reference.u.view(np.int32)), name
+        assert np.array_equal(fast.v.view(np.int32), reference.v.view(np.int32)), name
+        assert np.array_equal(fast.valid, reference.valid), name
+
+
+# The refine loop's workspace forms: a bilinear gather in place of
+# map_coordinates for the warps and a gradient written into buffers in
+# place of np.gradient. Each is compared bit for bit with the call it
+# replaced, then the whole flow with every reference patched back in.
+
+GATHER_SHAPES = [(120, 160), (60, 80), (30, 40), (53, 37), (27, 19)]
+
+
+def displacements(kind, shape, rng):
+    """(dy, dx) of one warp: ``kind`` is zero, integer, half, normal-<sigma>
+    or far (uniform up to 1e6 px, with both extremes present)."""
+    size = (2, *shape)
+    if kind == "zero":
+        return np.zeros(size)
+    if kind == "integer":
+        return rng.integers(-5, 6, size=size).astype(np.float64)
+    if kind == "half":
+        return rng.integers(-10, 11, size=size) / 2.0
+    if kind == "far":
+        d = rng.uniform(-1e6, 1e6, size=size)
+        d[:, 0, 0], d[:, -1, -1] = 1e6, -1e6
+        return d
+    return rng.normal(scale=float(kind.split("-")[1]), size=size)
+
+
+@pytest.mark.parametrize("kind", ["zero", "integer", "half", "normal-0.5", "normal-3", "normal-30", "far"])
+@pytest.mark.parametrize("shape", GATHER_SHAPES)
+def test_gather_matches_map_coordinates(shape, kind):
+    rng = np.random.default_rng(shape[0] * shape[1])
+    # A strided view, as the decimated pyramid levels are, with negative
+    # values so that corner products can be -0.0.
+    img = rng.normal(size=(2 * shape[0], 2 * shape[1]))[::2, ::2] * 50.0
+    grid = np.indices(shape, dtype=np.float64)
+    gather = flow_module._Gather(img, shape)
+    out = np.empty(shape)
+    # A first call with other points checks that no buffer carries over.
+    gather(*(grid + displacements("normal-3", shape, rng)), out)
+    rows, cols = grid + displacements(kind, shape, rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        gather(rows, cols, out)
+    expected = ndimage.map_coordinates(img, [rows, cols], order=1, mode="nearest")
+    assert same_bits(out, expected)
+
+
+def test_gather_sums_onto_positive_zero():
+    # At integer points of an all -0.0 image every corner product is -0.0;
+    # scipy's sum starts from 0.0, so the sample is 0.0.
+    shape = (27, 19)
+    img = np.full(shape, -0.0)
+    rows, cols = np.indices(shape, dtype=np.float64)
+    out = np.empty(shape)
+    flow_module._Gather(img, shape)(rows, cols, out)
+    expected = ndimage.map_coordinates(img, [rows, cols], order=1, mode="nearest")
+    assert same_bits(out, expected) and not np.signbit(out).any()
+
+
+@pytest.mark.parametrize("shape", [*GATHER_SHAPES, (8, 9)])
+def test_gradient_matches_numpy(shape):
+    f = np.random.default_rng(shape[0] + shape[1]).normal(size=shape) * 50.0
+    gy, gx = np.full((2, *shape), np.nan)
+    flow_module._gradient(f, gy, gx)
+    ry, rx = np.gradient(f)
+    assert same_bits(gy, ry) and same_bits(gx, rx)
+
+
+def reference_refine(a, b, u, v, radius, iterations, grid):
+    """The allocating refine loop: map_coordinates warps, np.gradient, and
+    np.stack of fresh products."""
+    for _ in range(iterations):
+        bw = ndimage.map_coordinates(b, [grid[0] + v, grid[1] + u], order=1, mode="nearest")
+        iy, ix = np.gradient(0.5 * (a + bw))
+        it = bw - a
+        sxx, sxy, syy, sxt, syt = flow_module._window_sum(
+            np.stack([ix * ix, ix * iy, iy * iy, ix * it, iy * it]), radius
+        )
+        det = sxx * syy - sxy * sxy
+        ok = det > flow_module._DET_EPS
+        safe = np.where(ok, det, 1.0)
+        du = np.where(ok, (sxy * syt - syy * sxt) / safe, 0.0)
+        dv = np.where(ok, (sxy * sxt - sxx * syt) / safe, 0.0)
+        u = u + du
+        v = v + dv
+    return u, v
+
+
+def test_refine_matches_reference_where_det_is_small():
+    # The right half's texture is too faint for the solve (det below
+    # _DET_EPS), so there the update must be 0.0 although its numerator
+    # is not.
+    rng = np.random.default_rng(7)
+    shape = (53, 37)
+    a = rng.normal(size=shape) * np.where(np.arange(shape[1]) < 18, 50.0, 1e-3)
+    b = np.roll(a, 1, axis=1)
+    u, v = rng.normal(size=(2, *shape)) * 0.5
+    before = u.copy(), v.copy()
+    grid = np.indices(shape, dtype=np.float64)
+    fast = flow_module._refine(a, b, u, v, 2, 3, grid)
+    reference = reference_refine(a, b, u, v, 2, 3, grid)
+    assert same_bits(fast[0], reference[0]) and same_bits(fast[1], reference[1])
+    assert same_bits(u, before[0]) and same_bits(v, before[1])
+
+
+def reference_textured(img, radius):
+    iy, ix = np.gradient(img)
+    sxx, sxy, syy = flow_module._window_sum(np.stack([ix * ix, ix * iy, iy * iy]), radius)
+    disc = np.sqrt(np.maximum((sxx - syy) ** 2 + 4.0 * sxy * sxy, 0.0))
+    lam_min = 0.5 * (sxx + syy - disc)
+    window_px = (2 * radius + 1) ** 2
+    return lam_min >= flow_module.TEXTURE_EIGEN_FLOOR * window_px
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        FlowParams(downscale=1),
+        FlowParams(downscale=2),
+        FlowParams(pyramid_levels=4, window_radius=3, iterations=2, downscale=1),
+    ],
+    ids=["downscale-1", "downscale-2", "levels-4-radius-3-iterations-2"],
+)
+def test_flow_unchanged_by_refine_workspace(params, monkeypatch):
+    pairs = {**flow_pairs(), "odd-pyramid": odd_pyramid_pair()}
+    for name, (a, b) in pairs.items():
+        fast = compute_dense_flow(a, b, params)
+        with monkeypatch.context() as patch:
+            patch.setattr(flow_module, "_refine", reference_refine)
+            patch.setattr(flow_module, "_textured", reference_textured)
             patch.setattr(flow_module, "_median", reference_median)
             patch.setattr(flow_module, "_upsample", reference_upsample)
             patch.setattr(flow_module, "_block_mean", reference_block_mean)
