@@ -21,6 +21,7 @@ from .errors import ConfigError, FlowSegError, InputError, MetricError
 from .evaluation import rasterize, render_overlay, score_frames
 from .flow import _block_mean
 from .io import Frame, read_frame, write_flow_file, write_frame, write_ppm
+from .keypoints import member_arrays
 from .pipeline import PipelineConfig, segment_video
 from .synth import SceneSpec, ar1_stationary_variance, generate_scene, ou_statistics
 from .dynamics import LangevinParams
@@ -50,7 +51,8 @@ def _read_frames_dir(path: Path) -> tuple[list[Frame], int]:
     """Load all .pgm frames sorted by their trailing number.
 
     Numbers must be strictly consecutive; the first number anchors the
-    1-based frame indexing of every output file.
+    1-based frame indexing of every output file. Every frame must have the
+    first frame's size; an error names both frames by their numbers.
     """
     if not path.is_dir():
         raise InputError(f"input directory not found: {path}")
@@ -65,7 +67,16 @@ def _read_frames_dir(path: Path) -> tuple[list[Frame], int]:
     numbers = [n for n, _ in numbered]
     if numbers != list(range(numbers[0], numbers[0] + len(numbers))):
         raise InputError(f"frame numbers in {path} are not consecutive: {numbers}")
-    return [read_frame(p) for _, p in numbered], numbers[0]
+    frames = []
+    for number, p in numbered:
+        frame = read_frame(p)
+        if frames and frame.data.shape != frames[0].data.shape:
+            raise InputError(
+                f"inconsistent frame dimensions: frame {number} is {(frame.width, frame.height)}, "
+                f"frame {numbers[0]} is {(frames[0].width, frames[0].height)}"
+            )
+        frames.append(frame)
+    return frames, numbers[0]
 
 
 def _read_masks_dir(path: Path) -> dict[int, np.ndarray]:
@@ -94,14 +105,18 @@ def _resolve_seed(flag_seed: int | None, cfg) -> int:
 
 
 def _parse_window_range(text: str) -> tuple[int, ...]:
+    """Window sizes of ``4..6`` or ``4,6,8``, each once, in the order given."""
     if ".." in text:
         lo, _, hi = text.partition("..")
         try:
-            return tuple(range(int(lo), int(hi) + 1))
+            sizes = range(int(lo), int(hi) + 1)
         except ValueError:
             raise ConfigError(f"bad window range {text!r} (use e.g. 4..6)") from None
+        if not sizes:
+            raise ConfigError(f"empty window range {text!r} (use e.g. 4..6)")
+        return tuple(sizes)
     try:
-        return tuple(int(p) for p in text.split(","))
+        return tuple(dict.fromkeys(int(p) for p in text.split(",")))
     except ValueError:
         raise ConfigError(f"bad window list {text!r} (use e.g. 4,5,6)") from None
 
@@ -159,8 +174,8 @@ def cmd_segment(args) -> int:
                 )
                 rgb = render_overlay(small, mask)
                 write_ppm(rgb, out_dir / f"overlay_{file_number:06d}.ppm")
-            for g in seg_map.groups:
-                cx, cy = g.centroid
+            members = member_arrays(seg_map)  # the arrays rasterize read
+            for g, (cx, cy) in zip(members.groups, members.centroids.tolist()):
                 groups_fh.write(
                     '{"frame": %d, "id": %d, "bin": %d, "centroid": [%.4f, %.4f], "members": %d}\n'
                     % (file_number, g.id, g.bin, cx, cy, g.size)
@@ -288,16 +303,21 @@ def cmd_ou_check(args) -> int:
         xi_d_x=args.xid, xi_d_y=args.xid, dt=args.dt,
         confinement_stiffness=0.0,
     )
+    expected = ar1_stationary_variance(args.gamma, args.xid, args.dt)
+    if not np.isfinite(expected):
+        raise InputError(
+            f"gamma*dt = {args.gamma * args.dt:g} leaves the velocity with no stationary "
+            "variance to check (need 0 < gamma*dt < 2)"
+        )
     seed = args.seed if args.seed is not None else _resolve_seed(None, None)
     stats = ou_statistics(params, steps=args.steps, particles=args.particles, seed=seed)
-    expected = ar1_stationary_variance(args.gamma, args.xid, args.dt)
     rel = abs(stats.variance - expected) / expected if expected > 0 else abs(stats.variance)
     print(f"measured variance : {stats.variance:.6f}")
     print(f"expected variance : {expected:.6f}")
     print(f"relative error    : {rel:.4%} (tolerance {args.tolerance:.1%})")
     print(f"measured mean     : {stats.mean:+.6f}")
     print(f"lag-1 autocorr    : {stats.autocorr_lag1:+.4f} (expected {1 - args.gamma * args.dt:+.4f})")
-    if rel > args.tolerance:
+    if not rel <= args.tolerance:  # a NaN error fails too
         print("FAIL: variance outside tolerance")
         return EXIT_METRIC
     return EXIT_OK

@@ -28,7 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InputError
-from .keypoints import Group, SegmentationMap
+from .keypoints import Group, MemberArrays, SegmentationMap, member_arrays
 
 DEFAULT_GAMMA = 0.8
 DEFAULT_XI_D_X = 0.1
@@ -134,12 +134,14 @@ def estimate_group_forces(group: Group, params: LangevinParams) -> GroupForces:
     )
 
 
-def _step_arrays(x, y, vx, vy, forces: GroupForces, params: LangevinParams, xi):
+def _step_arrays(x, y, vx, vy, drift_x, confine_y, anchor_y, params: LangevinParams, xi):
+    """One update of scalars or arrays; the force terms are scalars or
+    per-particle arrays (a group's ``GroupForces`` repeated over its members)."""
     dt = params.dt
     amp_x = params.xi_d_x * params.noise_scale
     amp_y = params.xi_d_y * params.noise_scale
-    vx_new = vx - params.gamma_x * vx * dt + forces.drift_x * dt + amp_x * xi[..., 0]
-    restoring = params.confinement_stiffness * (y - forces.anchor_y) - forces.confine_y
+    vx_new = vx - params.gamma_x * vx * dt + drift_x * dt + amp_x * xi[..., 0]
+    restoring = params.confinement_stiffness * (y - anchor_y) - confine_y
     vy_new = vy - params.gamma_y * vy * dt - restoring * dt + amp_y * xi[..., 1]
     x_new = x + vx_new * dt
     y_new = y + vy_new * dt
@@ -167,7 +169,8 @@ def step_particle(
     else:
         xi = np.asarray(noise, dtype=np.float64)
     x, y, vx, vy = _step_arrays(
-        state.x, state.y, state.vx, state.vy, forces, params, xi
+        state.x, state.y, state.vx, state.vy,
+        forces.drift_x, forces.confine_y, forces.anchor_y, params, xi,
     )
     return ParticleState(
         x=float(x), y=float(y), vx=float(vx), vy=float(vy),
@@ -189,36 +192,36 @@ def propagate_map(
     Group ids, bins, and membership persist. Particles leaving the frame
     are clamped to its bounds and flagged. Noise block ``step_offset + s``
     feeds step s, with particles ordered group by group.
+
+    All members of the map take each step together, as one set of flat
+    float64 arrays; each returned map carries its arrays (see
+    ``member_arrays``), and its groups hold read-only views of them.
     """
     if steps < 0:
         raise InputError("steps must be >= 0")
+    if steps == 0:
+        return []
     width, height = seg_map.width, seg_map.height
+    members = member_arrays(seg_map)
+    groups = members.groups
+    sizes = np.diff(members.starts)
+    table = np.array(
+        [(f.drift_x, f.confine_y, f.anchor_y) for f in (forces[g.id] for g in groups)],
+        dtype=np.float64,
+    ).reshape(-1, 3)
+    drift_x, confine_y, anchor_y = np.repeat(table.T, sizes, axis=1)
+    ids, bins = [g.id for g in groups], [g.bin for g in groups]
+    x, y, vx, vy, clamped = members.x, members.y, members.vx, members.vy, members.clamped
     out: list[SegmentationMap] = []
-    groups = seg_map.groups
     for s in range(steps):
-        total = sum(g.size for g in groups)
-        xi = noise.normals(step_offset + s, total)
-        pos = 0
-        new_groups = []
-        for g in groups:
-            block = xi[pos : pos + g.size]
-            pos += g.size
-            x, y, vx, vy = _step_arrays(g.x, g.y, g.vx, g.vy, forces[g.id], params, block)
-            cx = np.clip(x, 0.0, width - 1.0)
-            cy = np.clip(y, 0.0, height - 1.0)
-            clamped = g.clamped | (cx != x) | (cy != y)
-            new_groups.append(
-                Group(id=g.id, bin=g.bin, x=cx, y=cy, vx=vx, vy=vy, clamped=clamped)
-            )
-        groups = new_groups
-        out.append(
-            SegmentationMap(
-                frame_index=seg_map.frame_index + s + 1,
-                width=width,
-                height=height,
-                groups=groups,
-            )
-        )
+        xi = noise.normals(step_offset + s, x.size)
+        x, y, vx, vy = _step_arrays(x, y, vx, vy, drift_x, confine_y, anchor_y, params, xi)
+        cx = np.clip(x, 0.0, width - 1.0)
+        cy = np.clip(y, 0.0, height - 1.0)
+        clamped = clamped | (cx != x) | (cy != y)
+        x, y = cx, cy
+        members = MemberArrays.build(ids, bins, members.starts, x, y, vx, vy, clamped)
+        out.append(members.to_map(seg_map.frame_index + s + 1, width, height))
     return out
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InputError, MetricError
 from .io import Frame
-from .keypoints import SegmentationMap
+from .keypoints import SegmentationMap, member_arrays
 from .pipeline import RunResult
 
 DEFAULT_DILATION_RADIUS = 3
@@ -99,15 +99,16 @@ def rasterize(seg_map: SegmentationMap, dilation_radius: int = DEFAULT_DILATION_
         raise InputError("dilation_radius must be >= 0")
     h, w = seg_map.height, seg_map.width
     labels = np.zeros(h * w, dtype=np.int32)
-    groups = [g for g in seg_map.groups if g.size]
-    if not groups:
+    members = member_arrays(seg_map)
+    sizes = np.diff(members.starts)
+    kept = np.flatnonzero(sizes)  # groups with members, in map order
+    if not kept.size:
         return LabelMask(labels.reshape(h, w))
 
-    sizes = [g.size for g in groups]
-    member = np.repeat(np.arange(len(groups)), sizes)
-    starts = np.cumsum([0] + sizes)
-    x, y = np.concatenate([g.x for g in groups]), np.concatenate([g.y for g in groups])
-    rows, cols = pixel_coords(x, y, w, h)
+    n_groups = kept.size
+    member = np.repeat(np.arange(n_groups), sizes[kept])
+    starts = np.append(members.starts[kept], members.starts[-1])
+    rows, cols = pixel_coords(members.x, members.y, w, h)
     margin = dilation_radius + 2 if dilation_radius > 0 else 0
     top = np.maximum(np.minimum.reduceat(rows, starts[:-1]) - margin, 0)
     left = np.maximum(np.minimum.reduceat(cols, starts[:-1]) - margin, 0)
@@ -117,8 +118,8 @@ def rasterize(seg_map: SegmentationMap, dilation_radius: int = DEFAULT_DILATION_
     per_stack = max(1, _STACK_VOXELS // (slot[0] * slot[1]))
 
     pix, owner = [], []
-    for first in range(0, len(groups), per_stack):
-        end = min(first + per_stack, len(groups))
+    for first in range(0, n_groups, per_stack):
+        end = min(first + per_stack, n_groups)
         m = slice(starts[first], starts[end])
         grp = member[m]
         stack = np.zeros((end - first,) + slot, dtype=bool)
@@ -138,14 +139,12 @@ def rasterize(seg_map: SegmentationMap, dilation_radius: int = DEFAULT_DILATION_
         owner.append(k)
     pix, owner = np.concatenate(pix), np.concatenate(owner)
 
-    ids = np.array([g.id for g in groups], dtype=np.int32)
+    ids = np.array([members.groups[k].id for k in kept.tolist()], dtype=np.int32)
     once = np.bincount(pix, minlength=h * w)[pix] == 1
     labels[pix[once]] = ids[owner[once]]
     if not once.all():
         pix, owner = pix[~once], owner[~once]
-        centroids = np.zeros((len(groups), 2))
-        for k in np.unique(owner):  # often a few groups of many
-            centroids[k] = groups[k].centroid
+        centroids = members.centroids[kept]
         rows, cols = np.divmod(pix, w)
         d2 = (cols - centroids[owner, 0]) ** 2 + (rows - centroids[owner, 1]) ** 2
         order = np.lexsort((ids[owner], d2, pix))
@@ -313,20 +312,27 @@ def render_overlay(
 ) -> np.ndarray:
     """Blend label colors over the grayscale frame; background passes through.
 
-    Every labeled pixel is blended in one step through a color table with
-    one row per label present, found by binary search in the sorted ids.
+    Frames are 8-bit, so every pixel is one lookup in a table with one
+    column per gray level and one row per label present (found by binary
+    search in the sorted ids), after a first row that passes the gray
+    through. A label's row holds the rounded float blend of its color.
     """
     if (frame.height, frame.width) != (mask.height, mask.width):
         raise InputError(
             f"frame {frame.width}x{frame.height} does not match mask {mask.width}x{mask.height}"
         )
-    gray = frame.data.astype(np.float64)
-    rgb = np.repeat(gray[:, :, None], 3, axis=2)
     fg = mask.labels != 0
     labeled = mask.labels[fg]
     ids = np.unique(labeled)
-    lut = np.array(
+    colors = np.array(
         [(palette or {}).get(int(i)) or label_color(int(i)) for i in ids], dtype=np.float64
-    ).reshape(-1, 3)
-    rgb[fg] = (1.0 - alpha) * gray[fg][:, None] + alpha * lut[np.searchsorted(ids, labeled)]
-    return np.clip(np.rint(rgb), 0, 255).astype(np.uint8)
+    ).reshape(-1, 1, 3)
+    levels = np.arange(256)[:, None]
+    table = np.empty((ids.size + 1, 256, 3), dtype=np.uint8)
+    table[0] = levels
+    table[1:] = np.clip(np.rint((1.0 - alpha) * levels + alpha * colors), 0, 255)
+    rows = np.zeros(mask.labels.shape, dtype=np.intp)
+    rows[fg] = np.searchsorted(ids, labeled) + 1
+    rows <<= 8
+    rows |= frame.data
+    return table.reshape(-1, 3).take(rows, axis=0)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import ndimage
 
 from .config import ConfigDict
-from .dynamics import LangevinParams, NoiseSource, _step_arrays, GroupForces
+from .dynamics import LangevinParams, NoiseSource, _step_arrays
 from .errors import InputError
 from .evaluation import report
 from .flow import compute_dense_flow
@@ -242,7 +242,6 @@ def ou_statistics(
     if particles < 1:
         raise InputError("particles must be >= 1")
     noise = NoiseSource(seed, stream=0)
-    forces = GroupForces(drift_x=0.0, confine_y=0.0, anchor_y=0.0)
     vx = np.zeros(particles)
     x = np.zeros(particles)
     y = np.zeros(particles)
@@ -250,7 +249,7 @@ def ou_statistics(
     trajectory = np.empty((steps, particles))
     for s in range(steps):
         xi = noise.normals(s, particles)
-        x, y, vx, vy = _step_arrays(x, y, vx, vy, forces, params, xi)
+        x, y, vx, vy = _step_arrays(x, y, vx, vy, 0.0, 0.0, 0.0, params, xi)
         trajectory[s] = vx
     if burn_in is None:
         burn_in = steps // 10 if params.gamma_x * params.dt > 0 else 0

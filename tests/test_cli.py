@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,22 @@ def test_segment_insufficient_frames(tmp_path, scene_dir, capsys):
     assert code == 3
 
 
+def test_segment_mixed_sizes_names_frames_by_their_numbers(tmp_path, capsys):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    for number in range(101, 109):
+        height = 62 if number == 103 else 60
+        write_frame(Frame(np.full((height, 80), number, np.uint8)), frames / f"frame_{number:06d}.pgm")
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text(PIPELINE_CONFIG)
+    out = tmp_path / "out"
+    code = main(["segment", "--in", str(frames), "--config", str(cfg), "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "frame 103 is (80, 62), frame 101 is (80, 60)" in err
+    assert not out.exists()
+
+
 def test_segment_too_many_groups_writes_nothing(tmp_path, scene_dir, monkeypatch, capsys):
     def run_with_256_groups(frames, cfg, jobs=1):
         groups = [
@@ -306,6 +324,26 @@ def test_ou_check_fails_with_tight_tolerance(capsys):
                  "--tolerance", "1e-7"]) == 4
 
 
+def test_ou_check_rejects_gamma_without_stationary_variance(capsys, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated a check that cannot be made")
+
+    monkeypatch.setattr(flowseg.cli, "ou_statistics", no_simulation)
+    assert main(["ou-check", "--gamma", "0"]) == 3
+    assert "stationary variance" in capsys.readouterr().err
+
+
+def test_ou_check_fails_on_nan_error(capsys, monkeypatch):
+    real = flowseg.cli.ou_statistics
+
+    def nan_variance(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), variance=float("nan"))
+
+    monkeypatch.setattr(flowseg.cli, "ou_statistics", nan_variance)
+    assert main(["ou-check", "--steps", "100", "--seed", "5", "--tolerance", "1e9"]) == 4
+    assert "FAIL" in capsys.readouterr().out
+
+
 def test_bench_three_rows(tmp_path, scene_dir, capsys):
     out_csv = tmp_path / "bench.csv"
     code = main(["bench", "--w", "4..6", "--frames", str(scene_dir / "frames"),
@@ -327,3 +365,17 @@ def test_bench_window_list_syntax(tmp_path, scene_dir):
 
 def test_bench_bad_range(capsys):
     assert main(["bench", "--w", "4..x", "--repeats", "1"]) == 2
+
+
+def test_bench_empty_range_is_a_config_error(capsys):
+    assert main(["bench", "--w", "5..3", "--repeats", "1"]) == 2
+    assert "empty window range" in capsys.readouterr().err
+
+
+def test_bench_duplicate_sizes_run_once(tmp_path, scene_dir):
+    out_csv = tmp_path / "bench.csv"
+    code = main(["bench", "--w", "4,4", "--frames", str(scene_dir / "frames"),
+                 "--gt", str(scene_dir / "gt"), "--repeats", "1", "--out", str(out_csv), "--seed", "1"])
+    assert code == 0
+    rows = out_csv.read_text().splitlines()[1:]
+    assert len(rows) == 1 and rows[0].startswith("4,")

@@ -18,7 +18,7 @@ from flowseg import (
     propagate_map,
     step_particle,
 )
-from flowseg.keypoints import Group, SegmentationMap
+from flowseg.keypoints import Group, SegmentationMap, member_arrays
 
 
 def make_group(x, y, vx, vy, gid=1, bin_id=0):
@@ -365,3 +365,184 @@ def test_ablation_disturbance_only_is_velocity_random_walk():
     # velocity equals the plain sum of scaled noise draws
     expected = sum(NoiseSource(3).normals(s, 1)[0, 0] * params.xi_d_x for s in range(10))
     assert state.vx == pytest.approx(expected, rel=1e-12)
+
+
+# --- one particle array per map ---------------------------------------------------
+
+
+def reference_propagate(seg_map, forces, params, noise, steps, step_offset=0):
+    """The per-group loop: each group takes its own update, with its scalar
+    forces, on its slice of the step's noise block."""
+    width, height = seg_map.width, seg_map.height
+    dt = params.dt
+    amp_x = params.xi_d_x * params.noise_scale
+    amp_y = params.xi_d_y * params.noise_scale
+    out = []
+    groups = seg_map.groups
+    for s in range(steps):
+        total = sum(g.size for g in groups)
+        xi = noise.normals(step_offset + s, total)
+        pos = 0
+        new_groups = []
+        for g in groups:
+            block = xi[pos : pos + g.size]
+            pos += g.size
+            f = forces[g.id]
+            vx = g.vx - params.gamma_x * g.vx * dt + f.drift_x * dt + amp_x * block[..., 0]
+            restoring = params.confinement_stiffness * (g.y - f.anchor_y) - f.confine_y
+            vy = g.vy - params.gamma_y * g.vy * dt - restoring * dt + amp_y * block[..., 1]
+            x = g.x + vx * dt
+            y = g.y + vy * dt
+            cx = np.clip(x, 0.0, width - 1.0)
+            cy = np.clip(y, 0.0, height - 1.0)
+            clamped = g.clamped | (cx != x) | (cy != y)
+            new_groups.append(Group(id=g.id, bin=g.bin, x=cx, y=cy, vx=vx, vy=vy, clamped=clamped))
+        groups = new_groups
+        out.append(SegmentationMap(seg_map.frame_index + s + 1, width, height, groups))
+    return out
+
+
+def random_map(seed, n_groups, width=48, height=40, max_size=30):
+    """Groups of 1..max_size members at random places and speeds, ids shuffled."""
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(np.arange(1, 3 * n_groups + 1))[:n_groups]
+    groups = []
+    for gid in ids:
+        n = int(rng.integers(1, max_size + 1)) if rng.random() < 0.8 else 1
+        groups.append(make_group(
+            rng.uniform(0, width - 1, n), rng.uniform(0, height - 1, n),
+            rng.normal(0, 3, n), rng.normal(0, 3, n), gid=int(gid), bin_id=int(rng.integers(0, 8)),
+        ))
+    return seg_map_of(groups, width=width, height=height)
+
+
+def edge_map(width=20, height=16):
+    """One group pushed out through each of the four edges, plus a
+    single-member group in the middle."""
+    v = 6.0
+    groups = [
+        make_group([0.5, 1.0, 2.0], [5.0, 6.0, 7.0], [-v] * 3, [0.0] * 3, gid=1),
+        make_group([width - 1.5, width - 2.0], [8.0, 9.0], [v] * 2, [0.0] * 2, gid=2),
+        make_group([4.0, 5.0, 6.0, 7.0], [0.5] * 4, [0.0] * 4, [-v] * 4, gid=3),
+        make_group([9.0], [height - 1.5], [0.0], [v], gid=4),
+        make_group([10.0], [8.0], [0.1], [-0.1], gid=5),
+    ]
+    return seg_map_of(groups, width=width, height=height)
+
+
+def forces_for(seg, params, ablation=ForceAblation()):
+    return {g.id: ablation.apply_forces(estimate_group_forces(g, params)) for g in seg.groups}
+
+
+PARAM_SETS = [
+    LangevinParams(),
+    LangevinParams(gamma_x=0.3, gamma_y=1.1, xi_d_x=0.7, xi_d_y=0.2, dt=0.5,
+                   confinement_stiffness=0.2, sqrt_dt_noise=True),
+    LangevinParams(dt=1.5, gamma_x=1.2, gamma_y=0.4, sqrt_dt_noise=True),
+]
+ABLATIONS = [
+    ForceAblation(),
+    ForceAblation(external=False),
+    ForceAblation(drift_confine=False),
+    ForceAblation(disturbance=False),
+    ForceAblation(external=False, drift_confine=False),
+]
+
+
+def assert_maps_equal(got, ref):
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert maps_identical(a, b)
+        for ga, gb in zip(a.groups, b.groups):
+            for fa, fb in ((ga.x, gb.x), (ga.y, gb.y), (ga.vx, gb.vx), (ga.vy, gb.vy)):
+                assert fa.dtype == fb.dtype == np.float64 and fa.tobytes() == fb.tobytes()
+            assert ga.clamped.dtype == np.bool_
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 3])
+@pytest.mark.parametrize("params", PARAM_SETS)
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_propagate_matches_per_group_reference(steps, params, ablation):
+    for seed, n_groups in ((steps, 1), (10 + steps, 7), (20 + steps, 60)):
+        seg = random_map(seed, n_groups)
+        run_params = ablation.apply_params(params)
+        forces = forces_for(seg, params, ablation)
+        noise = NoiseSource(seed, stream=3)
+        got = propagate_map(seg, forces, run_params, noise, steps=steps, step_offset=5)
+        ref = reference_propagate(seg, forces, run_params, noise, steps=steps, step_offset=5)
+        assert_maps_equal(got, ref)
+
+
+@pytest.mark.parametrize("params", PARAM_SETS[:2])
+def test_propagate_clamps_at_all_four_edges_like_reference(params):
+    seg = edge_map()
+    forces = forces_for(seg, params)
+    got = propagate_map(seg, forces, params, NoiseSource(4), steps=3)
+    ref = reference_propagate(seg, forces, params, NoiseSource(4), steps=3)
+    assert_maps_equal(got, ref)
+    last = {g.id: g for g in got[-1].groups}
+    assert last[1].x.min() == 0.0 and last[2].x.max() == 19.0
+    assert last[3].y.min() == 0.0 and last[4].y.max() == 15.0
+    for gid in (1, 2, 3, 4):
+        assert last[gid].clamped.any()
+
+
+@pytest.mark.parametrize("start", ["groups", "propagated"])
+def test_propagate_chains_of_single_steps_match_reference(start):
+    # The pipeline's calls: one step per call, each on the map the last
+    # call returned, with the step offset advancing.
+    seg = random_map(31, 25)
+    params = LangevinParams()
+    forces = forces_for(seg, params)
+    if start == "propagated":
+        seg = propagate_map(seg, forces, params, NoiseSource(8, 2), steps=1, step_offset=9)[0]
+    noise = NoiseSource(8, stream=1)
+    got, ref = seg, seg
+    for k in range(4):
+        got = propagate_map(got, forces, params, noise, steps=1, step_offset=k)[0]
+        ref = reference_propagate(ref, forces, params, noise, steps=1, step_offset=k)[0]
+        assert_maps_equal([got], [ref])
+    whole = propagate_map(seg, forces, params, noise, steps=4)
+    assert maps_identical(whole[-1], got)
+
+
+def test_propagated_groups_are_read_only_views_of_the_map_arrays():
+    seg = random_map(2, 6)
+    params = LangevinParams()
+    out = propagate_map(seg, forces_for(seg, params), params, NoiseSource(1), steps=2)[-1]
+    members = member_arrays(out)
+    assert member_arrays(out) is members
+    for k, g in enumerate(out.groups):
+        lo, hi = members.starts[k], members.starts[k + 1]
+        assert np.shares_memory(g.x, members.x) and np.array_equal(g.x, members.x[lo:hi])
+        assert not g.x.flags.writeable and not g.clamped.flags.writeable
+        cx, cy = g.centroid
+        assert (cx, cy) == tuple(members.centroids[k])
+
+
+def test_member_arrays_follow_a_replaced_group():
+    seg = random_map(3, 4)
+    params = LangevinParams()
+    out = propagate_map(seg, forces_for(seg, params), params, NoiseSource(1), steps=1)[0]
+    before = member_arrays(out)
+    g = out.groups[1]
+    g.x = g.x + 1.0
+    after = member_arrays(out)
+    assert after is not before
+    lo, hi = after.starts[1], after.starts[2]
+    assert np.array_equal(after.x[lo:hi], g.x)
+    assert after.centroids[1, 0] == g.centroid[0]
+    out.groups.pop()
+    assert len(member_arrays(out).groups) == 3
+
+
+def test_propagate_empty_and_memberless_groups():
+    params = LangevinParams()
+    empty = seg_map_of([])
+    assert [m.groups for m in propagate_map(empty, {}, params, NoiseSource(0), steps=2)] == [[], []]
+    seg = seg_map_of([make_group([], [], [], [], gid=2), square_group()])
+    forces = {2: ZERO_FORCES, 1: estimate_group_forces(seg.groups[1], params)}
+    got = propagate_map(seg, forces, params, NoiseSource(6), steps=2)
+    ref = reference_propagate(seg, forces, params, NoiseSource(6), steps=2)
+    assert_maps_equal(got, ref)
+    assert got[-1].groups[0].size == 0

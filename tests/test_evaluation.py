@@ -581,3 +581,39 @@ def test_overlay_matches_per_label_reference(seed):
             ref = reference_overlay(frame, mask, pal, alpha)
             assert out.dtype == ref.dtype and out.shape == ref.shape
             assert out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [[-7, -1, 3], [256, 300, 4096, 70_000], [1, 2**31 - 1], [-(2**31), -5, 255, 2**31 - 1]],
+    ids=["negative", "above-255", "largest", "mixed"],
+)
+def test_overlay_table_matches_reference_on_every_gray_level(ids):
+    # Every gray level under every label, and once as background.
+    levels = np.arange(256, dtype=np.uint8)
+    frame = Frame(np.tile(levels, (len(ids) + 1, 1)))
+    labels = np.zeros(frame.data.shape, np.int32)
+    for row, label_id in enumerate(ids):
+        labels[row] = label_id
+    mask = LabelMask(labels)
+    palette = {ids[0]: (255, 0, 17), ids[-1]: (3, 250, 128), 12345: (9, 9, 9)}
+    for pal in (None, palette):
+        for alpha in (OVERLAY_ALPHA, 0.0, 0.3, 0.77, 1.0):
+            out = render_overlay(frame, mask, pal, alpha)
+            ref = reference_overlay(frame, mask, pal, alpha)
+            assert out.dtype == ref.dtype == np.uint8 and out.shape == ref.shape
+            assert out.tobytes() == ref.tobytes()
+    assert np.array_equal(out[-1], np.repeat(levels[:, None], 3, axis=1))
+
+
+def test_overlay_table_has_one_row_per_label_present():
+    # A table indexed by id would need gigabytes for the largest id.
+    frame = Frame(np.arange(64 * 64, dtype=np.uint32).reshape(64, 64) % 251)
+    mask = LabelMask(np.where(np.arange(64)[None, :] < 32, 2**31 - 1, 1).repeat(64, axis=0))
+    tracemalloc.start()
+    try:
+        render_overlay(frame, mask)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
