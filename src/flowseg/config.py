@@ -14,6 +14,22 @@ _TRUE = {"true", "yes", "on", "1"}
 _FALSE = {"false", "no", "off", "0"}
 
 
+def _parse_bool(value: str) -> bool:
+    low = value.lower()
+    if low in _TRUE:
+        return True
+    if low in _FALSE:
+        return False
+    raise ValueError(value)
+
+
+def _parse_floats(value: str, count: int) -> tuple[float, ...]:
+    parts = value.split(",")
+    if len(parts) != count:
+        raise ValueError(value)
+    return tuple(float(p) for p in parts)
+
+
 class ConfigDict:
     """Parsed key/value pairs with typed, line-aware accessors."""
 
@@ -25,91 +41,43 @@ class ConfigDict:
     def __contains__(self, key: str) -> bool:
         return key in self._values
 
-    def keys(self):
-        return self._values.keys()
-
     def line_of(self, key: str) -> int | None:
         return self._lines.get(key)
 
-    def _raw(self, key: str, default):
-        if key in self._values:
-            self._consumed.add(key)
-            return self._values[key]
-        if default is _MISSING:
-            raise ConfigError(f"missing required key '{key}'")
-        return default
+    def _get(self, key: str, default, parse, expected: str):
+        """``parse`` of the value of ``key``, or ``default`` (as given) when
+        the key is absent; a ``ValueError`` from ``parse`` is reported as a
+        ``ConfigError`` that names the ``expected`` form and the line."""
+        if key not in self._values:
+            if default is _MISSING:
+                raise ConfigError(f"missing required key '{key}'")
+            return default
+        self._consumed.add(key)
+        value = self._values[key]
+        try:
+            return parse(value)
+        except ValueError:
+            raise ConfigError(
+                f"key '{key}': expected {expected}, got {value!r}", self.line_of(key)
+            ) from None
 
     def get_str(self, key: str, default=_MISSING) -> str:
-        value = self._raw(key, default)
-        return value if isinstance(value, str) else value
+        return self._get(key, default, str, "string")
 
     def get_int(self, key: str, default=_MISSING) -> int:
-        value = self._raw(key, default)
-        if not isinstance(value, str):
-            return value
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(
-                f"key '{key}': expected integer, got {value!r}", self.line_of(key)
-            ) from None
+        return self._get(key, default, int, "integer")
 
     def get_float(self, key: str, default=_MISSING) -> float:
-        value = self._raw(key, default)
-        if not isinstance(value, str):
-            return value
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(
-                f"key '{key}': expected number, got {value!r}", self.line_of(key)
-            ) from None
+        return self._get(key, default, float, "number")
 
     def get_bool(self, key: str, default=_MISSING) -> bool:
-        value = self._raw(key, default)
-        if not isinstance(value, str):
-            return value
-        low = value.lower()
-        if low in _TRUE:
-            return True
-        if low in _FALSE:
-            return False
-        raise ConfigError(
-            f"key '{key}': expected boolean, got {value!r}", self.line_of(key)
-        )
+        return self._get(key, default, _parse_bool, "boolean")
 
     def get_pair(self, key: str, default=_MISSING) -> tuple[float, float]:
-        value = self._raw(key, default)
-        if not isinstance(value, str):
-            return value
-        parts = [p.strip() for p in value.split(",")]
-        if len(parts) != 2:
-            raise ConfigError(
-                f"key '{key}': expected 'a, b' pair, got {value!r}", self.line_of(key)
-            )
-        try:
-            return float(parts[0]), float(parts[1])
-        except ValueError:
-            raise ConfigError(
-                f"key '{key}': expected numeric pair, got {value!r}", self.line_of(key)
-            ) from None
+        return self._get(key, default, lambda v: _parse_floats(v, 2), "numeric 'a, b' pair")
 
     def get_quad(self, key: str, default=_MISSING) -> tuple[float, float, float, float]:
-        value = self._raw(key, default)
-        if not isinstance(value, str):
-            return value
-        parts = [p.strip() for p in value.split(",")]
-        if len(parts) != 4:
-            raise ConfigError(
-                f"key '{key}': expected 'x, y, w, h' quad, got {value!r}",
-                self.line_of(key),
-            )
-        try:
-            return tuple(float(p) for p in parts)  # type: ignore[return-value]
-        except ValueError:
-            raise ConfigError(
-                f"key '{key}': expected numeric quad, got {value!r}", self.line_of(key)
-            ) from None
+        return self._get(key, default, lambda v: _parse_floats(v, 4), "numeric 'x, y, w, h' quad")
 
     def reject_unknown(self) -> None:
         """Raise if any parsed key was never consumed (typo protection)."""

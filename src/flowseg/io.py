@@ -2,7 +2,9 @@
 
 Frames are binary portable graymaps (P5, maxval 255). Flow fields use the
 little-endian Middlebury-style layout: float32 magic 202021.25, int32 width,
-int32 height, then row-major interleaved (u, v) float32 pairs.
+int32 height, then row-major interleaved (u, v) float32 pairs; an invalid
+pixel is written as the unknown-flow marker ``UNKNOWN_FLOW`` in both
+components.
 """
 
 import struct
@@ -16,6 +18,7 @@ from .errors import FormatError, InputError
 FLOW_MAGIC = 202021.25
 # Middlebury convention: |component| above this marks unknown flow.
 UNKNOWN_FLOW_THRESHOLD = 1e9
+UNKNOWN_FLOW = 1e10
 
 
 @dataclass(eq=False)
@@ -181,6 +184,7 @@ def write_flow_file(flow: FlowField, path) -> None:
     pairs = np.empty((flow.height, flow.width, 2), dtype="<f4")
     pairs[..., 0] = flow.u
     pairs[..., 1] = flow.v
+    pairs[~flow.valid] = UNKNOWN_FLOW
     with open(path, "wb") as fh:
         fh.write(struct.pack("<f", FLOW_MAGIC))
         fh.write(struct.pack("<ii", flow.width, flow.height))

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 
 import numpy as np
@@ -201,6 +202,41 @@ def test_segment_too_many_groups_writes_nothing(tmp_path, scene_dir, monkeypatch
     assert list(out.iterdir()) == []
 
 
+def test_segment_out_path_that_is_a_file(tmp_path, scene_dir, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    code, _ = run_segment(tmp_path, scene_dir, out_name="taken")
+    assert code == 3
+    assert "input error" in capsys.readouterr().err
+    assert out.read_text() == "not a directory"
+
+
+def test_segment_config_that_is_a_directory(tmp_path, scene_dir, capsys):
+    code = main(["segment", "--in", str(scene_dir / "frames"), "--config", str(tmp_path),
+                 "--out", str(tmp_path / "x")])
+    assert code == 3
+    assert "input error" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["segment", "eval"])
+def test_duplicate_frame_numbers_name_both_files(tmp_path, scene_dir, capsys, command):
+    kind, prefix = ("frames", "frame") if command == "segment" else ("gt", "gt")
+    directory = tmp_path / kind
+    directory.mkdir()
+    for p in (scene_dir / kind).glob("*.pgm"):
+        (directory / p.name).write_bytes(p.read_bytes())
+    (directory / f"{prefix}_1.pgm").write_bytes((directory / f"{prefix}_000002.pgm").read_bytes())
+    if command == "segment":
+        code, out = run_segment(tmp_path, tmp_path)
+        assert not out.exists()
+    else:
+        code = main(["eval", "--pred", str(scene_dir / "gt"), "--gt", str(directory)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"{prefix}_000001.pgm and {prefix}_1.pgm" in err
+
+
 def test_segment_seed_flag_overrides_config_seed(tmp_path, scene_dir):
     cfg = tmp_path / "seeded.cfg"
     cfg.write_text("window_size = 4\nseed = 3\n")
@@ -355,6 +391,17 @@ def test_bench_three_rows(tmp_path, scene_dir, capsys):
     assert lines[1].startswith("4,")
     table = capsys.readouterr().out
     assert "speedup" in table
+
+
+def test_bench_sweeps_the_synthetic_scene(tmp_path, capsys):
+    out_csv = tmp_path / "sweep.csv"
+    code = main(["bench", "--scene-frames", "12", "--w", "3..4", "--repeats", "1",
+                 "--seed", "1", "--out", str(out_csv)])
+    assert code == 0
+    assert "speedup" in capsys.readouterr().out
+    rows = list(csv.DictReader(out_csv.open()))
+    assert [r["window_size"] for r in rows] == ["3", "4"]
+    assert all(0.5 < float(r["mean_accuracy"]) <= 1.0 for r in rows)
 
 
 def test_bench_window_list_syntax(tmp_path, scene_dir):

@@ -47,6 +47,17 @@ def test_flow_file_byte_layout(tmp_path):
     assert len(expected) == 20
 
 
+def test_flow_roundtrip_keeps_invalid_pixels_invalid(tmp_path):
+    valid = np.ones((4, 5), bool)
+    valid[2, 3] = False
+    field = FlowField(u=np.full((4, 5), 1.5, np.float32), v=np.full((4, 5), -0.5, np.float32), valid=valid)
+    path = tmp_path / "holes.flo"
+    write_flow_file(field, path)
+    back = read_flow_file(path)
+    assert np.array_equal(back.valid, valid)
+    assert np.array_equal(back.u, field.u) and np.array_equal(back.v, field.v)
+
+
 def test_flow_bad_magic(tmp_path):
     path = tmp_path / "bad.flo"
     path.write_bytes(struct.pack("<f", 0.0) + struct.pack("<ii", 1, 1) + b"\0" * 8)

@@ -11,18 +11,6 @@ def script_main(name):
     return runpy.run_path(str(SCRIPTS / name), run_name="script_under_test")["main"]
 
 
-def test_window_sweep(tmp_path, capsys):
-    out = tmp_path / "sweep.csv"
-    script_main("window_sweep.py")(
-        ["--frames", "12", "--min-window", "3", "--max-window", "4",
-         "--repeats", "1", "--out", str(out)]
-    )
-    assert "speedup" in capsys.readouterr().out
-    rows = list(csv.DictReader(out.open()))
-    assert [r["window_size"] for r in rows] == ["3", "4"]
-    assert all(0.5 < float(r["mean_accuracy"]) <= 1.0 for r in rows)
-
-
 def test_force_ablation(tmp_path, capsys):
     out = tmp_path / "ablation.csv"
     script_main("force_ablation.py")(["--frames", "12", "--window", "4", "--out", str(out)])
