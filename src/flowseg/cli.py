@@ -293,7 +293,11 @@ def cmd_bench(args) -> int:
         if not args.gt:
             raise ConfigError("--gt is required when --frames is given")
         gt_map = _read_masks_dir(Path(args.gt))
-        masks = [gt_map[first + i] for i in range(len(frames))]
+        numbers = range(first, first + len(frames))
+        missing = [n for n in numbers if n not in gt_map]
+        if missing:
+            raise InputError(f"ground truth missing for frames: {missing}")
+        masks = [gt_map[n] for n in numbers]
     else:
         scene = generate_scene(synth.preset_scene("one-way", frame_count=args.scene_frames))
         frames, masks = scene.frames, scene.masks

@@ -12,20 +12,20 @@ The estimator is a coarse-to-fine pyramidal least-squares flow:
    update; a few warp/solve iterations run per level and the flow is
    upsampled (x2) between levels. Each level's iterations write into one
    set of buffers allocated when the level starts (see ``_refine``). The
-   warp is a bilinear gather and the gradients are written in place; both
-   give the same bits as the general-purpose calls they stand for,
-   ``scipy.ndimage.map_coordinates(order=1, mode="nearest")`` and
-   ``np.gradient`` (see ``_Gather`` and ``_gradient``). The upsampling
-   gives the same bits as ``map_coordinates`` at the fine grid's
-   coordinates halved, from a few whole-array operations (see
-   ``_upsample``).
+   warp is a bilinear gather from an edge-padded copy of the level, which
+   replaces index clamping, and the gradients are written in place; both
+   give the same bits as ``scipy.ndimage.map_coordinates(order=1,
+   mode="nearest")`` and ``np.gradient`` (see ``_Gather`` and
+   ``_gradient``). The upsampling gives the same bits as
+   ``map_coordinates`` at the fine grid's coordinates halved, from a few
+   whole-array operations (see ``_upsample``).
 4. The finished field is median-filtered (7x7, borders replicated) to
    suppress the isolated outliers that warping produces along occlusion
    edges. The median is an exact partition over the window stack, taken a
    fixed number of rows at a time so temporary memory stays bounded; it
    partitions order-preserving int32 keys of the float32 field, which
-   select the same element as the floats do, and copies each window out
-   as one contiguous run (see ``_median``).
+   select the same element as the floats do, through views and buffers
+   built once per call (see ``_median``).
 5. At the finest level the structure tensor's smaller eigenvalue decides
    per-pixel validity: flat or single-gradient neighborhoods (aperture
    cases) are marked invalid and their flow is zeroed. The gradients and
@@ -80,6 +80,18 @@ class FlowParams:
             raise InputError("downscale must be an integer >= 1")
 
 
+def _edge_pad(a: np.ndarray, before: int, after: int) -> np.ndarray:
+    """``np.pad(a, (before, after), mode="edge")`` of a 2-D ``a``, by slice assignment."""
+    h, w = a.shape
+    out = np.empty((h + before + after, w + before + after), a.dtype)
+    out[before : before + h, before : before + w] = a
+    out[:before, before : before + w] = a[0]
+    out[before + h :, before : before + w] = a[-1]
+    out[:, :before] = out[:, before : before + 1]
+    out[:, before + w :] = out[:, before + w - 1 : before + w]
+    return out
+
+
 def _block_mean(img: np.ndarray, factor: int) -> np.ndarray:
     """Mean of each ``factor`` x ``factor`` block of ``img``, whose sides
     are multiples of ``factor``.
@@ -125,7 +137,7 @@ def _upsample(field: np.ndarray, shape: tuple) -> np.ndarray:
     only the odd-odd slice sums all four. (An infinite ``field`` value
     would break this, since ``inf * 0`` is NaN.)
     """
-    padded = np.pad(field, ((0, 1), (0, 1)), mode="edge")
+    padded = _edge_pad(field, 0, 1)
     out = np.empty(shape)
     for a in (0, 1):
         for b in (0, 1):
@@ -182,49 +194,46 @@ class _Gather:
     - the products are summed onto ``0.0`` in the order r0c0, r0c1, r1c0,
       r1c1.
 
-    The float floor is clamped to ``[-1, n - 1]`` before the integer cast,
-    which leaves the clamped corner indices as they were: the lower corner
-    then only needs clamping from below and the upper one from above, and
-    the cast stays in range for any finite coordinate. NaN or infinite
-    coordinates are unsupported: scipy and this form treat them
-    differently, and flow never produces them (see ``_median``).
+    A copy of ``img`` edge-padded by one pixel does the index clamping:
+    with the float floor clamped to ``[-1, n - 1]``, the padded pixels at
+    ``floor + 1`` and ``floor + 2`` are the clamped corners, and the cast
+    stays in range for any finite coordinate. One flat index per point
+    addresses r0c0 and the offsets 1, ``w + 2`` and ``w + 3`` the other
+    corners. NaN or infinite coordinates are unsupported: scipy and this
+    form treat them differently, and flow never produces them.
     """
 
     def __init__(self, img: np.ndarray, shape: tuple):
-        self._flat = np.ravel(img)
         self._size = img.shape
-        self._floor = np.empty(shape)
+        flat = _edge_pad(img, 1, 1).ravel()
+        stride = img.shape[1] + 2
+        self._corners = [flat[offset:] for offset in (0, 1, stride, stride + 1)]
+        self._floor = np.empty((2, *shape))
         # Row weights w0, w1, then column weights w0, w1.
         self._weights = np.empty((4, *shape))
-        # Row corners times the row length, then column corners: their
-        # sums are flat indices into ``img``.
-        self._corners = np.empty((4, *shape), dtype=np.intp)
         self._index = np.empty(shape, dtype=np.intp)
         self._term = np.empty(shape)
 
-    def _axis(self, coord, n, weights, corners):
-        floor = self._floor
+    def _axis(self, coord, n, floor, weights):
         np.floor(coord, out=floor)
         np.subtract(coord, floor, out=weights[1])
         np.subtract(1.0, weights[1], out=weights[0])
         np.subtract(1.0, weights[0], out=weights[1])
         np.clip(floor, -1, n - 1, out=floor)
-        np.copyto(corners[0], floor, casting="unsafe")
-        np.add(corners[0], 1, out=corners[1])
-        np.maximum(corners[0], 0, out=corners[0])
-        np.minimum(corners[1], n - 1, out=corners[1])
 
     def __call__(self, rows: np.ndarray, cols: np.ndarray, out: np.ndarray) -> None:
         h, w = self._size
+        row_f, col_f = self._floor
         row_w, col_w = self._weights[:2], self._weights[2:]
-        row_i, col_i = self._corners[:2], self._corners[2:]
-        self._axis(rows, h, row_w, row_i)
-        row_i *= w
-        self._axis(cols, w, col_w, col_i)
+        self._axis(rows, h, row_f, row_w)
+        self._axis(cols, w, col_f, col_w)
+        # (row + 1) * (w + 2) + (col + 1), exact in float64.
+        row_f *= w + 2
+        row_f += col_f
+        np.add(row_f, w + 3, out=self._index, casting="unsafe")
         term = self._term
-        for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            np.add(row_i[r], col_i[c], out=self._index)
-            np.take(self._flat, self._index, out=term, mode="clip")
+        for corner, (r, c) in zip(self._corners, ((0, 0), (0, 1), (1, 0), (1, 1))):
+            np.take(corner, self._index, out=term, mode="clip")
             term *= row_w[r]
             term *= col_w[c]
             if r or c:
@@ -235,11 +244,13 @@ class _Gather:
 
 def _window_sum(stack: np.ndarray, radius: int) -> np.ndarray:
     """Square-window sums of each image of ``stack`` (``(k, rows, cols)``),
-    borders replicated. ``uniform_filter`` skips an axis of size 1, so one
-    call equals ``k`` calls on the images one at a time; the means are
-    scaled to sums in place, with the same bits as a scaled copy."""
+    borders replicated. These are the two ``uniform_filter1d`` passes that
+    ``uniform_filter(stack, size=(1, s, s))`` runs, the second in place, so
+    they equal one call per image; the means are scaled to sums in place,
+    with the same bits as a scaled copy."""
     size = 2 * radius + 1
-    sums = ndimage.uniform_filter(stack, size=(1, size, size), mode="nearest")
+    sums = ndimage.uniform_filter1d(stack, size, axis=1, mode="nearest")
+    ndimage.uniform_filter1d(sums, size, axis=2, output=sums, mode="nearest")
     sums *= size * size
     return sums
 
@@ -320,30 +331,29 @@ def _median(field: np.ndarray) -> np.ndarray:
     never produces NaN because ``_refine`` divides only where ``det`` is
     above ``_DET_EPS``.
 
-    Each band of rows first copies its 7-row column strips into a
-    contiguous ``(rows, cols + 6, 7)`` array. A pixel's 49 keys, its 7
-    strips side by side, are then one contiguous run of it, so a strided
-    view with one run per pixel copies them out whole. The window's
-    elements come out column by column instead of row by row, which no
-    rank statistic can see.
+    Views and buffers are built once per call. Each band of rows copies
+    its 7-row column strips into one ``(rows, cols + 6, 7)`` buffer, where
+    a pixel's 49 keys are one contiguous run, so a strided view copies
+    them out whole into the stack that is partitioned. They come out
+    column by column, not row by row, which no rank statistic can see.
     """
     r = _MEDIAN_SIZE // 2
     mid = _MEDIAN_SIZE * _MEDIAN_SIZE // 2
     bits = np.asarray(field, dtype=np.float32).view(np.int32)
     keys = bits ^ ((bits >> 31) & 0x7FFFFFFF)
-    padded = np.pad(keys, r, mode="edge")
     height, width = keys.shape
+    columns = sliding_window_view(_edge_pad(keys, r, r), _MEDIAN_SIZE, axis=0)
+    band = min(_MEDIAN_CHUNK_ROWS, height)
+    strips = np.empty((band, width + 2 * r, _MEDIAN_SIZE), np.int32)
+    windows = as_strided(strips, (band, width, 2 * mid + 1), strips.strides, writeable=False)
+    stack = np.empty(windows.shape, np.int32)
     out = np.empty_like(keys)
-    for top in range(0, height, _MEDIAN_CHUNK_ROWS):
-        rows = min(_MEDIAN_CHUNK_ROWS, height - top)
-        strips = np.ascontiguousarray(
-            sliding_window_view(padded[top : top + rows + 2 * r], _MEDIAN_SIZE, axis=0)
-        )
-        stack = as_strided(
-            strips, (rows, width, _MEDIAN_SIZE * _MEDIAN_SIZE), strips.strides, writeable=False
-        ).copy()
-        stack.partition(mid, axis=-1)
-        out[top : top + rows] = stack[..., mid]
+    for top in range(0, height, band):
+        rows = min(band, height - top)
+        np.copyto(strips[:rows], columns[top : top + rows])
+        np.copyto(stack[:rows], windows[:rows])
+        stack[:rows].partition(mid, axis=-1)
+        out[top : top + rows] = stack[:rows, :, mid]
     out ^= (out >> 31) & 0x7FFFFFFF
     return out.view(np.float32)
 

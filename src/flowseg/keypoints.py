@@ -195,15 +195,38 @@ def maps_identical(a: SegmentationMap, b: SegmentationMap) -> bool:
     return True
 
 
-def magnitude_orientation(flow: FlowField) -> MagOriMaps:
-    """Full-quadrant magnitude/orientation maps; zero vectors get angle 0."""
-    u = flow.u.astype(np.float64)
-    v = flow.v.astype(np.float64)
-    mag = np.hypot(u, v)
+def _polar(flow: FlowField):
+    """``u``, ``v`` and magnitude of every flow vector, in float64."""
+    u, v = flow.u.astype(np.float64), flow.v.astype(np.float64)
+    return u, v, np.hypot(u, v)
+
+
+def _orientation(u, v, mag):
+    """Direction in [0, 2pi) of each vector (u, v); zero vectors get 0."""
     ori = np.mod(np.arctan2(v, u), TWO_PI)
     ori[ori >= TWO_PI] = 0.0  # guard against mod rounding to exactly 2pi
     ori[mag == 0.0] = 0.0
-    return MagOriMaps(mag=mag, ori=ori, valid=flow.valid.copy())
+    return ori
+
+
+def magnitude_orientation(flow: FlowField) -> MagOriMaps:
+    """Full-quadrant magnitude/orientation maps; zero vectors get angle 0."""
+    u, v, mag = _polar(flow)
+    return MagOriMaps(mag=mag, ori=_orientation(u, v, mag), valid=flow.valid.copy())
+
+
+def _quantized(keep, ori, magnitude_threshold, bin_count) -> QuantizedMap:
+    """The map binning the pixels of ``keep``, whose orientations ``ori``
+    holds in raster order; every other pixel gets NONE_BIN."""
+    if bin_count < 2:
+        raise InputError("bin_count must be >= 2")
+    if magnitude_threshold < 0:
+        raise InputError("magnitude_threshold must be >= 0")
+    idx = np.floor(ori * (bin_count / TWO_PI) + 0.5).astype(np.int16) % bin_count
+    bins = np.full(keep.shape, NONE_BIN, dtype=np.int16)
+    bins[keep] = idx
+    histogram = np.bincount(idx.astype(np.int64), minlength=bin_count)
+    return QuantizedMap(bins, bin_count, magnitude_threshold, histogram)
 
 
 def quantize(
@@ -219,23 +242,8 @@ def quantize(
     noise around a dominant direction like (v, 0) must not split its
     pixels across two adjacent bins, which edge-anchored bins would do.
     """
-    if bin_count < 2:
-        raise InputError("bin_count must be >= 2")
-    if magnitude_threshold < 0:
-        raise InputError("magnitude_threshold must be >= 0")
     keep = maps.valid & (maps.mag >= magnitude_threshold)
-    idx = (
-        np.floor(maps.ori * (bin_count / TWO_PI) + 0.5).astype(np.int16)
-        % bin_count
-    )
-    bins = np.where(keep, idx, np.int16(NONE_BIN))
-    histogram = np.bincount(idx[keep].astype(np.int64), minlength=bin_count)
-    return QuantizedMap(
-        bins=bins,
-        bin_count=bin_count,
-        magnitude_threshold=magnitude_threshold,
-        histogram=histogram,
-    )
+    return _quantized(keep, maps.ori[keep], magnitude_threshold, bin_count)
 
 
 def detect_peaks(
@@ -289,10 +297,8 @@ def group_keypoints(
         labs = flat[nz]
         starts = np.searchsorted(labs, np.arange(1, n + 1))
         ends = np.append(starts[1:], nz.size)
-        for k in range(n):
+        for k in np.flatnonzero(ends - starts >= min_group_size):
             idxs = nz[starts[k] : ends[k]]
-            if idxs.size < min_group_size:
-                continue
             entries.append((int(idxs[0]), bin_id, idxs))
     entries.sort(key=lambda e: e[0])
 
@@ -320,9 +326,13 @@ def segment_flow(
     min_group_size: int = DEFAULT_MIN_GROUP_SIZE,
     frame_index: int = 0,
 ) -> SegmentationMap:
-    """Run the whole keypoint-extraction chain on one flow field."""
-    maps = magnitude_orientation(flow)
-    quantized = quantize(maps, magnitude_threshold, bin_count)
+    """Run the whole keypoint-extraction chain on one flow field, taking
+    orientations and bins only where quantize keeps a pixel: element-wise
+    arithmetic gives each one the bits it has on the whole field."""
+    u, v, mag = _polar(flow)
+    keep = flow.valid & (mag >= magnitude_threshold)
+    ori = _orientation(u[keep], v[keep], mag[keep])
+    quantized = _quantized(keep, ori, magnitude_threshold, bin_count)
     peaks = detect_peaks(quantized.histogram, peak_min_fraction)
     return group_keypoints(
         quantized, peaks, flow=flow, min_group_size=min_group_size, frame_index=frame_index

@@ -426,3 +426,11 @@ def test_bench_duplicate_sizes_run_once(tmp_path, scene_dir):
     assert code == 0
     rows = out_csv.read_text().splitlines()[1:]
     assert len(rows) == 1 and rows[0].startswith("4,")
+
+
+def test_bench_missing_gt_frame_is_an_input_error(tmp_path, scene_dir, capsys):
+    (scene_dir / "gt" / "gt_000005.pgm").unlink()
+    code = main(["bench", "--w", "3", "--frames", str(scene_dir / "frames"),
+                 "--gt", str(scene_dir / "gt"), "--repeats", "1", "--seed", "1"])
+    assert code == 3
+    assert "ground truth missing for frames: [5]" in capsys.readouterr().err

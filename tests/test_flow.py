@@ -135,7 +135,9 @@ def median_input(kind, shape, seed):
 
 
 @pytest.mark.parametrize("kind", ["normal", "ties", "constant"])
-@pytest.mark.parametrize("shape", [(8, 8), (8, 161), (37, 53), (120, 160)])
+# (16, 23), (17, 23) and (33, 7): one band exactly, one band and one row,
+# and a last band of one row on a field as narrow as the window.
+@pytest.mark.parametrize("shape", [(8, 8), (8, 161), (37, 53), (120, 160), (16, 23), (17, 23), (33, 7)])
 def test_median_matches_scipy(shape, kind):
     field = median_input(kind, shape, seed=shape[0] * shape[1])
     assert np.array_equal(flow_module._median(field), scipy_median(field).astype(np.float32))

@@ -1,4 +1,6 @@
+import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from flowseg import (
     quantize,
     segment_flow,
 )
-from flowseg.keypoints import NONE_BIN
+from flowseg.flow import compute_dense_flow
+from flowseg.keypoints import NONE_BIN, maps_identical
+from flowseg.synth import generate_scene, preset_scene
 
 TWO_PI = 2.0 * math.pi
 
@@ -317,3 +321,64 @@ def test_peaks_outside_bin_range_rejected():
     bins = np.full((4, 4), NONE_BIN, np.int16)
     with pytest.raises(InputError):
         group_keypoints(quantized_from_bins(bins), {9})
+
+
+# --- the whole chain ----------------------------------------------------------
+
+# float32(0.4) is the magnitude of a float32 vector (0.4, 0) in float64.
+AT_THRESHOLD = float(np.float32(0.4))
+
+
+def edge_case_flow():
+    """Blocks at 32 headings (every bin edge of 4, 8 and 16 bins) and at
+    magnitudes 1, exactly ``AT_THRESHOLD`` and just below it, on a ground
+    of zero and ``-0.0`` vectors; headings just below 2pi, including one
+    whose ``mod`` rounds to 2pi; invalid pixels inside blocks; and specks
+    of 1-5 pixels, smaller than the default ``min_group_size``."""
+    u = np.zeros((44, 64), np.float32)
+    v = np.zeros((44, 64), np.float32)
+    u[:, ::3] = -0.0
+    below = np.nextafter(np.float32(AT_THRESHOLD), np.float32(0.0))
+    for k in range(32):
+        top, left = 5 * (k // 8), 8 * (k % 8)
+        mag = (1.0, AT_THRESHOLD, below)[k % 3]
+        angle = k * TWO_PI / 32
+        u[top : top + 4, left : left + 6] = mag * math.cos(angle)
+        v[top : top + 4, left : left + 6] = mag * math.sin(angle)
+    u[0:4, 0:3] = np.float32(AT_THRESHOLD)  # on the x axis: exact magnitude
+    v[0:4, 0:3] = 0.0
+    u[20:24, 0:12], v[20:24, 0:12] = 1.0, -1e-7  # just below 2pi
+    u[20:24, 12:24], v[20:24, 12:24] = 1.0, -1e-30  # mod rounds to 2pi
+    u[20:24, 24:36], v[20:24, 24:36] = 1.0, 1.0  # an edge of 4 bins
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        r, c, n = rng.integers(26, 44), rng.integers(0, 60), rng.integers(1, 6)
+        angle = rng.uniform(0.0, TWO_PI)
+        u[r, c : c + n], v[r, c : c + n] = 2.0 * math.cos(angle), 2.0 * math.sin(angle)
+    valid = np.ones(u.shape, bool)
+    valid[::5, ::7] = False
+    valid[30:34, 40:50] = False
+    return FlowField(u=u, v=v, valid=valid)
+
+
+@functools.cache
+def chain_flow(name):
+    if name == "edge-cases":
+        return edge_case_flow()
+    spec = preset_scene(name.removesuffix("-noisy"), 2)
+    if name.endswith("-noisy"):
+        spec = replace(spec, noise_level=6.0)
+    a, b = generate_scene(spec).frames
+    return compute_dense_flow(a, b)
+
+
+@pytest.mark.parametrize("bin_count", [4, 8, 16])
+@pytest.mark.parametrize("threshold", [0.0, 0.4, AT_THRESHOLD])
+@pytest.mark.parametrize("name", ["one-way", "two-way", "two-way-noisy", "edge-cases"])
+def test_segment_flow_matches_stage_chain(name, threshold, bin_count):
+    flow = chain_flow(name)
+    quantized = quantize(magnitude_orientation(flow), threshold, bin_count)
+    chain = group_keypoints(quantized, detect_peaks(quantized.histogram), flow=flow)
+    fused = segment_flow(flow, threshold, bin_count)
+    assert maps_identical(fused, chain)
+    assert fused.groups
