@@ -30,7 +30,9 @@ from .evaluation import (
     accuracy,
     iou,
     rasterize,
+    rasterize_maps,
     render_overlay,
+    render_overlays,
     report,
 )
 from .flow import FlowParams, compute_dense_flow
@@ -110,9 +112,11 @@ __all__ = [
     "propagate_map",
     "quantize",
     "rasterize",
+    "rasterize_maps",
     "read_flow_file",
     "read_frame",
     "render_overlay",
+    "render_overlays",
     "report",
     "segment_flow",
     "segment_video",

@@ -25,7 +25,8 @@ import numpy as np
 from . import synth
 from .config import parse_config_file
 from .errors import ConfigError, FlowSegError, InputError, MetricError
-from .evaluation import rasterize, render_overlay, score_frames
+from .evaluation import rasterize_maps, render_overlays, score_frames
+from .evaluation import rasterize, render_overlay  # noqa: F401  (perfbench traces these names)
 from .flow import _block_mean
 from .io import Frame, read_frame, write_flow_file, write_frame, write_ppm
 from .keypoints import member_arrays
@@ -176,27 +177,24 @@ def cmd_segment(args) -> int:
     (out_dir / "manifest.txt").write_text(manifest)
 
     with open(out_dir / "groups.jsonl", "w") as groups_fh:
-        for frame_index, seg_map in result.maps:
-            file_number = frame_index + offset
-            mask = rasterize(seg_map, cfg.dilation_radius)
-            write_frame(Frame(mask.labels.astype(np.uint8)), out_dir / f"mask_{file_number:06d}.pgm")
+        for window in result.window_maps():
+            masks = rasterize_maps([seg_map for _, seg_map in window], cfg.dilation_radius)
+            overlays = [None] * len(window)
             if cfg.write_overlays:
-                small = Frame(
-                    np.rint(
-                        _block_mean(
-                            frames[frame_index - 1].data.astype(np.float64),
-                            cfg.flow.downscale,
-                        )
-                    ).astype(np.uint8)
-                )
-                rgb = render_overlay(small, mask)
-                write_ppm(rgb, out_dir / f"overlay_{file_number:06d}.ppm")
-            members = member_arrays(seg_map)  # the arrays rasterize read
-            for g, (cx, cy) in zip(members.groups, members.centroids.tolist()):
-                groups_fh.write(
-                    '{"frame": %d, "id": %d, "bin": %d, "centroid": [%.4f, %.4f], "members": %d}\n'
-                    % (file_number, g.id, g.bin, cx, cy, g.size)
-                )
+                stacked = np.stack([frames[frame_index - 1].data for frame_index, _ in window])
+                small = np.rint(_block_mean(stacked.astype(np.float64), cfg.flow.downscale))
+                overlays = render_overlays([Frame(f) for f in small.astype(np.uint8)], masks)
+            for (frame_index, seg_map), mask, rgb in zip(window, masks, overlays):
+                file_number = frame_index + offset
+                write_frame(Frame(mask.labels.astype(np.uint8)), out_dir / f"mask_{file_number:06d}.pgm")
+                if rgb is not None:
+                    write_ppm(rgb, out_dir / f"overlay_{file_number:06d}.ppm")
+                members = member_arrays(seg_map)  # the arrays rasterize_maps read
+                for g, (cx, cy) in zip(members.groups, members.centroids.tolist()):
+                    groups_fh.write(
+                        '{"frame": %d, "id": %d, "bin": %d, "centroid": [%.4f, %.4f], "members": %d}\n'
+                        % (file_number, g.id, g.bin, cx, cy, g.size)
+                    )
 
     with open(out_dir / "timings.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

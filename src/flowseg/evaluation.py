@@ -1,5 +1,16 @@
 """Rasterization, coverage scoring, reports, and overlays.
 
+A window's maps are rasterized together (``rasterize_maps``): every group
+of every map is painted into a slot of packed crop stacks, whose rows hold
+64 columns per little-endian ``uint64`` word (column ``c`` is bit
+``c % 64`` of word ``c // 64``), so the disc dilation and the 3x3 opening
+are word shifts, ORs and ANDs. Zeros shifted in at word and slot edges,
+and the AND with each group's crop, stand for the background past the
+crop, which is what the full-frame morphology reads there. Their masks
+share one label buffer, so a window holds the memory of its |W| - 1 maps,
+no more than a run that streams one window at a time keeps anyway.
+``render_overlays`` blends a window's frames from one label table.
+
 The headline metric is ground-truth coverage: the labeled fraction of the
 ground-truth region, |segmented AND gt| / |gt|. It is one-sided (adding
 labeled pixels never lowers it), so an IoU column is reported next to it
@@ -18,7 +29,8 @@ from .keypoints import SegmentationMap, member_arrays
 from .pipeline import RunResult
 
 DEFAULT_DILATION_RADIUS = 3
-_STACK_VOXELS = 1 << 22  # booleans per crop stack; more groups take more stacks
+_STACK_VOXELS = 1 << 22  # pixels per crop stack; more groups take more stacks
+_FULL_WORD = ~np.uint64(0)  # a packed row word with all 64 columns set
 _GOLDEN = 0.61803398875
 OVERLAY_ALPHA = 0.5
 
@@ -58,20 +70,163 @@ def pixel_coords(x, y, width: int, height: int) -> tuple[np.ndarray, np.ndarray]
     return rows, cols
 
 
-def _dilate(stack: np.ndarray, element: np.ndarray) -> np.ndarray:
-    """OR of every slot of ``stack`` (groups, rows, cols) shifted by each offset
-    of a symmetric, row-convex ``element``; zeros enter at the slot edges."""
+def _or_shifted(dst: np.ndarray, src: np.ndarray, k: int) -> None:
+    """``dst |= src`` moved ``k`` columns along its packed rows (k > 0
+    toward higher columns, k < 0 toward lower ones). Bits carry across
+    words; zeros enter at the ends of every row."""
+    q, s = divmod(abs(k), 64)
+    n = src.shape[-1] - q
+    if n <= 0:
+        return
+    if k > 0:
+        if s:
+            dst[..., q:] |= src[..., :n] << np.uint64(s)
+            dst[..., q + 1 :] |= src[..., : n - 1] >> np.uint64(64 - s)
+        else:
+            dst[..., q:] |= src[..., :n]
+    elif s:
+        dst[..., :n] |= src[..., q:] >> np.uint64(s)
+        dst[..., : n - 1] |= src[..., q + 1 :] << np.uint64(64 - s)
+    else:
+        dst[..., :n] |= src[..., q:]
+
+
+def _dilate_words(stack: np.ndarray, element: np.ndarray) -> np.ndarray:
+    """OR of every slot of the packed ``stack`` (slots, rows, words) moved
+    by each offset of a symmetric, row-convex ``element``; zeros enter at
+    the slot edges."""
     r = element.shape[0] // 2
     half_widths = element[r:, r:].sum(axis=1) - 1  # per row offset 0..r
     wide = stack.copy()  # stack grown by k px to each side along a row
     out = np.zeros_like(stack)
     for k in range(r + 1):
         if k:
-            wide[..., k:] |= stack[..., :-k]
-            wide[..., :-k] |= stack[..., k:]
+            _or_shifted(wide, stack, k)
+            _or_shifted(wide, stack, -k)
         for d in np.flatnonzero(half_widths == k):
             out[:, d:] |= wide[:, : -d or None]
             out[:, : -d or None] |= wide[:, d:]
+    return out
+
+
+def _low_bits(counts: np.ndarray) -> np.ndarray:
+    """Words whose lowest ``counts`` bits (0..64) are set."""
+    low = (np.uint64(1) << np.minimum(counts, 63).astype(np.uint64)) - np.uint64(1)
+    return np.where(counts >= 64, _FULL_WORD, low)
+
+
+def rasterize_maps(maps, dilation_radius: int = DEFAULT_DILATION_RADIUS) -> list[LabelMask]:
+    """``rasterize`` for every map of ``maps`` (a window's maps, which all
+    have one size) in one pass; one mask per map, in order.
+
+    Every group with members of every map takes one slot of a set of
+    packed crop stacks (slots, rows, words): a row holds 64 columns per
+    little-endian ``uint64`` word, column ``c`` in bit ``c % 64`` of word
+    ``c // 64`` (the ``.view("<u8")`` of ``np.packbits(..., bitorder=
+    "little")``). The disc dilation, the in-crop AND and the 3x3 opening
+    are word shifts that carry across words, ORs and ANDs. Zeros enter
+    past the last word of a row and past a slot's first and last rows, and
+    the in-crop AND clears the columns and rows a slot holds past its crop,
+    so the erosion reads background wherever it reads beyond the crop,
+    exactly as the full-frame morphology reads background past the frame
+    (see ``rasterize`` for why nothing else beyond the crop matters). Each
+    stack holds at most ``_STACK_VOXELS`` pixels of slots, which also
+    bounds the boolean stack members are painted into before packing.
+
+    Coverage and the nearest-centroid contest then run on pixel indices
+    offset by ``height * width`` per map, so the output holds the memory
+    of ``len(maps)`` maps: |W| - 1 for a window. Raises InputError when
+    the maps differ in size.
+    """
+    if dilation_radius < 0:
+        raise InputError("dilation_radius must be >= 0")
+    maps = list(maps)
+    if not maps:
+        return []
+    shapes = {(m.width, m.height) for m in maps}
+    if len(shapes) > 1:
+        raise InputError(f"maps of one batch differ in size: {sorted(shapes)}")
+    h, w = maps[0].height, maps[0].width
+    size = h * w
+    labels = np.zeros(len(maps) * size, dtype=np.int32)
+    out = [LabelMask(labels[i * size : (i + 1) * size].reshape(h, w)) for i in range(len(maps))]
+
+    # Members of every group with members, map by map, in map order.
+    xs, ys, counts, ids, centroids, bases = [], [], [], [], [], []
+    for i, seg_map in enumerate(maps):
+        members = member_arrays(seg_map)
+        sizes = np.diff(members.starts)
+        kept = np.flatnonzero(sizes)
+        xs.append(members.x)
+        ys.append(members.y)
+        counts.append(sizes[kept])
+        ids.extend(members.groups[k].id for k in kept.tolist())
+        centroids.append(members.centroids[kept])
+        bases.append(np.full(kept.size, i * size))
+    counts = np.concatenate(counts)
+    n_groups = counts.size
+    if not n_groups:
+        return out
+    ids = np.array(ids, dtype=np.int32)
+    centroids = np.concatenate(centroids)
+
+    member = np.repeat(np.arange(n_groups), counts)
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    rows, cols = pixel_coords(np.concatenate(xs), np.concatenate(ys), w, h)
+    margin = dilation_radius + 2 if dilation_radius > 0 else 0
+    top = np.maximum(np.minimum.reduceat(rows, starts[:-1]) - margin, 0)
+    left = np.maximum(np.minimum.reduceat(cols, starts[:-1]) - margin, 0)
+    crop_h = np.minimum(np.maximum.reduceat(rows, starts[:-1]) + margin + 1, h) - top
+    crop_w = np.minimum(np.maximum.reduceat(cols, starts[:-1]) + margin + 1, w) - left
+    origin = np.concatenate(bases) + top * w + left  # flat index of each crop's corner
+    slot_h, slot_w = int(crop_h.max()), int(crop_w.max())
+    words = -(-slot_w // 64)
+    per_stack = max(1, _STACK_VOXELS // (slot_h * words * 64))
+    if dilation_radius > 0:
+        disc = disc_element(dilation_radius)
+        # per group: its crop's rows and its crop's columns, as words
+        in_rows = np.where(np.arange(slot_h) < crop_h[:, None], _FULL_WORD, np.uint64(0))
+        in_cols = _low_bits(np.clip(crop_w[:, None] - 64 * np.arange(words), 0, 64))
+
+    # flat index of the first pixel of every slot row
+    row_origin = (origin[:, None] + np.arange(slot_h) * w).ravel()
+    pix, rows_of = [], []
+    for first in range(0, n_groups, per_stack):
+        end = min(first + per_stack, n_groups)
+        m = slice(starts[first], starts[end])
+        grp = member[m]
+        painted = np.zeros((end - first) * slot_h * words * 64, dtype=bool)
+        painted[((grp - first) * slot_h + rows[m] - top[grp]) * (words * 64) + cols[m] - left[grp]] = True
+        stack = np.packbits(painted, bitorder="little").view("<u8").reshape(-1, slot_h, words)
+        del painted
+        if dilation_radius > 0:
+            stack = _dilate_words(stack, disc)
+            stack &= in_rows[first:end, :, None]
+            stack &= in_cols[first:end, None, :]
+            core = stack.copy()  # 3x3 erosion: background past the slot
+            for k in (1, -1):
+                moved = np.zeros_like(stack)
+                _or_shifted(moved, stack, k)
+                core &= moved
+            core[:, 1:-1] = core[:, :-2] & core[:, 1:-1] & core[:, 2:]
+            core[:, [0, -1]] = 0
+            stack = _dilate_words(core, np.ones((3, 3), dtype=bool))
+        at = np.flatnonzero(np.unpackbits(stack.view(np.uint8), axis=-1, count=slot_w, bitorder="little"))
+        row, col = np.divmod(at, slot_w)
+        row += first * slot_h
+        pix.append(row_origin[row] + col)
+        rows_of.append(row)
+    pix, rows_of = np.concatenate(pix), np.concatenate(rows_of)
+    labels[pix] = np.repeat(ids, slot_h)[rows_of]
+    once = np.bincount(pix, minlength=labels.size)[pix] == 1
+    if not once.all():
+        pix, owner = pix[~once], rows_of[~once] // slot_h
+        rows, cols = np.divmod(pix % size, w)
+        d2 = (cols - centroids[owner, 0]) ** 2 + (rows - centroids[owner, 1]) ** 2
+        order = np.lexsort((ids[owner], d2, pix))
+        pix, owner = pix[order], owner[order]
+        nearest = np.r_[True, pix[1:] != pix[:-1]]  # first entry of each pixel
+        labels[pix[nearest]] = ids[owner[nearest]]
     return out
 
 
@@ -90,68 +245,12 @@ def rasterize(seg_map: SegmentationMap, dilation_radius: int = DEFAULT_DILATION_
     opening's erosion reads one px beyond that, and the opening never
     grows the set, so everything the morphology reads or writes lies
     within ``r + 1`` px of a member and inside the crop. Crops sit at the
-    top-left of the slots of boolean stacks (groups, rows, cols) of at most
-    ``_STACK_VOXELS`` voxels; ANDing each slot with its crop after the
-    dilation makes the erosion read background past a crop cut off by the
-    frame edge, as past the frame, so the opening stays inside the crop.
+    top-left of the slots of crop stacks; ANDing each slot with its crop
+    after the dilation makes the erosion read background past a crop cut
+    off by the frame edge, as past the frame, so the opening stays inside
+    the crop. This is the one-map call of ``rasterize_maps``.
     """
-    if dilation_radius < 0:
-        raise InputError("dilation_radius must be >= 0")
-    h, w = seg_map.height, seg_map.width
-    labels = np.zeros(h * w, dtype=np.int32)
-    members = member_arrays(seg_map)
-    sizes = np.diff(members.starts)
-    kept = np.flatnonzero(sizes)  # groups with members, in map order
-    if not kept.size:
-        return LabelMask(labels.reshape(h, w))
-
-    n_groups = kept.size
-    member = np.repeat(np.arange(n_groups), sizes[kept])
-    starts = np.append(members.starts[kept], members.starts[-1])
-    rows, cols = pixel_coords(members.x, members.y, w, h)
-    margin = dilation_radius + 2 if dilation_radius > 0 else 0
-    top = np.maximum(np.minimum.reduceat(rows, starts[:-1]) - margin, 0)
-    left = np.maximum(np.minimum.reduceat(cols, starts[:-1]) - margin, 0)
-    crop_h = np.minimum(np.maximum.reduceat(rows, starts[:-1]) + margin + 1, h) - top
-    crop_w = np.minimum(np.maximum.reduceat(cols, starts[:-1]) + margin + 1, w) - left
-    slot = (int(crop_h.max()), int(crop_w.max()))
-    per_stack = max(1, _STACK_VOXELS // (slot[0] * slot[1]))
-
-    pix, owner = [], []
-    for first in range(0, n_groups, per_stack):
-        end = min(first + per_stack, n_groups)
-        m = slice(starts[first], starts[end])
-        grp = member[m]
-        stack = np.zeros((end - first,) + slot, dtype=bool)
-        stack[grp - first, rows[m] - top[grp], cols[m] - left[grp]] = True
-        if dilation_radius > 0:
-            stack = _dilate(stack, disc_element(dilation_radius))
-            stack &= np.arange(slot[0])[:, None] < crop_h[first:end, None, None]
-            stack &= np.arange(slot[1]) < crop_w[first:end, None, None]
-            core = np.zeros_like(stack)  # 3x3 erosion: background past the slot
-            core[..., 1:-1] = stack[..., :-2] & stack[..., 1:-1] & stack[..., 2:]
-            core[:, 1:-1] = core[:, :-2] & core[:, 1:-1] & core[:, 2:]
-            core[:, [0, -1]] = False
-            stack = _dilate(core, np.ones((3, 3), dtype=bool))
-        k, yy, xx = np.nonzero(stack)
-        k += first
-        pix.append((yy + top[k]) * w + xx + left[k])
-        owner.append(k)
-    pix, owner = np.concatenate(pix), np.concatenate(owner)
-
-    ids = np.array([members.groups[k].id for k in kept.tolist()], dtype=np.int32)
-    once = np.bincount(pix, minlength=h * w)[pix] == 1
-    labels[pix[once]] = ids[owner[once]]
-    if not once.all():
-        pix, owner = pix[~once], owner[~once]
-        centroids = members.centroids[kept]
-        rows, cols = np.divmod(pix, w)
-        d2 = (cols - centroids[owner, 0]) ** 2 + (rows - centroids[owner, 1]) ** 2
-        order = np.lexsort((ids[owner], d2, pix))
-        pix, owner = pix[order], owner[order]
-        nearest = np.r_[True, pix[1:] != pix[:-1]]  # first entry of each pixel
-        labels[pix[nearest]] = ids[owner[nearest]]
-    return LabelMask(labels.reshape(h, w))
+    return rasterize_maps([seg_map], dilation_radius)[0]
 
 
 def _as_labels(mask) -> np.ndarray:
@@ -288,8 +387,15 @@ def report(
     ground_truth: Mapping[int, np.ndarray],
     dilation_radius: int = DEFAULT_DILATION_RADIUS,
 ) -> AccuracyReport:
-    """Rasterize every emitted map of ``run`` and score it (see ``score_frames``)."""
-    labelled = ((fi, rasterize(m, dilation_radius).labels) for fi, m in run.maps)
+    """Rasterize every emitted map of ``run``, one window at a time, and
+    score it (see ``score_frames``)."""
+    labelled = (
+        (frame_index, mask.labels)
+        for window in run.window_maps()
+        for (frame_index, _), mask in zip(
+            window, rasterize_maps([seg_map for _, seg_map in window], dilation_radius)
+        )
+    )
     first, last = run.windows[0]
     return score_frames(labelled, ground_truth, last - first + 1, first)
 
@@ -304,25 +410,39 @@ def label_color(label_id: int) -> tuple[int, int, int]:
     return rgb
 
 
-def render_overlay(
-    frame: Frame,
-    mask: LabelMask,
+def render_overlays(
+    frames,
+    masks,
     palette: dict[int, tuple[int, int, int]] | None = None,
     alpha: float = OVERLAY_ALPHA,
-) -> np.ndarray:
-    """Blend label colors over the grayscale frame; background passes through.
+) -> list[np.ndarray]:
+    """Blend label colors over each grayscale frame of ``frames`` under the
+    mask of ``masks`` at its position; background passes through. Frames
+    and masks all have one size (a window's).
 
     Frames are 8-bit, so every pixel is one lookup in a table with one
-    column per gray level and one row per label present (found by binary
-    search in the sorted ids), after a first row that passes the gray
-    through. A label's row holds the rounded float blend of its color.
+    column per gray level and one row per label present in any of the
+    masks (found by binary search in the sorted ids), after a first row
+    that passes the gray through. A label's row holds the rounded float
+    blend of its color, which does not depend on the other labels, so one
+    table built for a window gives each frame the bits of its own.
     """
-    if (frame.height, frame.width) != (mask.height, mask.width):
-        raise InputError(
-            f"frame {frame.width}x{frame.height} does not match mask {mask.width}x{mask.height}"
-        )
-    fg = mask.labels != 0
-    labeled = mask.labels[fg]
+    frames, masks = list(frames), list(masks)
+    if len(frames) != len(masks):
+        raise InputError(f"{len(frames)} frames for {len(masks)} masks")
+    for frame, mask in zip(frames, masks):
+        if (frame.height, frame.width) != (mask.height, mask.width):
+            raise InputError(
+                f"frame {frame.width}x{frame.height} does not match mask {mask.width}x{mask.height}"
+            )
+    if not frames:
+        return []
+    shapes = {(mask.width, mask.height) for mask in masks}
+    if len(shapes) > 1:
+        raise InputError(f"masks of one batch differ in size: {sorted(shapes)}")
+    labels = np.stack([mask.labels for mask in masks])
+    fg = labels != 0
+    labeled = labels[fg]
     ids = np.unique(labeled)
     colors = np.array(
         [(palette or {}).get(int(i)) or label_color(int(i)) for i in ids], dtype=np.float64
@@ -331,8 +451,19 @@ def render_overlay(
     table = np.empty((ids.size + 1, 256, 3), dtype=np.uint8)
     table[0] = levels
     table[1:] = np.clip(np.rint((1.0 - alpha) * levels + alpha * colors), 0, 255)
-    rows = np.zeros(mask.labels.shape, dtype=np.intp)
+    rows = np.zeros(labels.shape, dtype=np.intp)
     rows[fg] = np.searchsorted(ids, labeled) + 1
     rows <<= 8
-    rows |= frame.data
-    return table.reshape(-1, 3).take(rows, axis=0)
+    rows |= np.stack([frame.data for frame in frames])
+    return list(table.reshape(-1, 3).take(rows, axis=0))
+
+
+def render_overlay(
+    frame: Frame,
+    mask: LabelMask,
+    palette: dict[int, tuple[int, int, int]] | None = None,
+    alpha: float = OVERLAY_ALPHA,
+) -> np.ndarray:
+    """Blend label colors over the grayscale frame; background passes
+    through. The one-frame call of ``render_overlays``."""
+    return render_overlays([frame], [mask], palette, alpha)[0]

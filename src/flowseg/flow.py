@@ -93,8 +93,10 @@ def _edge_pad(a: np.ndarray, before: int, after: int) -> np.ndarray:
 
 
 def _block_mean(img: np.ndarray, factor: int) -> np.ndarray:
-    """Mean of each ``factor`` x ``factor`` block of ``img``, whose sides
-    are multiples of ``factor``.
+    """Mean of each ``factor`` x ``factor`` block of ``img`` (one image, or
+    a stack of images along leading axes), whose last two sides are
+    multiples of ``factor``. Each image of a stack gets the bits it gets
+    alone: the strided slices and the sum are elementwise.
 
     ``img`` must hold integer values (every caller passes 8-bit frames as
     float64). Their block sums are then exact in any order, so summing the
@@ -105,12 +107,12 @@ def _block_mean(img: np.ndarray, factor: int) -> np.ndarray:
     """
     if factor == 1:
         return img
-    total = sum(img[i::factor, j::factor] for i in range(factor) for j in range(factor))
+    total = sum(img[..., i::factor, j::factor] for i in range(factor) for j in range(factor))
     return total / (factor * factor)
 
 
 def _decimate(img: np.ndarray) -> np.ndarray:
-    return ndimage.gaussian_filter(img, 1.0, mode="nearest")[::2, ::2]
+    return ndimage.gaussian_filter(img, 1.0, output=np.empty_like(img), mode="nearest")[::2, ::2]
 
 
 def _upsample(field: np.ndarray, shape: tuple) -> np.ndarray:
@@ -249,7 +251,8 @@ def _window_sum(stack: np.ndarray, radius: int) -> np.ndarray:
     they equal one call per image; the means are scaled to sums in place,
     with the same bits as a scaled copy."""
     size = 2 * radius + 1
-    sums = ndimage.uniform_filter1d(stack, size, axis=1, mode="nearest")
+    sums = np.empty_like(stack)  # every element is written; scipy's own output is zeroed first
+    ndimage.uniform_filter1d(stack, size, axis=1, output=sums, mode="nearest")
     ndimage.uniform_filter1d(sums, size, axis=2, output=sums, mode="nearest")
     sums *= size * size
     return sums

@@ -17,6 +17,7 @@ Frames and windows are numbered 1-based in all public outputs.
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
+from itertools import groupby
 from time import perf_counter
 from typing import Iterable, Iterator, Sequence
 
@@ -118,6 +119,16 @@ class RunResult:
 
     def phase_ms(self, phase: str) -> float:
         return sum(t.milliseconds for t in self.timings if t.phase == phase)
+
+    def window_maps(self) -> Iterator[list[tuple[int, SegmentationMap]]]:
+        """The (frame_index, map) pairs of ``maps``, one list per window
+        that emitted any, in order; windows all have the first one's size."""
+        if not self.windows:
+            return
+        first, last = self.windows[0]
+        size = last - first + 1
+        for _, window in groupby(self.maps, key=lambda item: (item[0] - first) // size):
+            yield list(window)
 
 
 def _process_window(

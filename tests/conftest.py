@@ -3,7 +3,8 @@ import pytest
 
 from flowseg import generate_scene, preset_scene
 
-hypothesis.settings.register_profile("suite", max_examples=40, deadline=None)
+# Derandomized: every run draws the same examples, so tier-1 cannot flake.
+hypothesis.settings.register_profile("suite", max_examples=40, deadline=None, derandomize=True)
 hypothesis.settings.load_profile("suite")
 
 

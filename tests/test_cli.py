@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import flowseg.cli
+import flowseg.evaluation
+import flowseg.flow
 from flowseg import Frame, Group, SegmentationMap, write_frame
 from flowseg.cli import main
 from flowseg.pipeline import RunResult
@@ -109,6 +111,44 @@ def test_segment_deterministic_outputs(tmp_path, scene_dir):
         if name == "manifest.txt":  # embeds the output path
             continue
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("radius", [0, 3])
+def test_segment_window_batches_equal_one_map_calls(tmp_path, scene_dir, monkeypatch, radius):
+    # 12 frames at |W| = 6: two windows of five maps each
+    cfg = tmp_path / "two_windows.cfg"
+    cfg.write_text(f"window_size = 6\nflow_downscale = 2\ndilation_radius = {radius}\n")
+
+    def segment(out):
+        argv = ["segment", "--in", str(scene_dir / "frames"), "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
+        return out
+
+    batch_sizes = []
+    window_call = flowseg.cli.rasterize_maps
+
+    def counted(maps, r):
+        batch_sizes.append(len(maps))
+        return window_call(maps, r)
+
+    monkeypatch.setattr(flowseg.cli, "rasterize_maps", counted)
+    batched = segment(tmp_path / "batched")
+    monkeypatch.undo()
+    assert batch_sizes == [5, 5]
+
+    monkeypatch.setattr(flowseg.cli, "rasterize_maps",
+                        lambda maps, r: [window_call([m], r)[0] for m in maps])
+    monkeypatch.setattr(flowseg.cli, "render_overlays", lambda frames, masks: [
+        flowseg.evaluation.render_overlays([f], [m])[0] for f, m in zip(frames, masks)])
+    monkeypatch.setattr(flowseg.cli, "_block_mean", lambda stack, factor: np.stack(
+        [flowseg.flow._block_mean(img, factor) for img in stack]))
+    single = segment(tmp_path / "single")
+
+    names = sorted(p.name for p in batched.iterdir() if p.suffix in (".pgm", ".ppm", ".jsonl"))
+    assert len(names) == 10 + 10 + 1
+    assert names == sorted(p.name for p in single.iterdir() if p.suffix in (".pgm", ".ppm", ".jsonl"))
+    for name in names:
+        assert (batched / name).read_bytes() == (single / name).read_bytes(), name
 
 
 def test_segment_missing_required_key(tmp_path, scene_dir, capsys):

@@ -19,7 +19,9 @@ from flowseg import (
     generate_scene,
     iou,
     rasterize,
+    rasterize_maps,
     render_overlay,
+    render_overlays,
     report,
     segment_video,
 )
@@ -298,6 +300,94 @@ def test_rasterize_equals_full_frame_reference_on_random_maps(stack_voxels, monk
         assert np.array_equal(rasterize(m, radius).labels, expected), (case, radius)
 
 
+def window_batch(width, height, radius):
+    """A window's worth of maps of one size: empty maps, groups on all four
+    frame edges and corners, crops 70, 140 and ``width`` px wide (rows of
+    2 to 4 words), contested pixels inside maps, and two maps whose groups
+    cover the same pixels, so their pixel indices differ only by the map
+    offset."""
+    wide = [
+        block_group(3, 5, 4, 70, 1),
+        block_group(12, 2, 3, 140, 2),
+        group_at([(height - 6, 0), (height - 6, width - 1)], gid=3),
+    ]
+    contested = CROP_CASES["overlap_with_equidistant_contested_pixels"](width, height, radius)
+    batches = [
+        [],
+        CROP_CASES["touch_each_edge"](width, height, radius),
+        wide,
+        [empty_group(4)],
+        contested,
+        contested[::-1] + [block_group(height // 2 - 2, width // 2 - 4, 4, 8, 9)],
+        CROP_CASES["touch_each_corner"](width, height, radius),
+        CROP_CASES["members_out_of_frame_and_at_half_pixels"](width, height, radius),
+    ]
+    return [seg_map(groups, width=width, height=height, frame_index=i + 2)
+            for i, groups in enumerate(batches)]
+
+
+# 1 puts each group in a stack of its own, and 20000 three to seven of the
+# 20 groups, so stacks begin and end inside maps; the default takes all
+@pytest.mark.parametrize("stack_voxels", [1, 20000, evaluation._STACK_VOXELS])
+def test_rasterize_maps_equals_full_frame_reference_map_by_map(stack_voxels, monkeypatch):
+    monkeypatch.setattr(evaluation, "_STACK_VOXELS", stack_voxels)
+    for radius in range(8):
+        maps = window_batch(200, 60, radius)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            masks = rasterize_maps(maps, radius)
+        assert len(masks) == len(maps)
+        for i, (m, mask) in enumerate(zip(maps, masks)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # reference: empty centroid
+                expected = reference_rasterize(m, radius)
+            assert mask.labels.dtype == np.int32 and mask.labels.shape == expected.shape
+            assert np.array_equal(mask.labels, expected), (radius, i)
+
+
+def test_rasterize_maps_radius_of_a_word_and_more(monkeypatch):
+    # disc shifts of 64 px and more move whole words, then carry bits
+    width, height, radius = 130, 24, 70
+    # lone pixels show a missed shift as a one-column gap in their disc
+    maps = [
+        seg_map(groups, width=width, height=height)
+        for groups in (
+            [block_group(8, 40, 8, 5, 1), group_at([(5, 100), (15, 110)], gid=2)],
+            [],
+            [group_at([(12, 10)], gid=5)],
+            [group_at([(12, 120)], gid=6)],
+        )
+    ]
+    expected = [reference_rasterize(m, radius) for m in maps]
+    assert expected[2][:, 10 + 64].all() and expected[3][:, 120 - 64].all()
+    for stack_voxels in (1, evaluation._STACK_VOXELS):
+        monkeypatch.setattr(evaluation, "_STACK_VOXELS", stack_voxels)
+        masks = rasterize_maps(maps, radius)
+        assert all(np.array_equal(m.labels, e) for m, e in zip(masks, expected)), stack_voxels
+
+
+def test_rasterize_maps_random_windows_match_one_map_calls(monkeypatch):
+    monkeypatch.setattr(evaluation, "_STACK_VOXELS", 3000)
+    rng = np.random.default_rng(20261018)
+    for case in range(40):
+        width, height = int(rng.integers(4, 150)), int(rng.integers(4, 40))
+        maps = [random_map(rng, width, height) for _ in range(int(rng.integers(1, 6)))]
+        radius = case % 8
+        masks = rasterize_maps(maps, radius)
+        for m, mask in zip(maps, masks):
+            assert np.array_equal(mask.labels, rasterize_maps([m], radius)[0].labels), case
+
+
+def test_rasterize_maps_rejects_maps_of_different_sizes():
+    maps = [seg_map([group_at([(1, 1)])], width=32, height=32),
+            seg_map([group_at([(1, 1)])], width=32, height=31)]
+    with pytest.raises(InputError, match="differ in size"):
+        rasterize_maps(maps, 3)
+    with pytest.raises(InputError, match="dilation_radius"):
+        rasterize_maps(maps[:1], -1)
+    assert rasterize_maps([], 3) == []
+
+
 def test_equidistant_tie_goes_to_lower_id_in_any_list_order():
     # column 12 lies 4.5 px from both centroids (x = 7.5 and 16.5)
     low = block_group(10, 6, 8, 4, 1)
@@ -362,6 +452,17 @@ def test_cropped_rasterize_equals_full_frame_reference_on_scenes(scene, one_way_
     for _, m in run.maps:
         for radius in range(8):
             assert np.array_equal(rasterize(m, radius).labels, reference_rasterize(m, radius))
+
+
+def test_rasterize_maps_on_scene_windows_equals_full_frame_reference(one_way_scene):
+    data = generate_scene(crowd_spec(frames=20))
+    for frames, window in ((data.frames, 10), (one_way_scene.frames[:12], 4)):
+        run = segment_video(frames, PipelineConfig(window_size=window, seed=1))
+        for maps in run.window_maps():
+            for radius in (0, 3, 5):
+                masks = rasterize_maps([m for _, m in maps], radius)
+                for (_, m), mask in zip(maps, masks):
+                    assert np.array_equal(mask.labels, reference_rasterize(m, radius))
 
 
 # --- the coverage metric -------------------------------------------------------
@@ -581,6 +682,31 @@ def test_overlay_matches_per_label_reference(seed):
             ref = reference_overlay(frame, mask, pal, alpha)
             assert out.dtype == ref.dtype and out.shape == ref.shape
             assert out.tobytes() == ref.tobytes()
+
+
+def test_render_overlays_equal_one_frame_calls():
+    rng = np.random.default_rng(11)
+    h, w = 30, 41
+    frames = [Frame(rng.integers(0, 256, (h, w), dtype=np.uint8)) for _ in range(5)]
+    masks = [LabelMask(np.zeros((h, w), np.int32))]  # an empty mask among labeled ones
+    for ids in ([3, 7], [7, 9, 300], [-2, 2**31 - 1], [5]):
+        masks.append(LabelMask(np.where(rng.random((h, w)) < 0.5, 0, rng.choice(ids, (h, w)))))
+    palette = {7: (1, 200, 3), 300: (255, 255, 0), 12: (4, 5, 6)}
+    for pal in (None, palette):
+        for alpha in (OVERLAY_ALPHA, 0.0, 0.3, 1.0):
+            out = render_overlays(frames, masks, pal, alpha)
+            assert len(out) == len(frames)
+            for frame, mask, rgb in zip(frames, masks, out):
+                ref = render_overlay(frame, mask, pal, alpha)
+                assert rgb.dtype == ref.dtype and rgb.shape == ref.shape
+                assert rgb.tobytes() == ref.tobytes()
+                assert rgb.tobytes() == reference_overlay(frame, mask, pal, alpha).tobytes()
+    assert render_overlays([], []) == []
+    with pytest.raises(InputError):
+        render_overlays(frames[:2], masks[:1])
+    with pytest.raises(InputError):
+        render_overlays([frames[0], Frame(np.zeros((h, w + 1), np.uint8))],
+                        [masks[0], LabelMask(np.zeros((h, w + 1), np.int32))])
 
 
 @pytest.mark.parametrize(
