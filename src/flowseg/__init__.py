@@ -2,8 +2,8 @@
 
 Dense optical flow seeds keypoint groups on the first two frames of each
 temporal window; a stochastic drift/confinement particle model propagates
-the groups across the remaining frames, so flow is computed once per
-window instead of once per frame pair.
+the groups across the remaining frames in one call per window, so flow is
+computed once per window instead of once per frame pair.
 """
 
 from .dynamics import (
@@ -11,10 +11,8 @@ from .dynamics import (
     GroupForces,
     LangevinParams,
     NoiseSource,
-    ParticleState,
     estimate_group_forces,
     propagate_map,
-    step_particle,
 )
 from .errors import (
     ConfigError,
@@ -88,7 +86,6 @@ __all__ = [
     "MagOriMaps",
     "MetricError",
     "NoiseSource",
-    "ParticleState",
     "PipelineConfig",
     "QuantizedMap",
     "RunResult",
@@ -120,7 +117,6 @@ __all__ = [
     "report",
     "segment_flow",
     "segment_video",
-    "step_particle",
     "stream_windows",
     "write_flow_file",
     "write_frame",

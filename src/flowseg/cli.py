@@ -182,7 +182,7 @@ def cmd_segment(args) -> int:
             overlays = [None] * len(window)
             if cfg.write_overlays:
                 stacked = np.stack([frames[frame_index - 1].data for frame_index, _ in window])
-                small = np.rint(_block_mean(stacked.astype(np.float64), cfg.flow.downscale))
+                small = np.rint(_block_mean(stacked, cfg.flow.downscale))
                 overlays = render_overlays([Frame(f) for f in small.astype(np.uint8)], masks)
             for (frame_index, seg_map), mask, rgb in zip(window, masks, overlays):
                 file_number = frame_index + offset
@@ -230,8 +230,8 @@ def cmd_eval(args) -> int:
             first_frame = manifest.get_int("first_frame", 1)
             if window_size is None:
                 window_size = manifest.get_int("window_size", None)
-        except ConfigError:
-            pass
+        except ConfigError as exc:
+            raise ConfigError(f"run manifest {manifest_path}: {exc}") from None
     if window_size is not None and window_size < 1:
         raise ConfigError(f"window size must be >= 1, got {window_size}")
 

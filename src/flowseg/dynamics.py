@@ -16,6 +16,10 @@ disturbances. Note the noise amplitude is multiplied by dt (the tuned
 amplitude values presuppose that scaling); set ``sqrt_dt_noise`` for the
 diffusion-consistent sqrt(dt) variant.
 
+``propagate_map`` is the one particle update: it steps every member of a
+map together, as flat arrays, for any number of steps, and the pipeline
+makes one call per window. A single particle is a one-member group.
+
 All state is float64. Noise comes from a counter-based generator keyed by
 (seed, stream, step), with particle i of a step consuming the i-th draw
 pair of that step's block, so trajectories are bit-reproducible no matter
@@ -85,16 +89,6 @@ class GroupForces:
                 raise InputError(f"{name} must be finite")
 
 
-@dataclass(frozen=True)
-class ParticleState:
-    x: float
-    y: float
-    vx: float
-    vy: float
-    group_id: int = 0
-    bin: int = 0
-
-
 class NoiseSource:
     """Deterministic standard-normal source addressed by (stream, step).
 
@@ -135,7 +129,7 @@ def estimate_group_forces(group: Group, params: LangevinParams) -> GroupForces:
 
 
 def _step_arrays(x, y, vx, vy, drift_x, confine_y, anchor_y, params: LangevinParams, xi):
-    """One update of scalars or arrays; the force terms are scalars or
+    """One update of the particle arrays; the force terms are scalars or
     per-particle arrays (a group's ``GroupForces`` repeated over its members)."""
     dt = params.dt
     amp_x = params.xi_d_x * params.noise_scale
@@ -146,36 +140,6 @@ def _step_arrays(x, y, vx, vy, drift_x, confine_y, anchor_y, params: LangevinPar
     x_new = x + vx_new * dt
     y_new = y + vy_new * dt
     return x_new, y_new, vx_new, vy_new
-
-
-def step_particle(
-    state: ParticleState,
-    forces: GroupForces,
-    params: LangevinParams,
-    noise: NoiseSource | tuple[float, float] | None = None,
-    step: int = 0,
-    index: int = 0,
-) -> ParticleState:
-    """Advance one particle one step.
-
-    ``noise`` may be a NoiseSource (the particle consumes draw pair
-    ``index`` of block ``step``, matching what propagate_map assigns it),
-    an explicit (xi_x, xi_y) pair, or None for zero noise.
-    """
-    if noise is None:
-        xi = np.zeros(2)
-    elif isinstance(noise, NoiseSource):
-        xi = noise.normals(step, index + 1)[index]
-    else:
-        xi = np.asarray(noise, dtype=np.float64)
-    x, y, vx, vy = _step_arrays(
-        state.x, state.y, state.vx, state.vy,
-        forces.drift_x, forces.confine_y, forces.anchor_y, params, xi,
-    )
-    return ParticleState(
-        x=float(x), y=float(y), vx=float(vx), vy=float(vy),
-        group_id=state.group_id, bin=state.bin,
-    )
 
 
 def propagate_map(
@@ -194,7 +158,8 @@ def propagate_map(
     feeds step s, with particles ordered group by group.
 
     All members of the map take each step together, as one set of flat
-    float64 arrays; each returned map carries its arrays (see
+    float64 arrays, and the per-particle force arrays are built once per
+    call, not once per step; each returned map carries its arrays (see
     ``member_arrays``), and its groups hold read-only views of them.
     """
     if steps < 0:

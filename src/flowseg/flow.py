@@ -93,26 +93,28 @@ def _edge_pad(a: np.ndarray, before: int, after: int) -> np.ndarray:
 
 
 def _block_mean(img: np.ndarray, factor: int) -> np.ndarray:
-    """Mean of each ``factor`` x ``factor`` block of ``img`` (one image, or
-    a stack of images along leading axes), whose last two sides are
-    multiples of ``factor``. Each image of a stack gets the bits it gets
-    alone: the strided slices and the sum are elementwise.
+    """Mean of each ``factor`` x ``factor`` block of the 8-bit ``img`` (one
+    frame, or a stack of frames along leading axes), as float64; the last
+    two sides are multiples of ``factor``. Each frame of a stack gets the
+    bits it gets alone: the strided slices and the sum are elementwise.
 
-    ``img`` must hold integer values (every caller passes 8-bit frames as
-    float64). Their block sums are then exact in any order, so summing the
-    ``factor**2`` strided slices and dividing by ``factor**2`` gives the
-    same bits as ``img.reshape(...).mean(axis=(1, 3))``, which sums in
-    another order and divides by the same count. For other input the two
-    sums may round differently, and the means differ in the last bit.
+    The ``factor**2`` strided slices are summed in an unsigned type that
+    holds ``255 * factor**2``, so every block sum is exact, and divided by
+    ``factor**2`` in float64. That gives the same bits as the float64
+    ``img.reshape(...).mean(axis=(1, 3))``, which sums exactly in another
+    order and divides by the same count.
     """
     if factor == 1:
-        return img
-    total = sum(img[..., i::factor, j::factor] for i in range(factor) for j in range(factor))
+        return img.astype(np.float64)
+    first, *rest = (img[..., i::factor, j::factor] for i in range(factor) for j in range(factor))
+    total = first.astype(np.min_scalar_type(255 * factor * factor))
+    for part in rest:
+        total += part
     return total / (factor * factor)
 
 
 def _decimate(img: np.ndarray) -> np.ndarray:
-    return ndimage.gaussian_filter(img, 1.0, output=np.empty_like(img), mode="nearest")[::2, ::2]
+    return ndimage.gaussian_filter(img, 1.0, mode="nearest")[::2, ::2]
 
 
 def _upsample(field: np.ndarray, shape: tuple) -> np.ndarray:
@@ -251,8 +253,7 @@ def _window_sum(stack: np.ndarray, radius: int) -> np.ndarray:
     they equal one call per image; the means are scaled to sums in place,
     with the same bits as a scaled copy."""
     size = 2 * radius + 1
-    sums = np.empty_like(stack)  # every element is written; scipy's own output is zeroed first
-    ndimage.uniform_filter1d(stack, size, axis=1, output=sums, mode="nearest")
+    sums = ndimage.uniform_filter1d(stack, size, axis=1, mode="nearest")
     ndimage.uniform_filter1d(sums, size, axis=2, output=sums, mode="nearest")
     sums *= size * size
     return sums
@@ -387,8 +388,8 @@ def compute_dense_flow(a: Frame, b: Frame, params: FlowParams = FlowParams()) ->
     d = params.downscale
     if a.width % d or a.height % d:
         raise InputError(f"frame dimensions must be divisible by downscale={d}")
-    base_a = _block_mean(a.data.astype(np.float64), d)
-    base_b = _block_mean(b.data.astype(np.float64), d)
+    base_a = _block_mean(a.data, d)
+    base_b = _block_mean(b.data, d)
     if min(base_a.shape) < MIN_LEVEL_SIZE:
         raise InputError(
             f"frame smaller than minimum pyramid size ({MIN_LEVEL_SIZE} px after downscale)"

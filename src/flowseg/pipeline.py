@@ -3,13 +3,20 @@
 One loop, ``_windows``, cuts a frame source into consecutive windows of
 ``window_size`` frames, checking every frame against the first frame's
 size. Per window: dense flow on the first two frames seeds a segmentation
-map, group forces are estimated from it, and the remaining frames are
-covered by stochastic propagation instead of further flow computation,
-yielding window_size - 1 maps per window. ``segment_video`` collects the
-windows of an in-memory sequence (optionally on a thread pool);
-``stream_windows`` yields them one at a time. Leftover frames that do not
-fill a whole window are skipped (and reported). On both paths each
-window's per-phase timings are logged at DEBUG.
+map, group forces are estimated from it, and one ``propagate_map`` call
+covers the remaining window_size - 2 frames by stochastic propagation
+instead of further flow computation, yielding window_size - 1 maps per
+window. ``segment_video`` collects the windows of an in-memory sequence
+(optionally on a thread pool); ``stream_windows`` yields them one at a
+time. Leftover frames that do not fill a whole window are skipped (and
+reported). On both paths each window's per-phase timings are logged at
+DEBUG.
+
+Timings hold one row per frame. The flow row times the window's flow call
+and the keypoint row its segmentation and force estimation. A propagated
+frame's langevin row is not a measurement of that frame: it is the
+window's propagation time divided by window_size - 2, the mean time per
+step, so every langevin row of a window holds the same value.
 
 Frames and windows are numbered 1-based in all public outputs.
 """
@@ -157,15 +164,13 @@ def _process_window(
     }
     timings.append(PhaseTiming(first_frame + 1, PHASE_KEYPOINT, (perf_counter() - t0) * 1e3))
 
-    maps = [(first_frame + 1, seg)]
-    noise = NoiseSource(cfg.seed, stream=window_number)
-    current = seg
-    for k in range(cfg.window_size - 2):
-        t0 = perf_counter()
-        current = propagate_map(current, forces, params, noise, steps=1, step_offset=k)[0]
-        frame = first_frame + 2 + k
-        timings.append(PhaseTiming(frame, PHASE_LANGEVIN, (perf_counter() - t0) * 1e3))
-        maps.append((frame, current))
+    steps = cfg.window_size - 2
+    t0 = perf_counter()
+    propagated = propagate_map(seg, forces, params, NoiseSource(cfg.seed, stream=window_number), steps)
+    step_ms = (perf_counter() - t0) * 1e3 / steps
+    frames = range(first_frame + 2, first_frame + cfg.window_size)
+    timings.extend(PhaseTiming(frame, PHASE_LANGEVIN, step_ms) for frame in frames)
+    maps = [(first_frame + 1, seg), *zip(frames, propagated)]
     for t in timings:
         log.debug("window %d frame %d %s %.3f ms", window_number, t.frame_index, t.phase, t.milliseconds)
     return maps, timings

@@ -11,24 +11,25 @@ import pytest
 
 from flowseg import (
     BlockSpec,
+    Group,
     GroupForces,
     InputError,
     LangevinParams,
     NoiseSource,
-    ParticleState,
     PipelineConfig,
     SceneSpec,
+    SegmentationMap,
     accuracy,
     bench_compare,
     generate_scene,
     group_keypoints,
     ou_statistics,
     preset_scene,
+    propagate_map,
     rasterize,
     read_flow_file,
     read_frame,
     segment_video,
-    step_particle,
     write_flow_file,
     write_frame,
 )
@@ -74,19 +75,24 @@ def test_criterion_1_integrator_correctness():
     with criterion(1, "noise-free decay ratio and drift fixed point", 1.0):
         params = LangevinParams(xi_d_x=0.0, xi_d_y=0.0, confinement_stiffness=0.0)
         ratio = 1.0 - params.gamma_x * params.dt
+
+        def vx_track(vx, forces, steps):
+            # one particle at the origin: a one-member group through propagate_map
+            one = Group(id=1, bin=0, x=np.zeros(1), y=np.zeros(1), vx=np.array([vx]),
+                        vy=np.zeros(1), clamped=np.zeros(1, bool))
+            seg = SegmentationMap(frame_index=1, width=1000, height=1000, groups=[one])
+            maps = propagate_map(seg, {1: forces}, params, NoiseSource(0), steps)
+            return [m.groups[0].vx[0] for m in maps]
+
         zero = GroupForces(drift_x=0.0, confine_y=0.0, anchor_y=0.0)
-        state = ParticleState(0.0, 0.0, 3.7, 0.0)
-        for _ in range(60):
-            prev = state.vx
-            state = step_particle(state, zero, params)
-            assert state.vx == pytest.approx(prev * ratio, rel=5e-15)
+        prev = 3.7
+        for vx in vx_track(prev, zero, 60):
+            assert vx == pytest.approx(prev * ratio, rel=5e-15)
+            prev = vx
 
         # drift fixed point v = F / gamma is stationary under the update
         forces = GroupForces(drift_x=0.8 * 2.5, confine_y=0.0, anchor_y=0.0)
-        state = ParticleState(0.0, 0.0, 2.5, 0.0)
-        for _ in range(100):
-            state = step_particle(state, forces, params)
-        assert state.vx == pytest.approx(2.5, rel=1e-12)
+        assert vx_track(2.5, forces, 100)[-1] == pytest.approx(2.5, rel=1e-12)
 
 
 def test_criterion_2_stochastic_correctness():

@@ -339,6 +339,23 @@ def test_eval_windows_start_at_first_frame(tmp_path, scene_dir):
     ]
 
 
+def test_eval_rejects_an_unparseable_manifest(tmp_path, scene_dir, capsys):
+    # A manifest that does parse would give windows of 4 frames; one bad
+    # key must not silently drop them all.
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    for p in (scene_dir / "gt").glob("*.pgm"):
+        (pred / p.name).write_bytes(p.read_bytes())
+    manifest = pred / "manifest.txt"
+    manifest.write_text("window_size = 4\nfirst_frame = one\n")
+    assert main(["eval", "--pred", str(pred), "--gt", str(scene_dir / "gt")]) == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "first_frame" in err
+    manifest.write_text("window_size = 4\nfirst_frame = 1\n")
+    assert main(["eval", "--pred", str(pred), "--gt", str(scene_dir / "gt")]) == 0
+    assert "window 1:" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("window_size", ["-3", "0"])
 def test_eval_rejects_window_size_below_one(tmp_path, scene_dir, capsys, window_size):
     code = main(["eval", "--pred", str(scene_dir / "gt"), "--gt", str(scene_dir / "gt"),

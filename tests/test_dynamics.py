@@ -12,11 +12,9 @@ from flowseg import (
     InputError,
     LangevinParams,
     NoiseSource,
-    ParticleState,
     estimate_group_forces,
     maps_identical,
     propagate_map,
-    step_particle,
 )
 from flowseg.keypoints import Group, SegmentationMap, member_arrays
 
@@ -40,7 +38,23 @@ def square_group(vx=2.0, vy=0.0):
     return make_group(xs, ys, [vx] * 4, [vy] * 4)
 
 
+def seg_map_of(groups, width=64, height=64, frame_index=2):
+    return SegmentationMap(frame_index=frame_index, width=width, height=height, groups=groups)
+
+
 ZERO_FORCES = GroupForces(drift_x=0.0, confine_y=0.0, anchor_y=0.0)
+
+
+def track(x, y, vx, vy, forces, params, steps, noise=None):
+    """One particle's (x, y, vx, vy) after each of ``steps`` steps, as rows:
+    a one-member group sent through propagate_map, in a frame so large
+    that it must never clamp it. No ``noise`` means NoiseSource(0)."""
+    group = make_group([x], [y], [vx], [vy])
+    maps = propagate_map(seg_map_of([group], width=10_000, height=10_000), {1: forces}, params,
+                         noise or NoiseSource(0), steps)
+    assert not maps[-1].groups[0].clamped[0]
+    return np.array([[m.groups[0].x[0], m.groups[0].y[0], m.groups[0].vx[0], m.groups[0].vy[0]]
+                     for m in maps])
 
 
 # --- parameter validation ----------------------------------------------------
@@ -62,33 +76,30 @@ def test_params_validation(kwargs):
         LangevinParams(**kwargs)
 
 
-# --- single-particle update ---------------------------------------------------
+# --- one particle: a one-member group -------------------------------------------
 
 
 def test_free_particle():
     params = LangevinParams(gamma_x=0.0, gamma_y=0.0, xi_d_x=0.0, xi_d_y=0.0,
                             confinement_stiffness=0.0)
-    state = ParticleState(x=5.0, y=3.0, vx=1.0, vy=0.0)
-    out = step_particle(state, ZERO_FORCES, params)
-    assert (out.vx, out.vy) == (1.0, 0.0)
-    assert (out.x, out.y) == (6.0, 3.0)
+    x, y, vx, vy = track(5.0, 3.0, 1.0, 0.0, ZERO_FORCES, params, steps=1)[0]
+    assert (vx, vy) == (1.0, 0.0)
+    assert (x, y) == (6.0, 3.0)
 
 
 def test_drift_fixed_point():
     # substituting vx = F / gamma into the velocity update leaves it unchanged
     params = LangevinParams(xi_d_x=0.0, xi_d_y=0.0, confinement_stiffness=0.0)
     forces = GroupForces(drift_x=0.8, confine_y=0.0, anchor_y=0.0)
-    state = ParticleState(x=0.0, y=0.0, vx=1.0, vy=0.0)
-    for _ in range(50):
-        state = step_particle(state, forces, params)
-    assert state.vx == pytest.approx(1.0, rel=1e-12)
-    assert state.x == pytest.approx(50.0, rel=1e-12)
+    x, _, vx, _ = track(0.0, 0.0, 1.0, 0.0, forces, params, steps=50)[-1]
+    assert vx == pytest.approx(1.0, rel=1e-12)
+    assert x == pytest.approx(50.0, rel=1e-12)
 
 
 def test_velocity_decay_single_step():
     params = LangevinParams(xi_d_x=0.0, xi_d_y=0.0, confinement_stiffness=0.0)
-    out = step_particle(ParticleState(0, 0, 1.0, 0.0), ZERO_FORCES, params)
-    assert out.vx == pytest.approx(0.2, rel=1e-12)
+    vx = track(0, 0, 1.0, 0.0, ZERO_FORCES, params, steps=1)[0, 2]
+    assert vx == pytest.approx(0.2, rel=1e-12)
 
 
 def test_velocity_decay_geometric_exact():
@@ -96,28 +107,18 @@ def test_velocity_decay_geometric_exact():
     params = LangevinParams(gamma_x=0.5, gamma_y=0.5, xi_d_x=0.0, xi_d_y=0.0,
                             confinement_stiffness=0.0)
     v = 3.0
-    state = ParticleState(0, 0, v, 0.0)
-    for _ in range(20):
-        state = step_particle(state, ZERO_FORCES, params)
+    for vx in track(0, 0, v, 0.0, ZERO_FORCES, params, steps=20)[:, 2]:
         v = v * 0.5
-        assert state.vx == v
+        assert vx == v
 
 
 def test_velocity_relaxation_ratio_machine_precision():
     params = LangevinParams(xi_d_x=0.0, xi_d_y=0.0, confinement_stiffness=0.0)
     ratio = 1.0 - params.gamma_x * params.dt
-    state = ParticleState(0, 0, 3.7, 0.0)
-    for _ in range(40):
-        prev = state.vx
-        state = step_particle(state, ZERO_FORCES, params)
-        assert state.vx == pytest.approx(prev * ratio, rel=5e-15)
-
-
-def test_step_particle_accepts_explicit_noise_pair():
-    params = LangevinParams(gamma_x=0.0, gamma_y=0.0, confinement_stiffness=0.0)
-    out = step_particle(ParticleState(0, 0, 0, 0), ZERO_FORCES, params, noise=(1.0, -2.0))
-    assert out.vx == pytest.approx(params.xi_d_x)
-    assert out.vy == pytest.approx(-2.0 * params.xi_d_y)
+    prev = 3.7
+    for vx in track(0, 0, prev, 0.0, ZERO_FORCES, params, steps=40)[:, 2]:
+        assert vx == pytest.approx(prev * ratio, rel=5e-15)
+        prev = vx
 
 
 # --- force estimation ----------------------------------------------------------
@@ -145,10 +146,6 @@ def test_empty_group_rejected():
 
 
 # --- propagation ----------------------------------------------------------------
-
-
-def seg_map_of(groups, width=64, height=64, frame_index=2):
-    return SegmentationMap(frame_index=frame_index, width=width, height=height, groups=groups)
 
 
 def test_zero_steps_empty_list():
@@ -215,21 +212,6 @@ def test_membership_ids_bins_persist_and_clamping():
     assert out.clamped[0]
 
 
-def test_step_particle_matches_propagate_assignments():
-    g = square_group()
-    params = LangevinParams()
-    forces = estimate_group_forces(g, params)
-    noise = NoiseSource(21, stream=5)
-    maps = propagate_map(seg_map_of([g]), {1: forces}, params, noise, steps=1)
-    for i in range(g.size):
-        state = ParticleState(x=g.x[i], y=g.y[i], vx=g.vx[i], vy=g.vy[i])
-        out = step_particle(state, forces, params, NoiseSource(21, stream=5), step=0, index=i)
-        assert out.x == maps[0].groups[0].x[i]
-        assert out.y == maps[0].groups[0].y[i]
-        assert out.vx == maps[0].groups[0].vx[i]
-        assert out.vy == maps[0].groups[0].vy[i]
-
-
 def test_noise_mean_stays_put_without_damping():
     # random-force mean is zero: ensemble mean of vx moves less than 3 SE
     n, steps, xi_d = 10_000, 25, 0.1
@@ -248,11 +230,7 @@ def test_noise_mean_stays_put_without_damping():
 def test_confinement_monotone_at_defaults():
     params = LangevinParams(xi_d_x=0.0, xi_d_y=0.0)
     forces = GroupForces(drift_x=0.0, confine_y=0.0, anchor_y=0.0)
-    state = ParticleState(x=0.0, y=10.0, vx=0.0, vy=0.0)
-    deviations = [state.y]
-    for _ in range(200):
-        state = step_particle(state, forces, params)
-        deviations.append(state.y)
+    deviations = [10.0, *track(0.0, 10.0, 0.0, 0.0, forces, params, steps=200)[:, 1]]
     assert all(b <= a for a, b in zip(deviations, deviations[1:]))
     assert all(d >= 0 for d in deviations)
     assert deviations[-1] < 0.1 * deviations[0]
@@ -289,14 +267,15 @@ def test_confinement_monotone_in_overdamped_region(gamma_k, d0):
     assert (gamma_dt + k) ** 2 >= 4.0 * k
     params = LangevinParams(gamma_x=gamma_dt, gamma_y=gamma_dt, xi_d_x=0.0,
                             xi_d_y=0.0, dt=1.0, confinement_stiffness=k)
-    forces = GroupForces(drift_x=0.0, confine_y=0.0, anchor_y=0.0)
-    state = ParticleState(x=0.0, y=d0, vx=0.0, vy=0.0)
-    prev = state.y
-    for _ in range(100):
-        state = step_particle(state, forces, params)
-        assert state.y <= prev + 1e-12
-        assert state.y >= -1e-12
-        prev = state.y
+    # The anchor sits inside the frame, so a deviation that rounds below
+    # zero is reported rather than clamped away.
+    anchor = 100.0
+    forces = GroupForces(drift_x=0.0, confine_y=0.0, anchor_y=anchor)
+    prev = d0
+    for y in track(0.0, anchor + d0, 0.0, 0.0, forces, params, steps=100)[:, 1]:
+        assert y - anchor <= prev + 1e-12
+        assert y - anchor >= -1e-12
+        prev = y - anchor
     assert prev < d0
 
 
@@ -358,13 +337,11 @@ def test_ablation_disturbance_only_is_velocity_random_walk():
         GroupForces(drift_x=5.0, confine_y=1.0, anchor_y=0.0)
     )
     assert params.gamma_x == 0.0 and forces.drift_x == 0.0
-    state = ParticleState(0, 0, 0.0, 0.0)
-    noise = NoiseSource(3)
-    for step in range(10):
-        state = step_particle(state, forces, params, noise, step=step)
+    # the particle consumes draw pair 0 of noise blocks 0..9
+    vx = track(5000.0, 5000.0, 0.0, 0.0, forces, params, steps=10, noise=NoiseSource(3))[-1, 2]
     # velocity equals the plain sum of scaled noise draws
     expected = sum(NoiseSource(3).normals(s, 1)[0, 0] * params.xi_d_x for s in range(10))
-    assert state.vx == pytest.approx(expected, rel=1e-12)
+    assert vx == pytest.approx(expected, rel=1e-12)
 
 
 # --- one particle array per map ---------------------------------------------------
@@ -489,8 +466,9 @@ def test_propagate_clamps_at_all_four_edges_like_reference(params):
 
 @pytest.mark.parametrize("start", ["groups", "propagated"])
 def test_propagate_chains_of_single_steps_match_reference(start):
-    # The pipeline's calls: one step per call, each on the map the last
-    # call returned, with the step offset advancing.
+    # Chains of one-step calls, each on the map the last call returned,
+    # with the step offset advancing, as a caller stepping one frame at a
+    # time makes them; they must equal one call of all the steps.
     seg = random_map(31, 25)
     params = LangevinParams()
     forces = forces_for(seg, params)

@@ -183,6 +183,7 @@ def reference_upsample(field, shape):
 
 
 def reference_block_mean(img, factor):
+    img = img.astype(np.float64)
     if factor == 1:
         return img
     h, w = img.shape
@@ -222,8 +223,16 @@ def test_upsample_matches_map_coordinates(shape, kind):
 
 @pytest.mark.parametrize("factor", [1, 2, 3, 4])
 def test_block_mean_matches_reshape_mean(factor):
-    img = np.random.default_rng(factor).integers(0, 256, size=(24, 36)).astype(np.float64)
+    img = np.random.default_rng(factor).integers(0, 256, size=(24, 36)).astype(np.uint8)
     assert same_bits(flow_module._block_mean(img, factor), reference_block_mean(img, factor))
+
+
+def test_block_mean_sums_without_overflow_at_downscale_17():
+    # An all-255 frame gives the largest block sums, 255 * 17**2 at this
+    # factor: past what 16 bits hold.
+    for img in (np.full((34, 51), 255, np.uint8),
+                np.random.default_rng(17).integers(0, 256, size=(34, 51)).astype(np.uint8)):
+        assert same_bits(flow_module._block_mean(img, 17), reference_block_mean(img, 17))
 
 
 @pytest.mark.parametrize("radius", [1, 4])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowseg.pipeline
 from flowseg import (
     BlockSpec,
     ConfigError,
@@ -104,6 +105,24 @@ def test_timing_rows_one_per_frame(small_frames):
     assert phases.count(PHASE_KEYPOINT) == 3
     assert phases.count(PHASE_LANGEVIN) == 6
     assert {t.frame_index for t in run.timings} == set(range(1, 13))
+
+
+@pytest.mark.parametrize("window_size", [3, 4, 7])
+def test_one_propagation_call_per_window(small_frames, monkeypatch, window_size):
+    calls = []
+    propagate = flowseg.pipeline.propagate_map
+
+    def counted(seg_map, forces, params, noise, steps, *args, **kwargs):
+        calls.append((seg_map.frame_index, steps, args, kwargs))
+        return propagate(seg_map, forces, params, noise, steps, *args, **kwargs)
+
+    monkeypatch.setattr(flowseg.pipeline, "propagate_map", counted)
+    run = segment_video(small_frames[: 3 * window_size], small_config(window_size=window_size))
+    assert calls == [(n * window_size + 2, window_size - 2, (), {}) for n in range(3)]
+    for first, last in run.windows:
+        rows = [t for t in run.timings if t.phase == PHASE_LANGEVIN and first <= t.frame_index <= last]
+        assert [t.frame_index for t in rows] == list(range(first + 2, last + 1))
+        assert len({t.milliseconds for t in rows}) == 1
 
 
 def test_leftover_frames_skipped(small_frames):
