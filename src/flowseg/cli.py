@@ -5,11 +5,27 @@ stable contract: 0 success, 2 config error, 3 input error (filesystem
 errors included, such as an ``--out`` path that is a file), 4 metric or
 tolerance failure.
 
+``segment`` streams through ``pipeline.run_windows`` (at most ``--jobs``
+windows in flight) and writes each window's files as it arrives, so memory
+holds a few windows, not the video. Files are staged beside ``--out`` and
+moved in after the last window, so a failed run leaves ``--out`` as it was.
+
 ``bench`` is the paper's window-size trade-off sweep: larger windows run
 dense flow on fewer frames (faster) but propagate the groups further from
 their seed frames (less accurate). On a 100-frame synthetic scene:
 
     flowseg bench --scene-frames 100 --w 3..10 --repeats 5 --seed 1 --out sweep.csv
+
+A config's ``force_*`` keys switch force families off, so this loop scores
+each of the 7 subsets of damping, drift/confinement and disturbance that
+keeps at least one on:
+
+    for e in true false; do for d in true false; do for n in true false; do
+      [ "$e$d$n" = falsefalsefalse ] && continue
+      printf 'window_size = 4\nforce_external = %s\nforce_drift_confine = %s\nforce_disturbance = %s\n' \
+        $e $d $n > forces.cfg
+      flowseg bench --config forces.cfg --w 4 --scene-frames 40 --repeats 1 --seed 1
+    done; done; done
 """
 
 import argparse
@@ -18,7 +34,10 @@ import logging
 import os
 import re
 import sys
+import tempfile
+from contextlib import closing
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -30,7 +49,8 @@ from .evaluation import rasterize, render_overlay  # noqa: F401  (perfbench trac
 from .flow import _block_mean
 from .io import Frame, read_frame, write_flow_file, write_frame, write_ppm
 from .keypoints import member_arrays
-from .pipeline import PipelineConfig, segment_video
+from .pipeline import PHASE_SKIPPED, PipelineConfig, run_windows
+from .pipeline import segment_video  # noqa: F401  (perfbench traces these names)
 from .synth import SceneSpec, ar1_stationary_variance, generate_scene, ou_statistics
 from .dynamics import LangevinParams
 
@@ -71,12 +91,14 @@ def _numbered_pgms(path: Path, kind: str) -> list[tuple[int, Path]]:
     return sorted(numbered.items())
 
 
-def _read_frames_dir(path: Path) -> tuple[list[Frame], int]:
-    """Load all .pgm frames sorted by their trailing number.
+def _read_frames_dir(path: Path) -> tuple[Iterator[Frame], int, int]:
+    """A lazy iterator over the .pgm frames of ``path`` sorted by their
+    trailing number, the first number and the count.
 
-    Numbers must be strictly consecutive; the first number anchors the
-    1-based frame indexing of every output file. Every frame must have the
-    first frame's size; an error names both frames by their numbers.
+    Numbers must be strictly consecutive (checked before any frame is read);
+    the first number anchors the 1-based frame indexing of every output
+    file. Every frame must have the first frame's size; an error names both
+    frames by their numbers.
     """
     numbered = _numbered_pgms(path, "input")
     if not numbered:
@@ -84,16 +106,20 @@ def _read_frames_dir(path: Path) -> tuple[list[Frame], int]:
     numbers = [n for n, _ in numbered]
     if numbers != list(range(numbers[0], numbers[0] + len(numbers))):
         raise InputError(f"frame numbers in {path} are not consecutive: {numbers}")
-    frames = []
-    for number, p in numbered:
-        frame = read_frame(p)
-        if frames and frame.data.shape != frames[0].data.shape:
-            raise InputError(
-                f"inconsistent frame dimensions: frame {number} is {(frame.width, frame.height)}, "
-                f"frame {numbers[0]} is {(frames[0].width, frames[0].height)}"
-            )
-        frames.append(frame)
-    return frames, numbers[0]
+
+    def frames() -> Iterator[Frame]:
+        first = None
+        for number, p in numbered:
+            frame = read_frame(p)
+            first = first or frame
+            if frame.data.shape != first.data.shape:
+                raise InputError(
+                    f"inconsistent frame dimensions: frame {number} is {(frame.width, frame.height)}, "
+                    f"frame {numbers[0]} is {(first.width, first.height)}"
+                )
+            yield frame
+
+    return frames(), numbers[0], len(numbers)
 
 
 def _read_masks_dir(path: Path) -> dict[int, np.ndarray]:
@@ -157,58 +183,71 @@ def cmd_segment(args) -> int:
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
 
-    frames, first_number = _read_frames_dir(in_dir)
-    result = segment_video(frames, cfg, jobs=jobs)
+    frames, first_number, count = _read_frames_dir(in_dir)
+    w = cfg.window_size
+    if count < w:
+        raise InputError(f"need at least window_size={w} frames, got {count}")
     offset = first_number - 1
-    # Checked before any file is written, so a failed run leaves no output.
-    for frame_index, seg_map in result.maps:
-        if any(g.id > 255 for g in seg_map.groups):
-            raise InputError(
-                f"frame {frame_index + offset}: more than 255 groups cannot be stored in a P5 mask"
-            )
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     # jobs is an execution detail, not part of the result-determining
     # config, so it stays out of the manifest
     manifest = cfg.manifest_text(
         extra={"input_dir": str(in_dir), "output_dir": str(out_dir), "first_frame": first_number},
         header="flowseg segment run manifest (re-runnable as --config)",
     )
-    (out_dir / "manifest.txt").write_text(manifest)
 
-    with open(out_dir / "groups.jsonl", "w") as groups_fh:
-        for window in result.window_maps():
-            masks = rasterize_maps([seg_map for _, seg_map in window], cfg.dilation_radius)
-            overlays = [None] * len(window)
-            if cfg.write_overlays:
-                stacked = np.stack([frames[frame_index - 1].data for frame_index, _ in window])
-                small = np.rint(_block_mean(stacked, cfg.flow.downscale))
-                overlays = render_overlays([Frame(f) for f in small.astype(np.uint8)], masks)
-            for (frame_index, seg_map), mask, rgb in zip(window, masks, overlays):
-                file_number = frame_index + offset
-                write_frame(Frame(mask.labels.astype(np.uint8)), out_dir / f"mask_{file_number:06d}.pgm")
-                if rgb is not None:
-                    write_ppm(rgb, out_dir / f"overlay_{file_number:06d}.ppm")
-                members = member_arrays(seg_map)  # the arrays rasterize_maps read
-                for g, (cx, cy) in zip(members.groups, members.centroids.tolist()):
-                    groups_fh.write(
-                        '{"frame": %d, "id": %d, "bin": %d, "centroid": [%.4f, %.4f], "members": %d}\n'
-                        % (file_number, g.id, g.bin, cx, cy, g.size)
-                    )
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=f".{out_dir.name}.", dir=out_dir.parent) as staging_dir:
+        staging = Path(staging_dir)
+        (staging / "manifest.txt").write_text(manifest)
+        windows = masks = 0  # windows are numbered from 1: the last number is the count
+        with (
+            open(staging / "groups.jsonl", "w") as groups_fh,
+            open(staging / "timings.csv", "w", newline="") as timings_fh,
+            closing(run_windows(frames, cfg, jobs)) as results,
+        ):
+            timings = csv.writer(timings_fh)
+            timings.writerow(["frame_index", "phase", "milliseconds"])
+            for windows, window_frames, maps, window_timings in results:
+                _write_window(staging, window_frames[1:], maps, cfg, offset, groups_fh)
+                masks += len(maps)
+                timings.writerows(
+                    [t.frame_index + offset, t.phase, f"{t.milliseconds:.3f}"] for t in window_timings
+                )
+            skipped = range(windows * w + 1, count + 1)
+            timings.writerows([frame + offset, PHASE_SKIPPED, "0.000"] for frame in skipped)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for path in staging.iterdir():
+            path.replace(out_dir / path.name)
 
-    with open(out_dir / "timings.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame_index", "phase", "milliseconds"])
-        for t in sorted(result.timings, key=lambda t: t.frame_index):
-            writer.writerow([t.frame_index + offset, t.phase, f"{t.milliseconds:.3f}"])
-
-    print(
-        f"processed {len(result.windows)} window(s), wrote {len(result.maps)} mask(s) "
-        f"to {out_dir} (seed {cfg.seed})"
-    )
-    if result.skipped_frames:
-        print(f"skipped {len(result.skipped_frames)} leftover frame(s)")
+    print(f"processed {windows} window(s), wrote {masks} mask(s) to {out_dir} (seed {cfg.seed})")
+    if skipped:
+        print(f"skipped {len(skipped)} leftover frame(s)")
     return EXIT_OK
+
+
+def _write_window(out_dir: Path, frames: list[Frame], maps, cfg: PipelineConfig, offset: int, groups_fh):
+    """Write each map's mask, its overlay on the frame at its position in ``frames``, and its groups."""
+    for frame_index, seg_map in maps:
+        if any(g.id > 255 for g in seg_map.groups):
+            raise InputError(
+                f"frame {frame_index + offset}: more than 255 groups cannot be stored in a P5 mask"
+            )
+    masks = rasterize_maps([seg_map for _, seg_map in maps], cfg.dilation_radius)
+    overlays = [None] * len(maps)
+    if cfg.write_overlays:
+        small = np.rint(_block_mean(np.stack([f.data for f in frames]), cfg.flow.downscale))
+        overlays = render_overlays([Frame(f) for f in small.astype(np.uint8)], masks)
+    for (frame_index, seg_map), mask, rgb in zip(maps, masks, overlays):
+        file_number = frame_index + offset
+        write_frame(Frame(mask.labels.astype(np.uint8)), out_dir / f"mask_{file_number:06d}.pgm")
+        if rgb is not None:
+            write_ppm(rgb, out_dir / f"overlay_{file_number:06d}.ppm")
+        members = member_arrays(seg_map)  # the arrays rasterize_maps read
+        for g, (cx, cy) in zip(members.groups, members.centroids.tolist()):
+            groups_fh.write(
+                '{"frame": %d, "id": %d, "bin": %d, "centroid": [%.4f, %.4f], "members": %d}\n'
+                % (file_number, g.id, g.bin, cx, cy, g.size)
+            )
 
 
 def cmd_eval(args) -> int:
@@ -287,15 +326,15 @@ def cmd_bench(args) -> int:
         cfg = PipelineConfig(window_size=min(window_sizes), seed=_resolve_seed(args.seed, None))
 
     if args.frames:
-        frames, first = _read_frames_dir(Path(args.frames))
         if not args.gt:
             raise ConfigError("--gt is required when --frames is given")
+        frame_iter, first, count = _read_frames_dir(Path(args.frames))
         gt_map = _read_masks_dir(Path(args.gt))
-        numbers = range(first, first + len(frames))
+        numbers = range(first, first + count)
         missing = [n for n in numbers if n not in gt_map]
         if missing:
             raise InputError(f"ground truth missing for frames: {missing}")
-        masks = [gt_map[n] for n in numbers]
+        frames, masks = list(frame_iter), [gt_map[n] for n in numbers]
     else:
         scene = generate_scene(synth.preset_scene("one-way", frame_count=args.scene_frames))
         frames, masks = scene.frames, scene.masks

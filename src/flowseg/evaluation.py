@@ -391,7 +391,7 @@ def report(
     score it (see ``score_frames``)."""
     labelled = (
         (frame_index, mask.labels)
-        for window in run.window_maps()
+        for window in run.window_maps
         for (frame_index, _), mask in zip(
             window, rasterize_maps([seg_map for _, seg_map in window], dilation_radius)
         )

@@ -117,14 +117,22 @@ def _parse_pnm_header(buf: bytes, expected_magic: bytes):
     return (width, height, maxval), i
 
 
-def read_frame(path) -> Frame:
+def _read_pnm(path, magic: bytes, channels: int) -> np.ndarray:
+    """A P5 (1 channel) or P6 (3) raster as (h, w, channels) uint8; errors name the file."""
     buf = Path(path).read_bytes()
-    (width, height, _), offset = _parse_pnm_header(buf, b"P5")
-    raster = buf[offset : offset + width * height]
-    if len(raster) < width * height:
-        raise FormatError("truncated raster")
-    data = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
-    return Frame(data)
+    try:
+        (width, height, _), offset = _parse_pnm_header(buf, magic)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    size = width * height * channels
+    raster = buf[offset : offset + size]
+    if len(raster) < size:
+        raise FormatError(f"{path}: truncated raster")
+    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width, channels)
+
+
+def read_frame(path) -> Frame:
+    return Frame(_read_pnm(path, b"P5", 1)[:, :, 0])
 
 
 def write_frame(frame: Frame, path) -> None:
@@ -135,12 +143,7 @@ def write_frame(frame: Frame, path) -> None:
 
 def read_ppm(path) -> np.ndarray:
     """Read a binary P6 pixmap as an (h, w, 3) uint8 array."""
-    buf = Path(path).read_bytes()
-    (width, height, _), offset = _parse_pnm_header(buf, b"P6")
-    raster = buf[offset : offset + 3 * width * height]
-    if len(raster) < 3 * width * height:
-        raise FormatError("truncated raster")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
+    return _read_pnm(path, b"P6", 3)
 
 
 def write_ppm(rgb: np.ndarray, path) -> None:

@@ -6,11 +6,15 @@ size. Per window: dense flow on the first two frames seeds a segmentation
 map, group forces are estimated from it, and one ``propagate_map`` call
 covers the remaining window_size - 2 frames by stochastic propagation
 instead of further flow computation, yielding window_size - 1 maps per
-window. ``segment_video`` collects the windows of an in-memory sequence
-(optionally on a thread pool); ``stream_windows`` yields them one at a
-time. Leftover frames that do not fill a whole window are skipped (and
-reported). On both paths each window's per-phase timings are logged at
-DEBUG.
+window. Leftover frames that do not fill a whole window are skipped (and
+reported).
+
+``run_windows`` is the one run path. It yields each window's frames, maps
+and timings in order, reading the source only as far as the windows it
+runs, on the caller's thread or on a pool of at most ``jobs`` windows in
+flight. ``segment_video`` collects its windows into a ``RunResult``,
+``stream_windows`` yields their maps, and ``flowseg segment`` writes each
+window's files as it arrives. Per-phase timings are logged at DEBUG.
 
 Timings hold one row per frame. The flow row times the window's flow call
 and the keypoint row its segmentation and force estimation. A propagated
@@ -22,9 +26,9 @@ Frames and windows are numbered 1-based in all public outputs.
 """
 
 import logging
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
-from itertools import groupby
 from time import perf_counter
 from typing import Iterable, Iterator, Sequence
 
@@ -119,23 +123,15 @@ class PhaseTiming:
 
 @dataclass
 class RunResult:
-    maps: list[tuple[int, SegmentationMap]]
+    window_maps: list[list[tuple[int, SegmentationMap]]]  # (frame_index, map) pairs per window
     timings: list[PhaseTiming]
     windows: list[tuple[int, int]]  # inclusive 1-based (first, last) frame per window
     skipped_frames: list[int]
 
-    def phase_ms(self, phase: str) -> float:
-        return sum(t.milliseconds for t in self.timings if t.phase == phase)
-
-    def window_maps(self) -> Iterator[list[tuple[int, SegmentationMap]]]:
-        """The (frame_index, map) pairs of ``maps``, one list per window
-        that emitted any, in order; windows all have the first one's size."""
-        if not self.windows:
-            return
-        first, last = self.windows[0]
-        size = last - first + 1
-        for _, window in groupby(self.maps, key=lambda item: (item[0] - first) // size):
-            yield list(window)
+    @property
+    def maps(self) -> list[tuple[int, SegmentationMap]]:
+        """Every window's (frame_index, map) pairs, in frame order."""
+        return [item for window in self.window_maps for item in window]
 
 
 def _process_window(
@@ -215,32 +211,51 @@ def _windows(source: Iterable[Frame], w: int) -> Iterator[tuple[int, list[Frame]
         )
 
 
+def run_windows(
+    source: Iterable[Frame], cfg: PipelineConfig, jobs: int = 1
+) -> Iterator[tuple[int, list[Frame], list[tuple[int, SegmentationMap]], list[PhaseTiming]]]:
+    """Yield (window_number, frames, maps, timings) for each whole window of
+    ``source``, in window order.
+
+    With one job each window runs on the caller's thread when it is asked
+    for. Otherwise windows run on a thread pool, at most ``jobs`` in flight
+    beyond the one being yielded; closing the generator cancels the queued
+    ones and waits for the running ones."""
+    windows = _windows(source, cfg.window_size)
+    if jobs == 1:
+        for number, frames in windows:
+            yield number, frames, *_process_window(number, frames, cfg)
+        return
+    pool = ThreadPoolExecutor(max_workers=jobs)
+    pending: deque = deque()
+    try:
+        for number, frames in windows:
+            pending.append((number, frames, pool.submit(_process_window, number, frames, cfg)))
+            if len(pending) > jobs:
+                number, frames, future = pending.popleft()
+                yield number, frames, *future.result()
+        while pending:
+            number, frames, future = pending.popleft()
+            yield number, frames, *future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def segment_video(frames: Sequence[Frame], cfg: PipelineConfig, jobs: int = 1) -> RunResult:
-    """Run the full windowed pipeline over an in-memory frame sequence."""
+    """Run the windowed pipeline over an in-memory frame sequence and
+    collect every window's maps and timings."""
     total = len(frames)
     w = cfg.window_size
     if total < w:
         raise InputError(f"need at least window_size={w} frames, got {total}")
-    windows = list(_windows(frames, w))
-
-    def run(window: tuple[int, list[Frame]]):
-        return _process_window(*window, cfg)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_window = list(pool.map(run, windows))
-    else:
-        per_window = [run(window) for window in windows]
-
-    maps: list[tuple[int, SegmentationMap]] = []
-    timings: list[PhaseTiming] = []
-    for window_maps, window_timings in per_window:
-        maps.extend(window_maps)
-        timings.extend(window_timings)
-    skipped = list(range(len(windows) * w + 1, total + 1))
-    timings.extend(PhaseTiming(frame, PHASE_SKIPPED, 0.0) for frame in skipped)
-    bounds = [((n - 1) * w + 1, n * w) for n, _ in windows]
-    return RunResult(maps=maps, timings=timings, windows=bounds, skipped_frames=skipped)
+    result = RunResult(window_maps=[], timings=[], windows=[], skipped_frames=[])
+    for number, _, maps, timings in run_windows(frames, cfg, jobs):
+        result.window_maps.append(maps)
+        result.timings.extend(timings)
+        result.windows.append(((number - 1) * w + 1, number * w))
+    result.skipped_frames = list(range(len(result.windows) * w + 1, total + 1))
+    result.timings.extend(PhaseTiming(frame, PHASE_SKIPPED, 0.0) for frame in result.skipped_frames)
+    return result
 
 
 def stream_windows(
@@ -248,5 +263,5 @@ def stream_windows(
 ) -> Iterator[tuple[int, list[tuple[int, SegmentationMap]]]]:
     """Incrementally yield (window_number, maps) keeping at most one window
     of frames in memory. Matches segment_video output exactly."""
-    for number, window in _windows(source, cfg.window_size):
-        yield number, _process_window(number, window, cfg)[0]
+    for number, _, maps, _ in run_windows(source, cfg):
+        yield number, maps

@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +9,20 @@ import pytest
 import flowseg.cli
 import flowseg.evaluation
 import flowseg.flow
-from flowseg import Frame, Group, SegmentationMap, write_frame
+import flowseg.pipeline
+from flowseg import (
+    ForceAblation,
+    Frame,
+    Group,
+    PipelineConfig,
+    SegmentationMap,
+    generate_scene,
+    preset_scene,
+    report,
+    segment_video,
+    write_frame,
+)
 from flowseg.cli import main
-from flowseg.pipeline import RunResult
 
 SCENE_SPEC = """
 width = 64
@@ -223,23 +236,106 @@ def test_segment_mixed_sizes_names_frames_by_their_numbers(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_segment_too_many_groups_writes_nothing(tmp_path, scene_dir, monkeypatch, capsys):
-    def run_with_256_groups(frames, cfg, jobs=1):
-        groups = [
-            Group(id=i, bin=0, x=np.array([float(i % 64)]), y=np.array([float(i // 64)]),
-                  vx=np.zeros(1), vy=np.zeros(1), clamped=np.zeros(1, bool))
-            for i in range(1, 257)
-        ]
-        maps = [(2, SegmentationMap(2, 32, 32, groups[:3])), (3, SegmentationMap(3, 32, 32, groups))]
-        return RunResult(maps=maps, timings=[], windows=[(1, 4)], skipped_frames=[])
+def groups_at(count):
+    return [
+        Group(id=i, bin=0, x=np.array([float(i % 64)]), y=np.array([float(i // 64)]),
+              vx=np.zeros(1), vy=np.zeros(1), clamped=np.zeros(1, bool))
+        for i in range(1, count + 1)
+    ]
 
-    monkeypatch.setattr(flowseg.cli, "segment_video", run_with_256_groups)
+
+def test_segment_too_many_groups_writes_nothing(tmp_path, scene_dir, monkeypatch, capsys):
+    def run_with_256_groups(source, cfg, jobs=1):
+        frames = list(source)
+        yield 1, frames[:4], [(i, SegmentationMap(i, 32, 32, groups_at(3))) for i in (2, 3, 4)], []
+        yield 2, frames[4:8], [(i, SegmentationMap(i, 32, 32, groups_at(256))) for i in (6, 7, 8)], []
+
+    monkeypatch.setattr(flowseg.cli, "run_windows", run_with_256_groups)
     out = tmp_path / "out"
     out.mkdir()
     code, _ = run_segment(tmp_path, scene_dir, out_name="out")
     assert code == 3
     assert "more than 255 groups" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def crowd_window_2(tmp_path, scene_dir, monkeypatch):
+    """Give window 2's seed map 256 groups."""
+    process = flowseg.pipeline._process_window
+
+    def crowded(number, frames, cfg):
+        maps, timings = process(number, frames, cfg)
+        if number == 2:
+            frame_index, seg_map = maps[0]
+            maps[0] = (frame_index, SegmentationMap(frame_index, seg_map.width, seg_map.height, groups_at(256)))
+        return maps, timings
+
+    monkeypatch.setattr(flowseg.pipeline, "_process_window", crowded)
+    return scene_dir
+
+
+def truncate_frame_9(tmp_path, scene_dir, monkeypatch):
+    frames = tmp_path / "bad" / "frames"
+    frames.mkdir(parents=True)
+    for p in (scene_dir / "frames").glob("*.pgm"):
+        (frames / p.name).write_bytes(p.read_bytes())
+    (frames / "frame_000009.pgm").write_bytes(b"P5\n64 64\n255\n" + bytes(100))
+    return tmp_path / "bad"
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize(
+    "fault, message",
+    [(crowd_window_2, "more than 255 groups"), (truncate_frame_9, "frame_000009.pgm: truncated raster")],
+    ids=["groups-in-window-2", "truncated-frame-in-window-3"],
+)
+def test_segment_failure_mid_stream_leaves_out_as_it_was(
+    tmp_path, scene_dir, monkeypatch, capsys, jobs, fault, message
+):
+    source = fault(tmp_path, scene_dir, monkeypatch)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "mask_000002.pgm").write_bytes(b"from an earlier run")
+    beside_out = {p.name for p in tmp_path.iterdir()} | {"pipeline.cfg"}
+    threads = threading.active_count()
+    code, _ = run_segment(tmp_path, source, out_name="out", extra=("--jobs", str(jobs)))
+    assert code == 3
+    assert message in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["mask_000002.pgm"]
+    assert (out / "mask_000002.pgm").read_bytes() == b"from an earlier run"
+    assert {p.name for p in tmp_path.iterdir()} == beside_out  # no staging directory left
+    assert threading.active_count() == threads
+
+
+def test_segment_bad_frame_is_named(tmp_path, scene_dir, monkeypatch, capsys):
+    source = truncate_frame_9(tmp_path, scene_dir, monkeypatch)
+    code, out = run_segment(tmp_path, source)
+    assert code == 3
+    assert "frame_000009.pgm" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_segment_memory_does_not_grow_with_the_video(tmp_path):
+    # The one-way preset's 40 frames, tiled to 400 so that motion goes on
+    # throughout; the block leaves a 400-frame preset after ~140 frames.
+    clip = generate_scene(preset_scene("one-way", frame_count=40)).frames
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text("window_size = 10\nwrite_overlays = false\n")
+
+    def peak_bytes(count):
+        frames = tmp_path / f"frames{count}"
+        frames.mkdir()
+        for i in range(count):
+            write_frame(clip[i % len(clip)], frames / f"frame_{i + 1:06d}.pgm")
+        tracemalloc.start()
+        try:
+            assert main(["segment", "--in", str(frames), "--config", str(cfg),
+                         "--out", str(tmp_path / f"out{count}")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes(400) - peak_bytes(40) < 2 * 2**20
 
 
 def test_segment_out_path_that_is_a_file(tmp_path, scene_dir, capsys):
@@ -460,6 +556,18 @@ def test_bench_sweeps_the_synthetic_scene(tmp_path, capsys):
     assert [r["window_size"] for r in rows] == ["3", "4"]
     assert all(0.5 < float(r["mean_accuracy"]) <= 1.0 for r in rows)
 
+    # force_* keys select a force subset: disturbance off scores as that
+    # ForceAblation's run does
+    cfg = tmp_path / "forces.cfg"
+    cfg.write_text("window_size = 4\nforce_disturbance = false\n")
+    assert main(["bench", "--config", str(cfg), "--scene-frames", "12", "--w", "4", "--repeats", "1",
+                 "--seed", "1", "--out", str(out_csv)]) == 0
+    [row] = csv.DictReader(out_csv.open())
+    scene = generate_scene(preset_scene("one-way", frame_count=12))
+    run_cfg = PipelineConfig(window_size=4, seed=1, ablation=ForceAblation(disturbance=False))
+    expected = report(segment_video(scene.frames, run_cfg), dict(enumerate(scene.masks, start=1)))
+    assert row["mean_accuracy"] == f"{expected.mean_accuracy:.6f}"
+
 
 def test_bench_window_list_syntax(tmp_path, scene_dir):
     code = main(["bench", "--w", "4,6", "--frames", str(scene_dir / "frames"),
@@ -483,6 +591,13 @@ def test_bench_duplicate_sizes_run_once(tmp_path, scene_dir):
     assert code == 0
     rows = out_csv.read_text().splitlines()[1:]
     assert len(rows) == 1 and rows[0].startswith("4,")
+
+
+def test_bench_frames_without_gt_is_a_config_error_before_any_read(tmp_path, scene_dir, capsys):
+    (scene_dir / "frames" / "frame_000005.pgm").write_bytes(b"P5\n64 64\n255\n")
+    code = main(["bench", "--w", "3", "--frames", str(scene_dir / "frames"), "--repeats", "1"])
+    assert code == 2
+    assert "--gt is required" in capsys.readouterr().err
 
 
 def test_bench_missing_gt_frame_is_an_input_error(tmp_path, scene_dir, capsys):

@@ -458,7 +458,7 @@ def test_rasterize_maps_on_scene_windows_equals_full_frame_reference(one_way_sce
     data = generate_scene(crowd_spec(frames=20))
     for frames, window in ((data.frames, 10), (one_way_scene.frames[:12], 4)):
         run = segment_video(frames, PipelineConfig(window_size=window, seed=1))
-        for maps in run.window_maps():
+        for maps in run.window_maps:
             for radius in (0, 3, 5):
                 masks = rasterize_maps([m for _, m in maps], radius)
                 for (_, m), mask in zip(maps, masks):
@@ -556,7 +556,8 @@ def run_result_for(maps, window):
     last = max(fi for fi, _ in maps)
     count = (last + window - 1) // window
     windows = [(w * window + 1, (w + 1) * window) for w in range(count)]
-    return RunResult(maps=maps, timings=[], windows=windows, skipped_frames=[])
+    window_maps = [[m for m in maps if first <= m[0] <= last] for first, last in windows]
+    return RunResult(window_maps=window_maps, timings=[], windows=windows, skipped_frames=[])
 
 
 def test_report_all_perfect():
