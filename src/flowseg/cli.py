@@ -9,6 +9,10 @@ tolerance failure.
 windows in flight) and writes each window's files as it arrives, so memory
 holds a few windows, not the video. Files are staged beside ``--out`` and
 moved in after the last window, so a failed run leaves ``--out`` as it was.
+``--out`` holds one run: the ``mask_*.pgm`` and ``overlay_*.ppm`` files
+that the run did not write are deleted once its files are moved in, and
+other files are left alone. An ``--out`` that names a file is an input
+error before any frame is read.
 
 ``bench`` is the paper's window-size trade-off sweep: larger windows run
 dense flow on fewer frames (faster) but propagate the groups further from
@@ -48,7 +52,6 @@ from .evaluation import rasterize_maps, render_overlays, score_frames
 from .evaluation import rasterize, render_overlay  # noqa: F401  (perfbench traces these names)
 from .flow import _block_mean
 from .io import Frame, read_frame, write_flow_file, write_frame, write_ppm
-from .keypoints import member_arrays
 from .pipeline import PHASE_SKIPPED, PipelineConfig, run_windows
 from .pipeline import segment_video  # noqa: F401  (perfbench traces these names)
 from .synth import SceneSpec, ar1_stationary_variance, generate_scene, ou_statistics
@@ -182,6 +185,8 @@ def cmd_segment(args) -> int:
     jobs = args.jobs if args.jobs is not None else run_keys["jobs"]
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    if out_dir.exists() and not out_dir.is_dir():
+        raise InputError(f"output path is not a directory: {out_dir}")
 
     frames, first_number, count = _read_frames_dir(in_dir)
     w = cfg.window_size
@@ -216,8 +221,13 @@ def cmd_segment(args) -> int:
             skipped = range(windows * w + 1, count + 1)
             timings.writerows([frame + offset, PHASE_SKIPPED, "0.000"] for frame in skipped)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for path in staging.iterdir():
-            path.replace(out_dir / path.name)
+        written = {path.name for path in staging.iterdir()}
+        for name in written:
+            (staging / name).replace(out_dir / name)
+        # --out holds one run: delete an earlier run's masks and overlays
+        for path in [*out_dir.glob("mask_*.pgm"), *out_dir.glob("overlay_*.ppm")]:
+            if path.name not in written:
+                path.unlink()
 
     print(f"processed {windows} window(s), wrote {masks} mask(s) to {out_dir} (seed {cfg.seed})")
     if skipped:
@@ -242,8 +252,8 @@ def _write_window(out_dir: Path, frames: list[Frame], maps, cfg: PipelineConfig,
         write_frame(Frame(mask.labels.astype(np.uint8)), out_dir / f"mask_{file_number:06d}.pgm")
         if rgb is not None:
             write_ppm(rgb, out_dir / f"overlay_{file_number:06d}.ppm")
-        members = member_arrays(seg_map)  # the arrays rasterize_maps read
-        for g, (cx, cy) in zip(members.groups, members.centroids.tolist()):
+        for g in seg_map.groups:
+            cx, cy = g.centroid
             groups_fh.write(
                 '{"frame": %d, "id": %d, "bin": %d, "centroid": [%.4f, %.4f], "members": %d}\n'
                 % (file_number, g.id, g.bin, cx, cy, g.size)

@@ -32,7 +32,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InputError
-from .keypoints import Group, MemberArrays, SegmentationMap, member_arrays
+from .keypoints import Group, SegmentationMap, split_groups
 
 DEFAULT_GAMMA = 0.8
 DEFAULT_XI_D_X = 0.1
@@ -157,26 +157,32 @@ def propagate_map(
     are clamped to its bounds and flagged. Noise block ``step_offset + s``
     feeds step s, with particles ordered group by group.
 
-    All members of the map take each step together, as one set of flat
-    float64 arrays, and the per-particle force arrays are built once per
-    call, not once per step; each returned map carries its arrays (see
-    ``member_arrays``), and its groups hold read-only views of them.
+    The map's groups are concatenated once, into flat float64 arrays
+    (``clamped`` bool), and all members take each step together; the
+    per-particle force arrays are built once per call, not once per step.
+    Each returned map's groups hold slices of that step's flat arrays.
     """
     if steps < 0:
         raise InputError("steps must be >= 0")
     if steps == 0:
         return []
     width, height = seg_map.width, seg_map.height
-    members = member_arrays(seg_map)
-    groups = members.groups
-    sizes = np.diff(members.starts)
+    groups = seg_map.groups
+
+    def cat(name, dtype, casting="same_kind"):
+        arrays = [getattr(g, name) for g in groups] + [np.empty(0, dtype)]
+        return np.concatenate(arrays, dtype=dtype, casting=casting)
+
+    x, y, vx, vy = (cat(name, np.float64) for name in ("x", "y", "vx", "vy"))
+    clamped = cat("clamped", bool, "unsafe")
+    starts = np.cumsum([0] + [g.size for g in groups])
+    sizes = np.diff(starts)
     table = np.array(
         [(f.drift_x, f.confine_y, f.anchor_y) for f in (forces[g.id] for g in groups)],
         dtype=np.float64,
     ).reshape(-1, 3)
     drift_x, confine_y, anchor_y = np.repeat(table.T, sizes, axis=1)
     ids, bins = [g.id for g in groups], [g.bin for g in groups]
-    x, y, vx, vy, clamped = members.x, members.y, members.vx, members.vy, members.clamped
     out: list[SegmentationMap] = []
     for s in range(steps):
         xi = noise.normals(step_offset + s, x.size)
@@ -185,8 +191,8 @@ def propagate_map(
         cy = np.clip(y, 0.0, height - 1.0)
         clamped = clamped | (cx != x) | (cy != y)
         x, y = cx, cy
-        members = MemberArrays.build(ids, bins, members.starts, x, y, vx, vy, clamped)
-        out.append(members.to_map(seg_map.frame_index + s + 1, width, height))
+        step_groups = split_groups(ids, bins, starts, x, y, vx, vy, clamped)
+        out.append(SegmentationMap(seg_map.frame_index + s + 1, width, height, step_groups))
     return out
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InputError, MetricError
 from .io import Frame
-from .keypoints import SegmentationMap, member_arrays
+from .keypoints import SegmentationMap
 from .pipeline import RunResult
 
 DEFAULT_DILATION_RADIUS = 3
@@ -135,8 +135,10 @@ def rasterize_maps(maps, dilation_radius: int = DEFAULT_DILATION_RADIUS) -> list
 
     Coverage and the nearest-centroid contest then run on pixel indices
     offset by ``height * width`` per map, so the output holds the memory
-    of ``len(maps)`` maps: |W| - 1 for a window. Raises InputError when
-    the maps differ in size.
+    of ``len(maps)`` maps: |W| - 1 for a window. Members are read from the
+    maps' groups, whose ``x``/``y`` are concatenated once per call; only a
+    group that contests a pixel has its ``Group.centroid`` computed.
+    Raises InputError when the maps differ in size.
     """
     if dilation_radius < 0:
         raise InputError("dilation_radius must be >= 0")
@@ -151,34 +153,29 @@ def rasterize_maps(maps, dilation_radius: int = DEFAULT_DILATION_RADIUS) -> list
     labels = np.zeros(len(maps) * size, dtype=np.int32)
     out = [LabelMask(labels[i * size : (i + 1) * size].reshape(h, w)) for i in range(len(maps))]
 
-    # Members of every group with members, map by map, in map order.
-    xs, ys, counts, ids, centroids, bases = [], [], [], [], [], []
+    # Every group with members, map by map, in map order.
+    groups, bases = [], []
     for i, seg_map in enumerate(maps):
-        members = member_arrays(seg_map)
-        sizes = np.diff(members.starts)
-        kept = np.flatnonzero(sizes)
-        xs.append(members.x)
-        ys.append(members.y)
-        counts.append(sizes[kept])
-        ids.extend(members.groups[k].id for k in kept.tolist())
-        centroids.append(members.centroids[kept])
-        bases.append(np.full(kept.size, i * size))
-    counts = np.concatenate(counts)
-    n_groups = counts.size
+        kept = [g for g in seg_map.groups if g.size]
+        groups.extend(kept)
+        bases.extend([i * size] * len(kept))
+    n_groups = len(groups)
     if not n_groups:
         return out
-    ids = np.array(ids, dtype=np.int32)
-    centroids = np.concatenate(centroids)
+    counts = np.array([g.size for g in groups])
+    ids = np.array([g.id for g in groups], dtype=np.int32)
 
     member = np.repeat(np.arange(n_groups), counts)
     starts = np.concatenate(([0], np.cumsum(counts)))
-    rows, cols = pixel_coords(np.concatenate(xs), np.concatenate(ys), w, h)
+    rows, cols = pixel_coords(
+        np.concatenate([g.x for g in groups]), np.concatenate([g.y for g in groups]), w, h
+    )
     margin = dilation_radius + 2 if dilation_radius > 0 else 0
     top = np.maximum(np.minimum.reduceat(rows, starts[:-1]) - margin, 0)
     left = np.maximum(np.minimum.reduceat(cols, starts[:-1]) - margin, 0)
     crop_h = np.minimum(np.maximum.reduceat(rows, starts[:-1]) + margin + 1, h) - top
     crop_w = np.minimum(np.maximum.reduceat(cols, starts[:-1]) + margin + 1, w) - left
-    origin = np.concatenate(bases) + top * w + left  # flat index of each crop's corner
+    origin = np.array(bases) + top * w + left  # flat index of each crop's corner
     slot_h, slot_w = int(crop_h.max()), int(crop_w.max())
     words = -(-slot_w // 64)
     per_stack = max(1, _STACK_VOXELS // (slot_h * words * 64))
@@ -221,6 +218,9 @@ def rasterize_maps(maps, dilation_radius: int = DEFAULT_DILATION_RADIUS) -> list
     once = np.bincount(pix, minlength=labels.size)[pix] == 1
     if not once.all():
         pix, owner = pix[~once], rows_of[~once] // slot_h
+        contested = np.unique(owner)
+        centroids = np.zeros((n_groups, 2))
+        centroids[contested] = [groups[k].centroid for k in contested.tolist()]
         rows, cols = np.divmod(pix % size, w)
         d2 = (cols - centroids[owner, 0]) ** 2 + (rows - centroids[owner, 1]) ** 2
         order = np.lexsort((ids[owner], d2, pix))

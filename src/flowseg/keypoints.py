@@ -3,6 +3,11 @@
 Pipeline: magnitude/orientation maps -> orientation quantization under a
 magnitude threshold -> circular histogram peak detection -> 8-connected
 grouping of same-bin keypoints.
+
+A map's members live in its ``Group`` objects and nowhere else. The code
+that makes maps (``group_keypoints`` here, ``propagate_map`` in dynamics)
+computes every member of a map in flat arrays and hands each group its
+slice of them (``split_groups``); code that reads a map reads its groups.
 """
 
 from dataclasses import dataclass, field
@@ -69,7 +74,12 @@ class Group:
 
     @property
     def centroid(self) -> tuple[float, float]:
-        return float(self.x.mean()), float(self.y.mean())
+        """Member mean (x, y); NaN for a group without members. On float64
+        members these are the bits of ``ndarray.mean`` (its pairwise sum,
+        then its division by the count) without that method's per-call
+        overhead, which a window's hundreds of groups would pay."""
+        n = self.x.size
+        return float(np.add.reduce(self.x) / n), float(np.add.reduce(self.y) / n)
 
     @property
     def mean_velocity(self) -> tuple[float, float]:
@@ -84,98 +94,16 @@ class SegmentationMap:
     width: int
     height: int
     groups: list[Group] = field(default_factory=list)
-    # Set by the producers of maps; read through member_arrays().
-    _members: "MemberArrays | None" = field(default=None, init=False, repr=False)
 
 
-class MemberArrays:
-    """Every member of a list of groups in flat arrays, group by group.
-
-    Group k owns ``starts[k]:starts[k + 1]`` of ``x``, ``y``, ``vx``,
-    ``vy`` (float64) and ``clamped`` (bool). ``centroids`` holds each
-    group's member mean, bit for bit as ``Group.centroid`` computes it, and
-    is computed on first use.
-    """
-
-    def __init__(self, groups, starts, x, y, vx, vy, clamped):
-        self.groups = tuple(groups)
-        self.starts = starts
-        self.x, self.y, self.vx, self.vy, self.clamped = x, y, vx, vy, clamped
-        self._views = None
-        self._centroids = None
-
-    @classmethod
-    def concatenate(cls, groups) -> "MemberArrays":
-        """Copies of the members of ``groups``."""
-        def cat(name, dtype, casting="same_kind"):
-            arrays = [getattr(g, name) for g in groups] + [np.empty(0, dtype)]
-            return np.concatenate(arrays, dtype=dtype, casting=casting)
-
-        floats = [cat(name, np.float64) for name in ("x", "y", "vx", "vy")]
-        starts = np.cumsum([0] + [g.size for g in groups])
-        return cls(groups, starts, *floats, cat("clamped", bool, "unsafe"))
-
-    @classmethod
-    def build(cls, ids, bins, starts, x, y, vx, vy, clamped) -> "MemberArrays":
-        """New groups of the given ids and bins holding read-only views of
-        the given flat arrays, which are frozen: the groups and these arrays
-        then always agree, and centroids computed once stay valid for as
-        long as the groups keep their views."""
-        for a in (x, y, vx, vy, clamped):
-            a.flags.writeable = False
-        bounds = starts.tolist()
-        views = [
-            (x[lo:hi], y[lo:hi], vx[lo:hi], vy[lo:hi], clamped[lo:hi])
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        groups = [Group(gid, b, *view) for gid, b, view in zip(ids, bins, views)]
-        members = cls(groups, starts, x, y, vx, vy, clamped)
-        members._views = list(zip(groups, views))
-        return members
-
-    def to_map(self, frame_index: int, width: int, height: int) -> SegmentationMap:
-        """A map of these groups that hands these arrays on (see member_arrays)."""
-        seg_map = SegmentationMap(frame_index, width, height, list(self.groups))
-        seg_map._members = self
-        return seg_map
-
-    def holds(self, groups) -> bool:
-        """Whether ``groups`` are exactly the groups built here, still
-        holding their views."""
-        views = self._views
-        return (
-            views is not None
-            and len(groups) == len(views)
-            and all(
-                g is h and g.x is x and g.y is y and g.vx is vx and g.vy is vy and g.clamped is c
-                for g, (h, (x, y, vx, vy, c)) in zip(groups, views)
-            )
-        )
-
-    @property
-    def centroids(self) -> np.ndarray:
-        """(groups, 2) member means (x, y); NaN for a group without members."""
-        if self._centroids is None:
-            bounds = self.starts.tolist()
-            sums = [  # the pairwise sums of ndarray.mean, then its division
-                (np.add.reduce(self.x[lo:hi]), np.add.reduce(self.y[lo:hi])) if hi > lo else (np.nan, np.nan)
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            self._centroids = np.array(sums, dtype=np.float64).reshape(-1, 2) / np.diff(self.starts)[:, None]
-        return self._centroids
-
-
-def member_arrays(seg_map: SegmentationMap) -> MemberArrays:
-    """The flat member arrays of ``seg_map``.
-
-    A map made by ``group_keypoints`` or ``propagate_map`` carries them,
-    and they are returned as long as its groups are unchanged; any other
-    map's members are concatenated afresh on each call.
-    """
-    members = seg_map._members
-    if members is not None and members.holds(seg_map.groups):
-        return members
-    return MemberArrays.concatenate(seg_map.groups)
+def split_groups(ids, bins, starts, x, y, vx, vy, clamped) -> list[Group]:
+    """Groups of the given ids and bins, group k holding the slice
+    ``starts[k]:starts[k + 1]`` of each flat member array."""
+    bounds = starts.tolist()
+    return [
+        Group(gid, b, x[lo:hi], y[lo:hi], vx[lo:hi], vy[lo:hi], clamped[lo:hi])
+        for gid, b, lo, hi in zip(ids, bins, bounds[:-1], bounds[1:])
+    ]
 
 
 def maps_identical(a: SegmentationMap, b: SegmentationMap) -> bool:
@@ -311,11 +239,11 @@ def group_keypoints(
     else:
         vx = np.zeros(idxs.size)
         vy = np.zeros(idxs.size)
-    members = MemberArrays.build(
+    groups = split_groups(
         range(1, len(entries) + 1), [e[1] for e in entries], np.cumsum([0] + [e[2].size for e in entries]),
         cols.astype(np.float64), rows.astype(np.float64), vx, vy, np.zeros(idxs.size, dtype=bool),
     )
-    return members.to_map(frame_index, width, height)
+    return SegmentationMap(frame_index, width, height, groups)
 
 
 def segment_flow(

@@ -220,7 +220,9 @@ def run_windows(
     With one job each window runs on the caller's thread when it is asked
     for. Otherwise windows run on a thread pool, at most ``jobs`` in flight
     beyond the one being yielded; closing the generator cancels the queued
-    ones and waits for the running ones."""
+    ones and waits for the running ones. Either way, a source that fails
+    (SourceError, or InputError for a frame of another size) raises after
+    every window cut before it has been yielded."""
     windows = _windows(source, cfg.window_size)
     if jobs == 1:
         for number, frames in windows:
@@ -228,8 +230,16 @@ def run_windows(
         return
     pool = ThreadPoolExecutor(max_workers=jobs)
     pending: deque = deque()
+    failure = None
     try:
-        for number, frames in windows:
+        while True:
+            try:
+                number, frames = next(windows)
+            except StopIteration:
+                break
+            except (SourceError, InputError) as exc:  # raised once the windows before it are out
+                failure = exc
+                break
             pending.append((number, frames, pool.submit(_process_window, number, frames, cfg)))
             if len(pending) > jobs:
                 number, frames, future = pending.popleft()
@@ -237,6 +247,8 @@ def run_windows(
         while pending:
             number, frames, future = pending.popleft()
             yield number, frames, *future.result()
+        if failure is not None:
+            raise failure
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -347,6 +347,36 @@ def test_segment_out_path_that_is_a_file(tmp_path, scene_dir, capsys):
     assert out.read_text() == "not a directory"
 
 
+def test_segment_out_path_that_is_a_file_fails_before_any_window(tmp_path, scene_dir, monkeypatch, capsys):
+    def no_call(*args, **kwargs):
+        raise AssertionError("called although --out names a file")
+
+    monkeypatch.setattr(flowseg.cli, "run_windows", no_call)
+    monkeypatch.setattr(flowseg.cli, "read_frame", no_call)
+    (tmp_path / "taken").write_text("not a directory")
+    code, _ = run_segment(tmp_path, scene_dir, out_name="taken")
+    assert code == 3
+    assert "is not a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_segment_out_holds_one_run(tmp_path, jobs):
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text("window_size = 5\nflow_downscale = 2\n")
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    for preset, frames in (("one-way", 40), ("two-way", 20)):
+        scene = tmp_path / preset
+        assert main(["synth", "--preset", preset, "--frames", str(frames), "--out", str(scene)]) == 0
+        assert main(["segment", "--in", str(scene / "frames"), "--config", str(cfg),
+                     "--out", str(out), "--jobs", str(jobs)]) == 0
+    second_run = [i for i in range(1, 21) if i % 5 != 1]  # 16 frames: all but each window's first
+    assert sorted(p.name for p in out.glob("mask_*.pgm")) == [f"mask_{i:06d}.pgm" for i in second_run]
+    assert sorted(p.name for p in out.glob("overlay_*.ppm")) == [f"overlay_{i:06d}.ppm" for i in second_run]
+    assert (out / "notes.txt").read_text() == "kept"
+
+
 def test_segment_config_that_is_a_directory(tmp_path, scene_dir, capsys):
     code = main(["segment", "--in", str(scene_dir / "frames"), "--config", str(tmp_path),
                  "--out", str(tmp_path / "x")])

@@ -16,7 +16,8 @@ from flowseg import (
     maps_identical,
     propagate_map,
 )
-from flowseg.keypoints import Group, SegmentationMap, member_arrays
+from flowseg.evaluation import rasterize_maps
+from flowseg.keypoints import Group, SegmentationMap
 
 
 def make_group(x, y, vx, vy, gid=1, bin_id=0):
@@ -484,34 +485,38 @@ def test_propagate_chains_of_single_steps_match_reference(start):
     assert maps_identical(whole[-1], got)
 
 
-def test_propagated_groups_are_read_only_views_of_the_map_arrays():
-    seg = random_map(2, 6)
-    params = LangevinParams()
-    out = propagate_map(seg, forces_for(seg, params), params, NoiseSource(1), steps=2)[-1]
-    members = member_arrays(out)
-    assert member_arrays(out) is members
-    for k, g in enumerate(out.groups):
-        lo, hi = members.starts[k], members.starts[k + 1]
-        assert np.shares_memory(g.x, members.x) and np.array_equal(g.x, members.x[lo:hi])
-        assert not g.x.flags.writeable and not g.clamped.flags.writeable
-        cx, cy = g.centroid
-        assert (cx, cy) == tuple(members.centroids[k])
-
-
-def test_member_arrays_follow_a_replaced_group():
+def test_propagate_and_rasterize_follow_a_replaced_group():
+    # A map's groups are the one home of its members: replacing a
+    # propagated group's x, and then popping a group, changes what
+    # propagate_map and rasterize_maps make of the map exactly as it would
+    # for a hand-built map of copies of the same groups.
     seg = random_map(3, 4)
     params = LangevinParams()
-    out = propagate_map(seg, forces_for(seg, params), params, NoiseSource(1), steps=1)[0]
-    before = member_arrays(out)
-    g = out.groups[1]
-    g.x = g.x + 1.0
-    after = member_arrays(out)
-    assert after is not before
-    lo, hi = after.starts[1], after.starts[2]
-    assert np.array_equal(after.x[lo:hi], g.x)
-    assert after.centroids[1, 0] == g.centroid[0]
-    out.groups.pop()
-    assert len(member_arrays(out).groups) == 3
+    forces = forces_for(seg, params)
+    out = propagate_map(seg, forces, params, NoiseSource(1), steps=1)[0]
+
+    def outputs(seg_map):
+        maps = propagate_map(seg_map, forces, params, NoiseSource(2), steps=2)
+        return maps, [mask.labels for mask in rasterize_maps([seg_map, *maps])]
+
+    def hand_built(seg_map):
+        copies = [Group(g.id, g.bin, *(np.array(a) for a in (g.x, g.y, g.vx, g.vy, g.clamped)))
+                  for g in seg_map.groups]
+        return seg_map_of(copies, seg_map.width, seg_map.height, seg_map.frame_index)
+
+    def replace_x(seg_map):
+        g = seg_map.groups[1]
+        g.x = g.x + 1.0
+
+    for edit in (replace_x, lambda seg_map: seg_map.groups.pop()):
+        _, labels_before = outputs(out)
+        edit(out)
+        maps, labels = outputs(out)
+        ref_maps, ref_labels = outputs(hand_built(out))
+        assert_maps_equal(maps, ref_maps)
+        assert all(np.array_equal(a, b) for a, b in zip(labels, ref_labels))
+        assert not all(np.array_equal(a, b) for a, b in zip(labels, labels_before))
+    assert len(out.groups) == 3
 
 
 def test_propagate_empty_and_memberless_groups():

@@ -17,7 +17,7 @@ from flowseg import (
     segment_flow,
 )
 from flowseg.flow import compute_dense_flow
-from flowseg.keypoints import NONE_BIN, maps_identical
+from flowseg.keypoints import NONE_BIN, Group, maps_identical
 from flowseg.synth import generate_scene, preset_scene
 
 TWO_PI = 2.0 * math.pi
@@ -315,6 +315,19 @@ def test_group_velocities_sampled_from_flow():
     g = seg.groups[0]
     assert g.mean_velocity == (2.0, -1.0)
     assert g.centroid == (2.0, 2.0)
+
+
+def test_centroid_is_the_bits_of_ndarray_mean():
+    # Sizes on both sides of the pairwise sum's 8-element unroll and
+    # 128-element blocks; y is a strided view.
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 8, 9, 127, 128, 129, 1000, 4099):
+        x, y = rng.uniform(0, 320, n), rng.normal(100, 50, 2 * n)[::2]
+        g = Group(1, 0, x, y, np.zeros(n), np.zeros(n), np.zeros(n, bool))
+        assert g.centroid == (float(x.mean()), float(y.mean()))
+    empty = Group(1, 0, *(np.zeros(0) for _ in range(4)), np.zeros(0, bool))
+    with pytest.warns(RuntimeWarning):
+        assert np.isnan(empty.centroid).all()
 
 
 def test_peaks_outside_bin_range_rejected():

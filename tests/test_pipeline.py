@@ -231,6 +231,24 @@ def test_streaming_source_failure_mid_window(small_frames):
     assert exc_info.value.last_window == 1
 
 
+@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize("fault, error", [("raise", SourceError), ("resize", InputError)])
+def test_run_windows_yields_the_windows_cut_before_a_source_failure(small_frames, jobs, fault, error):
+    def failing():
+        for i, frame in enumerate(small_frames[:12], start=1):
+            if i == 9 and fault == "raise":
+                raise RuntimeError("camera unplugged")
+            yield Frame(frame.data[:32]) if i == 9 else frame
+
+    emitted = []
+    with pytest.raises(error) as exc_info:
+        for number, *_ in flowseg.pipeline.run_windows(failing(), small_config(), jobs):
+            emitted.append(number)
+    assert emitted == [1, 2]
+    if fault == "raise":
+        assert exc_info.value.last_window == 2
+
+
 def test_streaming_leftover_clean_stop(small_frames):
     out = list(stream_windows(iter(small_frames[:6]), small_config()))
     assert len(out) == 1
