@@ -3,7 +3,11 @@
 Subcommands: segment, eval, synth, bench, ou-check. Exit codes are a
 stable contract: 0 success, 2 config error, 3 input error (filesystem
 errors included, such as an ``--out`` path that is a file), 4 metric or
-tolerance failure.
+tolerance failure. A number in a config file, scene spec or manifest must
+be finite: NaN or an infinity is a config error.
+
+The seed of ``segment`` and ``bench`` is ``--seed`` if given, else the
+config's ``seed`` key, else 0; ``ou-check`` takes ``--seed`` or 0.
 
 ``segment`` streams through ``pipeline.run_windows`` (at most ``--jobs``
 windows in flight) and writes each window's files as it arrives, so memory
@@ -35,7 +39,6 @@ keeps at least one on:
 import argparse
 import csv
 import logging
-import os
 import re
 import sys
 import tempfile
@@ -46,7 +49,7 @@ from typing import Iterator
 import numpy as np
 
 from . import synth
-from .config import parse_config_file
+from .config import format_config, parse_config_file
 from .errors import ConfigError, FlowSegError, InputError, MetricError
 from .evaluation import rasterize_maps, render_overlays, score_frames
 from .evaluation import rasterize, render_overlay  # noqa: F401  (perfbench traces these names)
@@ -63,8 +66,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INPUT = 3
 EXIT_METRIC = 4
-
-SEED_ENV_VAR = "LANGFLOW_SEED"
 
 # Manifest keys that locate or schedule a run, or record its input's frame
 # numbering, but do not change its maps; they are no pipeline settings.
@@ -129,18 +130,14 @@ def _read_masks_dir(path: Path) -> dict[int, np.ndarray]:
     return {number: read_frame(p).data for number, p in _numbered_pgms(path, "mask")}
 
 
-def _resolve_seed(flag_seed: int | None, cfg) -> int:
-    if flag_seed is not None:
-        return flag_seed
-    if cfg is not None and "seed" in cfg:
-        return cfg.get_int("seed")
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV_VAR}={env!r} is not an integer") from None
-    return 0
+def _read_ground_truth(path: Path, numbers) -> dict[int, np.ndarray]:
+    """The ground-truth masks of ``path`` for the frame ``numbers``; any
+    number without a mask is an input error that lists them all."""
+    masks = _read_masks_dir(path)
+    missing = [n for n in numbers if n not in masks]
+    if missing:
+        raise InputError(f"ground truth missing for frames: {missing}")
+    return masks
 
 
 def _parse_window_range(text: str) -> tuple[int, ...]:
@@ -167,8 +164,7 @@ def _load_pipeline_config(path, flag_seed: int | None) -> tuple[PipelineConfig, 
     cfg_dict = parse_config_file(path)
     run_keys = {key: cfg_dict.get_str(key, None) for key in RUN_KEYS}
     run_keys["jobs"] = cfg_dict.get_int("jobs", 1)
-    seed = _resolve_seed(flag_seed, cfg_dict)
-    cfg = PipelineConfig.from_config(cfg_dict, seed_override=seed)
+    cfg = PipelineConfig.from_config(cfg_dict, seed_override=flag_seed)
     cfg_dict.reject_unknown()
     return cfg, run_keys
 
@@ -195,8 +191,9 @@ def cmd_segment(args) -> int:
     offset = first_number - 1
     # jobs is an execution detail, not part of the result-determining
     # config, so it stays out of the manifest
-    manifest = cfg.manifest_text(
-        extra={"input_dir": str(in_dir), "output_dir": str(out_dir), "first_frame": first_number},
+    run = {"input_dir": str(in_dir), "output_dir": str(out_dir), "first_frame": first_number}
+    manifest = format_config(
+        {**cfg.to_dict(), **run},
         header="flowseg segment run manifest (re-runnable as --config)",
     )
 
@@ -262,14 +259,10 @@ def _write_window(out_dir: Path, frames: list[Frame], maps, cfg: PipelineConfig,
 
 def cmd_eval(args) -> int:
     pred_dir = Path(args.pred)
-    gt_dir = Path(args.gt)
     preds = _read_masks_dir(pred_dir)
     if not preds:
         raise InputError(f"no prediction masks in {pred_dir}")
-    gts = _read_masks_dir(gt_dir)
-    missing = sorted(set(preds) - set(gts))
-    if missing:
-        raise InputError(f"ground truth missing for frames: {missing}")
+    gts = _read_ground_truth(Path(args.gt), sorted(preds))
 
     window_size, first_frame = args.window_size, 1
     manifest_path = pred_dir / "manifest.txt"
@@ -316,8 +309,6 @@ def cmd_synth(args) -> int:
         flow_dir.mkdir(parents=True, exist_ok=True)
         for i, flow in enumerate(scene.flows, start=1):
             write_flow_file(flow, flow_dir / f"flow_{i:06d}.flo")
-    from .config import format_config
-
     (out_dir / "manifest.txt").write_text(
         format_config(spec.to_dict(), header="flowseg synth scene manifest")
     )
@@ -333,17 +324,14 @@ def cmd_bench(args) -> int:
         cfg, _ = _load_pipeline_config(args.config, args.seed)
         cfg.window_size = min(window_sizes)
     else:
-        cfg = PipelineConfig(window_size=min(window_sizes), seed=_resolve_seed(args.seed, None))
+        cfg = PipelineConfig(window_size=min(window_sizes), seed=args.seed or 0)
 
     if args.frames:
         if not args.gt:
             raise ConfigError("--gt is required when --frames is given")
         frame_iter, first, count = _read_frames_dir(Path(args.frames))
-        gt_map = _read_masks_dir(Path(args.gt))
         numbers = range(first, first + count)
-        missing = [n for n in numbers if n not in gt_map]
-        if missing:
-            raise InputError(f"ground truth missing for frames: {missing}")
+        gt_map = _read_ground_truth(Path(args.gt), numbers)
         frames, masks = list(frame_iter), [gt_map[n] for n in numbers]
     else:
         scene = generate_scene(synth.preset_scene("one-way", frame_count=args.scene_frames))
@@ -371,8 +359,7 @@ def cmd_ou_check(args) -> int:
             f"gamma*dt = {args.gamma * args.dt:g} leaves the velocity with no stationary "
             "variance to check (need 0 < gamma*dt < 2)"
         )
-    seed = args.seed if args.seed is not None else _resolve_seed(None, None)
-    stats = ou_statistics(params, steps=args.steps, particles=args.particles, seed=seed)
+    stats = ou_statistics(params, steps=args.steps, particles=args.particles, seed=args.seed)
     rel = abs(stats.variance - expected) / expected if expected > 0 else abs(stats.variance)
     print(f"measured variance : {stats.variance:.6f}")
     print(f"expected variance : {expected:.6f}")
@@ -441,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=100_000)
     p.add_argument("--particles", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=0.05)
     p.set_defaults(func=cmd_ou_check)
     return parser

@@ -4,6 +4,7 @@ One assignment per line, ``#`` starts a comment, blank lines are ignored.
 The same dialect serves pipeline configs, scene specs, and run manifests.
 """
 
+import math
 from pathlib import Path
 
 from .errors import ConfigError
@@ -23,11 +24,19 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(value)
 
 
+def _parse_finite(value: str) -> float:
+    """``float(value)``; NaN and the infinities are a ValueError."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(value)
+    return number
+
+
 def _parse_floats(value: str, count: int) -> tuple[float, ...]:
     parts = value.split(",")
     if len(parts) != count:
         raise ValueError(value)
-    return tuple(float(p) for p in parts)
+    return tuple(_parse_finite(p) for p in parts)
 
 
 class ConfigDict:
@@ -68,7 +77,7 @@ class ConfigDict:
         return self._get(key, default, int, "integer")
 
     def get_float(self, key: str, default=_MISSING) -> float:
-        return self._get(key, default, float, "number")
+        return self._get(key, default, _parse_finite, "number")
 
     def get_bool(self, key: str, default=_MISSING) -> bool:
         return self._get(key, default, _parse_bool, "boolean")

@@ -410,15 +410,11 @@ def label_color(label_id: int) -> tuple[int, int, int]:
     return rgb
 
 
-def render_overlays(
-    frames,
-    masks,
-    palette: dict[int, tuple[int, int, int]] | None = None,
-    alpha: float = OVERLAY_ALPHA,
-) -> list[np.ndarray]:
-    """Blend label colors over each grayscale frame of ``frames`` under the
-    mask of ``masks`` at its position; background passes through. Frames
-    and masks all have one size (a window's).
+def render_overlays(frames, masks) -> list[np.ndarray]:
+    """Blend each label's ``label_color`` at opacity ``OVERLAY_ALPHA`` over
+    each grayscale frame of ``frames`` under the mask of ``masks`` at its
+    position; background passes through. Frames and masks all have one
+    size (a window's).
 
     Frames are 8-bit, so every pixel is one lookup in a table with one
     column per gray level and one row per label present in any of the
@@ -444,13 +440,11 @@ def render_overlays(
     fg = labels != 0
     labeled = labels[fg]
     ids = np.unique(labeled)
-    colors = np.array(
-        [(palette or {}).get(int(i)) or label_color(int(i)) for i in ids], dtype=np.float64
-    ).reshape(-1, 1, 3)
+    colors = np.array([label_color(int(i)) for i in ids], dtype=np.float64).reshape(-1, 1, 3)
     levels = np.arange(256)[:, None]
     table = np.empty((ids.size + 1, 256, 3), dtype=np.uint8)
     table[0] = levels
-    table[1:] = np.clip(np.rint((1.0 - alpha) * levels + alpha * colors), 0, 255)
+    table[1:] = np.clip(np.rint((1.0 - OVERLAY_ALPHA) * levels + OVERLAY_ALPHA * colors), 0, 255)
     rows = np.zeros(labels.shape, dtype=np.intp)
     rows[fg] = np.searchsorted(ids, labeled) + 1
     rows <<= 8
@@ -458,12 +452,7 @@ def render_overlays(
     return list(table.reshape(-1, 3).take(rows, axis=0))
 
 
-def render_overlay(
-    frame: Frame,
-    mask: LabelMask,
-    palette: dict[int, tuple[int, int, int]] | None = None,
-    alpha: float = OVERLAY_ALPHA,
-) -> np.ndarray:
+def render_overlay(frame: Frame, mask: LabelMask) -> np.ndarray:
     """Blend label colors over the grayscale frame; background passes
     through. The one-frame call of ``render_overlays``."""
-    return render_overlays([frame], [mask], palette, alpha)[0]
+    return render_overlays([frame], [mask])[0]

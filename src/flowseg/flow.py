@@ -28,8 +28,7 @@ The estimator is a coarse-to-fine pyramidal least-squares flow:
    built once per call (see ``_median``).
 5. At the finest level the structure tensor's smaller eigenvalue decides
    per-pixel validity: flat or single-gradient neighborhoods (aperture
-   cases) are marked invalid and their flow is zeroed. The gradients and
-   their products go into preallocated buffers here too.
+   cases) are marked invalid and their flow is zeroed.
 
 Coordinates and fields are assumed finite: NaN or infinite values make the
 exact forms and the general-purpose calls part ways.
@@ -363,12 +362,8 @@ def _median(field: np.ndarray) -> np.ndarray:
 
 
 def _textured(img: np.ndarray, radius: int) -> np.ndarray:
-    iy, ix = np.empty((2, *img.shape))
-    _gradient(img, iy, ix)
-    products = np.empty((3, *img.shape))
-    for slot, (p, q) in zip(products, ((ix, ix), (ix, iy), (iy, iy))):
-        np.multiply(p, q, out=slot)
-    sxx, sxy, syy = _window_sum(products, radius)
+    iy, ix = np.gradient(img)
+    sxx, sxy, syy = _window_sum(np.stack([ix * ix, ix * iy, iy * iy]), radius)
     disc = np.sqrt(np.maximum((sxx - syy) ** 2 + 4.0 * sxy * sxy, 0.0))
     lam_min = 0.5 * (sxx + syy - disc)
     window_px = (2 * radius + 1) ** 2

@@ -44,16 +44,7 @@ class QuantizedMap:
 
     bins: np.ndarray
     bin_count: int
-    magnitude_threshold: float
     histogram: np.ndarray
-
-    @property
-    def width(self) -> int:
-        return self.bins.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.bins.shape[0]
 
 
 @dataclass(eq=False)
@@ -154,7 +145,7 @@ def _quantized(keep, ori, magnitude_threshold, bin_count) -> QuantizedMap:
     bins = np.full(keep.shape, NONE_BIN, dtype=np.int16)
     bins[keep] = idx
     histogram = np.bincount(idx.astype(np.int64), minlength=bin_count)
-    return QuantizedMap(bins, bin_count, magnitude_threshold, histogram)
+    return QuantizedMap(bins, bin_count, histogram)
 
 
 def quantize(

@@ -32,7 +32,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from time import perf_counter
 from typing import Iterable, Iterator, Sequence
 
-from .config import ConfigDict, format_config
+from .config import ConfigDict
 from .dynamics import ForceAblation, LangevinParams, NoiseSource, estimate_group_forces, propagate_map
 from .errors import InputError, SourceError
 from .flow import FlowParams, compute_dense_flow
@@ -96,9 +96,6 @@ class PipelineConfig:
             else:
                 values[f.name] = value
         return values
-
-    def manifest_text(self, extra: dict | None = None, header: str | None = None) -> str:
-        return format_config({**self.to_dict(), **(extra or {})}, header=header)
 
 
 def _config_kwargs(cls, cfg: ConfigDict, prefix: str = "") -> dict:

@@ -223,19 +223,14 @@ def ar1_stationary_variance(gamma: float, xi_d: float, dt: float = 1.0) -> float
     return (xi_d * dt) ** 2 / (1.0 - a * a)
 
 
-def ou_statistics(
-    params: LangevinParams,
-    steps: int,
-    particles: int = 1,
-    seed: int = 0,
-    burn_in: int | None = None,
-) -> OuStats:
+def ou_statistics(params: LangevinParams, steps: int, particles: int = 1, seed: int = 0) -> OuStats:
     """Monte-Carlo statistics of the x-velocity process under zero drift.
 
     Drives the same update rule the propagator uses, through the same
     counter-based noise source. For stationary statistics use steps on the
-    order of 1e4 or more. ``burn_in`` defaults to steps // 10 (0 when the
-    process is undamped and has no stationary state to relax to).
+    order of 1e4 or more. The first steps // 10 steps are a burn-in left
+    out of the statistics (none when the process is undamped and has no
+    stationary state to relax to).
     """
     if steps < 1:
         raise InputError("steps must be >= 1")
@@ -251,9 +246,8 @@ def ou_statistics(
         xi = noise.normals(s, particles)
         x, y, vx, vy = _step_arrays(x, y, vx, vy, 0.0, 0.0, 0.0, params, xi)
         trajectory[s] = vx
-    if burn_in is None:
-        burn_in = steps // 10 if params.gamma_x * params.dt > 0 else 0
-    pooled = trajectory[burn_in:]
+    start = steps // 10 if params.gamma_x * params.dt > 0 else 0
+    pooled = trajectory[start:]
     flat = pooled.ravel()
     if flat.size >= 2 and np.var(flat) > 0:
         lag = pooled[:-1].ravel()

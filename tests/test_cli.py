@@ -23,6 +23,7 @@ from flowseg import (
     write_frame,
 )
 from flowseg.cli import main
+from flowseg.config import parse_config_text
 
 SCENE_SPEC = """
 width = 64
@@ -412,14 +413,47 @@ def test_segment_seed_flag_overrides_config_seed(tmp_path, scene_dir):
     assert "seed = 7" in (out / "manifest.txt").read_text()
 
 
-def test_segment_env_seed_fallback(tmp_path, scene_dir, monkeypatch):
+def test_seed_is_flag_then_config_then_zero(tmp_path, scene_dir, monkeypatch):
+    # The environment is no source: --seed overrides the config's seed key,
+    # and without either the seed is 0.
     monkeypatch.setenv("LANGFLOW_SEED", "99")
-    cfg = tmp_path / "pipeline.cfg"
-    cfg.write_text(PIPELINE_CONFIG)
-    out = tmp_path / "envrun"
-    assert main(["segment", "--in", str(scene_dir / "frames"), "--config", str(cfg),
-                 "--out", str(out)]) == 0
-    assert "seed = 99" in (out / "manifest.txt").read_text()
+    for name, config, flags, seed in [
+        ("default", PIPELINE_CONFIG, [], 0),
+        ("config", PIPELINE_CONFIG + "seed = 5\n", [], 5),
+        ("flag", PIPELINE_CONFIG, ["--seed", "7"], 7),
+    ]:
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(config)
+        out = tmp_path / name
+        assert main(["segment", "--in", str(scene_dir / "frames"), "--config", str(cfg),
+                     "--out", str(out), *flags]) == 0
+        manifest = parse_config_text((out / "manifest.txt").read_text())
+        assert manifest.get_int("seed") == seed, name
+
+
+@pytest.mark.parametrize(
+    "command, key, text",
+    [
+        ("segment", "xi_d_y", PIPELINE_CONFIG + "xi_d_y = nan\n"),
+        ("segment", "confinement_stiffness", PIPELINE_CONFIG + "confinement_stiffness = inf\n"),
+        ("segment", "magnitude_threshold", PIPELINE_CONFIG + "magnitude_threshold = -inf\n"),
+        ("synth", "noise_level", SCENE_SPEC + "noise_level = nan\n"),
+        ("synth", "block1_velocity", SCENE_SPEC.replace("block1_velocity = 2, 0", "block1_velocity = 2, inf")),
+    ],
+    ids=["xi_d_y-nan", "confinement_stiffness-inf", "magnitude_threshold-minus-inf", "noise_level-nan",
+         "block1_velocity-inf"],
+)
+def test_non_finite_config_number_is_a_config_error(tmp_path, scene_dir, capsys, command, key, text):
+    cfg = tmp_path / "non_finite.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    if command == "segment":
+        argv = ["segment", "--in", str(scene_dir / "frames"), "--config", str(cfg), "--out", str(out)]
+    else:
+        argv = ["synth", "--spec", str(cfg), "--out", str(out)]
+    assert main(argv) == 2
+    assert f"key '{key}': expected" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_perfect_match(tmp_path, scene_dir, capsys):

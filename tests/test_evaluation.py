@@ -652,18 +652,18 @@ def test_overlay_dim_mismatch():
         render_overlay(Frame(np.zeros((8, 8), np.uint8)), LabelMask(np.zeros((4, 4), np.int32)))
 
 
-def reference_overlay(frame, mask, palette=None, alpha=OVERLAY_ALPHA):
+def reference_overlay(frame, mask):
     """One full-frame compare and three masked writes per label."""
     gray = frame.data.astype(np.float64)
     rgb = np.repeat(gray[:, :, None], 3, axis=2)
     for label_id in np.unique(mask.labels):
         if label_id == 0:
             continue
-        color = (palette or {}).get(int(label_id)) or label_color(int(label_id))
+        color = label_color(int(label_id))
         where = mask.labels == label_id
         for c in range(3):
             channel = rgb[:, :, c]
-            channel[where] = (1.0 - alpha) * gray[where] + alpha * color[c]
+            channel[where] = (1.0 - OVERLAY_ALPHA) * gray[where] + OVERLAY_ALPHA * color[c]
     return np.clip(np.rint(rgb), 0, 255).astype(np.uint8)
 
 
@@ -675,14 +675,10 @@ def test_overlay_matches_per_label_reference(seed):
     ids = rng.choice(np.arange(1, 256), size=int(rng.integers(1, 41)), replace=False)
     labels = np.where(rng.random((h, w)) < 0.4, 0, rng.choice(ids, size=(h, w)))
     mask = LabelMask(labels.astype(np.int32))
-    palette = {int(i): tuple(int(c) for c in rng.integers(0, 256, 3)) for i in ids[::3]}
-    palette[256] = (1, 2, 3)  # an id absent from the map
-    for pal in (None, palette):
-        for alpha in (OVERLAY_ALPHA, 0.3):
-            out = render_overlay(frame, mask, pal, alpha)
-            ref = reference_overlay(frame, mask, pal, alpha)
-            assert out.dtype == ref.dtype and out.shape == ref.shape
-            assert out.tobytes() == ref.tobytes()
+    out = render_overlay(frame, mask)
+    ref = reference_overlay(frame, mask)
+    assert out.dtype == ref.dtype and out.shape == ref.shape
+    assert out.tobytes() == ref.tobytes()
 
 
 def test_render_overlays_equal_one_frame_calls():
@@ -692,16 +688,13 @@ def test_render_overlays_equal_one_frame_calls():
     masks = [LabelMask(np.zeros((h, w), np.int32))]  # an empty mask among labeled ones
     for ids in ([3, 7], [7, 9, 300], [-2, 2**31 - 1], [5]):
         masks.append(LabelMask(np.where(rng.random((h, w)) < 0.5, 0, rng.choice(ids, (h, w)))))
-    palette = {7: (1, 200, 3), 300: (255, 255, 0), 12: (4, 5, 6)}
-    for pal in (None, palette):
-        for alpha in (OVERLAY_ALPHA, 0.0, 0.3, 1.0):
-            out = render_overlays(frames, masks, pal, alpha)
-            assert len(out) == len(frames)
-            for frame, mask, rgb in zip(frames, masks, out):
-                ref = render_overlay(frame, mask, pal, alpha)
-                assert rgb.dtype == ref.dtype and rgb.shape == ref.shape
-                assert rgb.tobytes() == ref.tobytes()
-                assert rgb.tobytes() == reference_overlay(frame, mask, pal, alpha).tobytes()
+    out = render_overlays(frames, masks)
+    assert len(out) == len(frames)
+    for frame, mask, rgb in zip(frames, masks, out):
+        ref = render_overlay(frame, mask)
+        assert rgb.dtype == ref.dtype and rgb.shape == ref.shape
+        assert rgb.tobytes() == ref.tobytes()
+        assert rgb.tobytes() == reference_overlay(frame, mask).tobytes()
     assert render_overlays([], []) == []
     with pytest.raises(InputError):
         render_overlays(frames[:2], masks[:1])
@@ -723,13 +716,10 @@ def test_overlay_table_matches_reference_on_every_gray_level(ids):
     for row, label_id in enumerate(ids):
         labels[row] = label_id
     mask = LabelMask(labels)
-    palette = {ids[0]: (255, 0, 17), ids[-1]: (3, 250, 128), 12345: (9, 9, 9)}
-    for pal in (None, palette):
-        for alpha in (OVERLAY_ALPHA, 0.0, 0.3, 0.77, 1.0):
-            out = render_overlay(frame, mask, pal, alpha)
-            ref = reference_overlay(frame, mask, pal, alpha)
-            assert out.dtype == ref.dtype == np.uint8 and out.shape == ref.shape
-            assert out.tobytes() == ref.tobytes()
+    out = render_overlay(frame, mask)
+    ref = reference_overlay(frame, mask)
+    assert out.dtype == ref.dtype == np.uint8 and out.shape == ref.shape
+    assert out.tobytes() == ref.tobytes()
     assert np.array_equal(out[-1], np.repeat(levels[:, None], 3, axis=1))
 
 

@@ -237,7 +237,7 @@ def quantized_from_bins(bins):
     hist = np.bincount(bins[bins != NONE_BIN], minlength=8)
     from flowseg import QuantizedMap
 
-    return QuantizedMap(bins=bins, bin_count=8, magnitude_threshold=0.4, histogram=hist)
+    return QuantizedMap(bins=bins, bin_count=8, histogram=hist)
 
 
 def test_two_disjoint_blobs_two_groups():

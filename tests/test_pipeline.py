@@ -21,7 +21,7 @@ from flowseg import (
     segment_video,
     stream_windows,
 )
-from flowseg.config import parse_config_text
+from flowseg.config import format_config, parse_config_text
 from flowseg.flow import FlowParams
 from flowseg.pipeline import PHASE_FLOW, PHASE_KEYPOINT, PHASE_LANGEVIN, PHASE_SKIPPED
 
@@ -344,7 +344,7 @@ def test_manifest_roundtrip():
         window_size=5, seed=9, flow=FlowParams(downscale=1),
         langevin=LangevinParams(xi_d_y=0.25),
     )
-    back = PipelineConfig.from_config(parse_config_text(cfg.manifest_text()))
+    back = PipelineConfig.from_config(parse_config_text(format_config(cfg.to_dict())))
     assert back.to_dict() == cfg.to_dict()
 
 
