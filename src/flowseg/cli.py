@@ -4,7 +4,9 @@ Subcommands: segment, eval, synth, bench, ou-check. Exit codes are a
 stable contract: 0 success, 2 config error, 3 input error (filesystem
 errors included, such as an ``--out`` path that is a file), 4 metric or
 tolerance failure. A number in a config file, scene spec or manifest must
-be finite: NaN or an infinity is a config error.
+be finite and in range: NaN, an infinity or a setting out of range (such
+as ``window_size = 2`` or ``bin_count = 1``) is a config error, found
+before any frame is read.
 
 The seed of ``segment`` and ``bench`` is ``--seed`` if given, else the
 config's ``seed`` key, else 0; ``ou-check`` takes ``--seed`` or 0.
@@ -350,14 +352,13 @@ def cmd_bench(args) -> int:
 def cmd_ou_check(args) -> int:
     params = LangevinParams(
         gamma_x=args.gamma, gamma_y=args.gamma,
-        xi_d_x=args.xid, xi_d_y=args.xid, dt=args.dt,
-        confinement_stiffness=0.0,
+        xi_d_x=args.xid, xi_d_y=args.xid, confinement_stiffness=0.0,
     )
-    expected = ar1_stationary_variance(args.gamma, args.xid, args.dt)
+    expected = ar1_stationary_variance(args.gamma, args.xid)
     if not np.isfinite(expected):
         raise InputError(
-            f"gamma*dt = {args.gamma * args.dt:g} leaves the velocity with no stationary "
-            "variance to check (need 0 < gamma*dt < 2)"
+            f"gamma = {args.gamma:g} leaves the velocity with no stationary "
+            "variance to check (need 0 < gamma < 2)"
         )
     stats = ou_statistics(params, steps=args.steps, particles=args.particles, seed=args.seed)
     rel = abs(stats.variance - expected) / expected if expected > 0 else abs(stats.variance)
@@ -365,7 +366,7 @@ def cmd_ou_check(args) -> int:
     print(f"expected variance : {expected:.6f}")
     print(f"relative error    : {rel:.4%} (tolerance {args.tolerance:.1%})")
     print(f"measured mean     : {stats.mean:+.6f}")
-    print(f"lag-1 autocorr    : {stats.autocorr_lag1:+.4f} (expected {1 - args.gamma * args.dt:+.4f})")
+    print(f"lag-1 autocorr    : {stats.autocorr_lag1:+.4f} (expected {1 - args.gamma:+.4f})")
     if not rel <= args.tolerance:  # a NaN error fails too
         print("FAIL: variance outside tolerance")
         return EXIT_METRIC
@@ -425,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ou-check", help="verify the stochastic update's stationary variance")
     p.add_argument("--gamma", type=float, default=0.8)
     p.add_argument("--xid", type=float, default=0.1)
-    p.add_argument("--dt", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=100_000)
     p.add_argument("--particles", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)

@@ -1,20 +1,19 @@
 """Stochastic propagation of keypoint groups.
 
 Each group member is treated as a particle whose velocity obeys a damped
-Langevin-type update and whose position integrates that velocity:
+Langevin-type update and whose position integrates that velocity. One
+update is one frame: flow gives velocities in px/frame, and each step's
+map is labelled one frame later, so the update carries no time step:
 
-    vx' = vx - gamma_x*vx*dt + drift_x*dt + xi_d_x*N(0,1)*dt
-    vy' = vy - gamma_y*vy*dt - (k_y*(y - anchor_y) - confine_y)*dt
-             + xi_d_y*N(0,1)*dt
-    x'  = x + vx'*dt
-    y'  = y + vy'*dt
+    vx' = vx - gamma_x*vx + drift_x + xi_d_x*N(0,1)
+    vy' = vy - gamma_y*vy - (k_y*(y - anchor_y) - confine_y) + xi_d_y*N(0,1)
+    x'  = x + vx'
+    y'  = y + vy'
 
 The drift force pushes the group along its dominant axis; the harmonic
 term k_y*(y - anchor_y) realizes the transverse confinement that keeps
 members near the group's centroid row; the random term models internal
-disturbances. Note the noise amplitude is multiplied by dt (the tuned
-amplitude values presuppose that scaling); set ``sqrt_dt_noise`` for the
-diffusion-consistent sqrt(dt) variant.
+disturbances.
 
 ``propagate_map`` is the one particle update: it steps every member of a
 map together, as flat arrays, for any number of steps, and the pipeline
@@ -46,32 +45,26 @@ _U64 = (1 << 64) - 1
 class LangevinParams:
     """Force coefficients for the per-particle update.
 
-    The damping coefficients must satisfy 0 <= gamma < 2/dt so the
-    noise-free velocity recursion is stable.
+    The damping coefficients must satisfy 0 <= gamma < 2 so the
+    noise-free velocity recursion is stable. Every coefficient must be
+    finite.
     """
 
     gamma_x: float = DEFAULT_GAMMA
     gamma_y: float = DEFAULT_GAMMA
     xi_d_x: float = DEFAULT_XI_D_X
     xi_d_y: float = DEFAULT_XI_D_Y
-    dt: float = 1.0
     confinement_stiffness: float = DEFAULT_CONFINEMENT_STIFFNESS
-    sqrt_dt_noise: bool = False
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise InputError("dt must be positive")
         for name in ("gamma_x", "gamma_y"):
             g = getattr(self, name)
-            if not 0.0 <= g < 2.0 / self.dt:
-                raise InputError(f"{name}={g} outside stable range [0, 2/dt)")
+            if not 0.0 <= g < 2.0:
+                raise InputError(f"{name}={g} outside stable range [0, 2)")
         for name in ("xi_d_x", "xi_d_y", "confinement_stiffness"):
-            if getattr(self, name) < 0:
-                raise InputError(f"{name} must be >= 0")
-
-    @property
-    def noise_scale(self) -> float:
-        return np.sqrt(self.dt) if self.sqrt_dt_noise else self.dt
+            value = getattr(self, name)
+            if not (value >= 0 and np.isfinite(value)):
+                raise InputError(f"{name}={value} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -131,15 +124,10 @@ def estimate_group_forces(group: Group, params: LangevinParams) -> GroupForces:
 def _step_arrays(x, y, vx, vy, drift_x, confine_y, anchor_y, params: LangevinParams, xi):
     """One update of the particle arrays; the force terms are scalars or
     per-particle arrays (a group's ``GroupForces`` repeated over its members)."""
-    dt = params.dt
-    amp_x = params.xi_d_x * params.noise_scale
-    amp_y = params.xi_d_y * params.noise_scale
-    vx_new = vx - params.gamma_x * vx * dt + drift_x * dt + amp_x * xi[..., 0]
+    vx_new = vx - params.gamma_x * vx + drift_x + params.xi_d_x * xi[..., 0]
     restoring = params.confinement_stiffness * (y - anchor_y) - confine_y
-    vy_new = vy - params.gamma_y * vy * dt - restoring * dt + amp_y * xi[..., 1]
-    x_new = x + vx_new * dt
-    y_new = y + vy_new * dt
-    return x_new, y_new, vx_new, vy_new
+    vy_new = vy - params.gamma_y * vy - restoring + params.xi_d_y * xi[..., 1]
+    return x + vx_new, y + vy_new, vx_new, vy_new
 
 
 def propagate_map(

@@ -26,9 +26,8 @@ import numpy as np
 from .errors import InputError, MetricError
 from .io import Frame
 from .keypoints import SegmentationMap
-from .pipeline import RunResult
+from .pipeline import DEFAULT_DILATION_RADIUS, RunResult
 
-DEFAULT_DILATION_RADIUS = 3
 _STACK_VOXELS = 1 << 22  # pixels per crop stack; more groups take more stacks
 _FULL_WORD = ~np.uint64(0)  # a packed row word with all 64 columns set
 _GOLDEN = 0.61803398875

@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .config import ConfigDict
 from .dynamics import ForceAblation, LangevinParams, NoiseSource, estimate_group_forces, propagate_map
-from .errors import InputError, SourceError
+from .errors import ConfigError, InputError, SourceError
 from .flow import FlowParams, compute_dense_flow
 from .io import Frame
 from .keypoints import (
@@ -53,6 +53,8 @@ PHASE_KEYPOINT = "keypoint"
 PHASE_LANGEVIN = "langevin"
 PHASE_SKIPPED = "skipped"
 
+DEFAULT_DILATION_RADIUS = 3
+
 # Config key prefix of each nested parameter section of PipelineConfig;
 # every other field is a top-level key under its own name.
 SECTION_PREFIXES = {"flow": "flow_", "langevin": "", "ablation": "force_"}
@@ -70,7 +72,7 @@ class PipelineConfig:
     min_group_size: int = DEFAULT_MIN_GROUP_SIZE
     langevin: LangevinParams = field(default_factory=LangevinParams)
     ablation: ForceAblation = field(default_factory=ForceAblation)
-    dilation_radius: int = 3
+    dilation_radius: int = DEFAULT_DILATION_RADIUS
     write_overlays: bool = True
 
     def __post_init__(self):
@@ -78,13 +80,21 @@ class PipelineConfig:
             raise InputError("window_size must be >= 3 (2 seed frames + 1 propagated)")
         if self.dilation_radius < 0:
             raise InputError("dilation_radius must be >= 0")
+        if self.bin_count < 2:
+            raise InputError("bin_count must be >= 2")
+        if not self.magnitude_threshold >= 0:
+            raise InputError("magnitude_threshold must be >= 0")
 
     @classmethod
     def from_config(cls, cfg: ConfigDict, seed_override: int | None = None) -> "PipelineConfig":
-        kwargs = _config_kwargs(cls, cfg)
-        if seed_override is not None:
-            kwargs["seed"] = seed_override
-        return cls(**kwargs)
+        """The settings of ``cfg``; one out of range is a ConfigError."""
+        try:
+            kwargs = _config_kwargs(cls, cfg)
+            if seed_override is not None:
+                kwargs["seed"] = seed_override
+            return cls(**kwargs)
+        except InputError as exc:
+            raise ConfigError(str(exc)) from None
 
     def to_dict(self) -> dict:
         values = {}

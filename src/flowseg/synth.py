@@ -19,7 +19,7 @@ from scipy import ndimage
 
 from .config import ConfigDict
 from .dynamics import LangevinParams, NoiseSource, _step_arrays
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .evaluation import report
 from .flow import compute_dense_flow
 from .io import FlowField, Frame
@@ -50,8 +50,8 @@ class SceneSpec:
             raise InputError("scene must be at least 8x8")
         if self.frame_count < 1:
             raise InputError("frame_count must be >= 1")
-        if self.noise_level < 0:
-            raise InputError("noise_level must be >= 0")
+        if not (self.noise_level >= 0 and np.isfinite(self.noise_level)):
+            raise InputError(f"noise_level={self.noise_level} must be finite and >= 0")
         for i, blk in enumerate(self.blocks):
             x, y, w, h = blk.rect
             if w < 1 or h < 1:
@@ -63,6 +63,7 @@ class SceneSpec:
 
     @classmethod
     def from_config(cls, cfg: ConfigDict) -> "SceneSpec":
+        """The scene of ``cfg``; a setting out of range is a ConfigError."""
         blocks = []
         i = 1
         while f"block{i}_rect" in cfg:
@@ -71,14 +72,17 @@ class SceneSpec:
             seed = cfg.get_int(f"block{i}_seed", i)
             blocks.append(BlockSpec(rect=rect, velocity=(vx, vy), texture_seed=seed))
             i += 1
-        return cls(
-            width=cfg.get_int("width"),
-            height=cfg.get_int("height"),
-            frame_count=cfg.get_int("frames"),
-            blocks=tuple(blocks),
-            background_seed=cfg.get_int("background_seed", 0),
-            noise_level=cfg.get_float("noise_level", 0.0),
-        )
+        try:
+            return cls(
+                width=cfg.get_int("width"),
+                height=cfg.get_int("height"),
+                frame_count=cfg.get_int("frames"),
+                blocks=tuple(blocks),
+                background_seed=cfg.get_int("background_seed", 0),
+                noise_level=cfg.get_float("noise_level", 0.0),
+            )
+        except InputError as exc:
+            raise ConfigError(str(exc)) from None
 
     def to_dict(self) -> dict:
         out = {
@@ -104,13 +108,11 @@ class SceneData:
     truncated: list[tuple[int, int]]  # (frame number, block number) clipped events
 
 
-def noise_texture(height: int, width: int, seed: int, smoothing: float = 1.0) -> np.ndarray:
-    """High-contrast seeded texture; mild smoothing keeps gradients usable
-    under bilinear interpolation."""
+def noise_texture(height: int, width: int, seed: int) -> np.ndarray:
+    """High-contrast seeded texture; a one-pixel Gaussian smoothing keeps
+    gradients usable under bilinear interpolation."""
     rng = np.random.default_rng(seed)
-    img = rng.random((height, width))
-    if smoothing > 0:
-        img = ndimage.gaussian_filter(img, smoothing, mode="wrap")
+    img = ndimage.gaussian_filter(rng.random((height, width)), 1.0, mode="wrap")
     lo, hi = img.min(), img.max()
     if hi > lo:
         img = (img - lo) / (hi - lo)
@@ -215,12 +217,12 @@ class OuStats:
     final_ensemble_variance: float
 
 
-def ar1_stationary_variance(gamma: float, xi_d: float, dt: float = 1.0) -> float:
-    """Stationary variance of v' = (1 - gamma*dt)*v + (xi_d*dt)*N(0,1)."""
-    a = 1.0 - gamma * dt
+def ar1_stationary_variance(gamma: float, xi_d: float) -> float:
+    """Stationary variance of v' = (1 - gamma)*v + xi_d*N(0,1)."""
+    a = 1.0 - gamma
     if a * a >= 1.0:
         return float("inf")
-    return (xi_d * dt) ** 2 / (1.0 - a * a)
+    return xi_d**2 / (1.0 - a * a)
 
 
 def ou_statistics(params: LangevinParams, steps: int, particles: int = 1, seed: int = 0) -> OuStats:
@@ -246,7 +248,7 @@ def ou_statistics(params: LangevinParams, steps: int, particles: int = 1, seed: 
         xi = noise.normals(s, particles)
         x, y, vx, vy = _step_arrays(x, y, vx, vy, 0.0, 0.0, 0.0, params, xi)
         trajectory[s] = vx
-    start = steps // 10 if params.gamma_x * params.dt > 0 else 0
+    start = steps // 10 if params.gamma_x > 0 else 0
     pooled = trajectory[start:]
     flat = pooled.ravel()
     if flat.size >= 2 and np.var(flat) > 0:

@@ -74,7 +74,7 @@ def sweep_scene():
 def test_criterion_1_integrator_correctness():
     with criterion(1, "noise-free decay ratio and drift fixed point", 1.0):
         params = LangevinParams(xi_d_x=0.0, xi_d_y=0.0, confinement_stiffness=0.0)
-        ratio = 1.0 - params.gamma_x * params.dt
+        ratio = 1.0 - params.gamma_x
 
         def vx_track(vx, forces, steps):
             # one particle at the origin: a one-member group through propagate_map
@@ -97,8 +97,8 @@ def test_criterion_1_integrator_correctness():
 
 def test_criterion_2_stochastic_correctness():
     with criterion(2, "stationary velocity variance matches the AR(1) form", 10.0):
-        # independent derivation: v' = a v + c N(0,1), a = 1 - gamma dt = 0.2,
-        # c = xi_d dt = 0.1, stationary variance c^2/(1-a^2) = 0.01/0.96
+        # independent derivation: v' = a v + c N(0,1), a = 1 - gamma = 0.2,
+        # c = xi_d = 0.1, stationary variance c^2/(1-a^2) = 0.01/0.96
         expected = 0.1**2 / (1.0 - (1.0 - 0.8) ** 2)
         params = LangevinParams(confinement_stiffness=0.0)
         stats = ou_statistics(params, steps=100_000, particles=1, seed=11)

@@ -456,6 +456,57 @@ def test_non_finite_config_number_is_a_config_error(tmp_path, scene_dir, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["dt = 0.5", "sqrt_dt_noise = true"])
+def test_time_step_keys_are_unknown(tmp_path, scene_dir, capsys, key):
+    # one Langevin step is one frame: there is no time step to set
+    cfg = tmp_path / "time_step.cfg"
+    cfg.write_text(f"{PIPELINE_CONFIG}{key}\n")
+    out = tmp_path / "out"
+    code = main(["segment", "--in", str(scene_dir / "frames"), "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert f"unknown key '{key.split()[0]}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("segment", "window_size = 2\n"),
+        ("segment", PIPELINE_CONFIG.replace("flow_downscale = 2", "flow_downscale = 0")),
+        ("segment", PIPELINE_CONFIG + "gamma_x = 2\n"),
+        ("segment", PIPELINE_CONFIG + "dilation_radius = -1\n"),
+        ("segment", PIPELINE_CONFIG + "force_external = false\nforce_drift_confine = false\n"
+                                      "force_disturbance = false\n"),
+        ("segment", PIPELINE_CONFIG + "bin_count = 1\n"),
+        ("segment", PIPELINE_CONFIG + "magnitude_threshold = -1\n"),
+        ("bench", PIPELINE_CONFIG + "bin_count = 1\n"),
+        ("synth", SCENE_SPEC.replace("width = 64", "width = 4")),
+    ],
+    ids=["window_size", "flow_downscale", "gamma_x", "dilation_radius", "all-forces-off", "bin_count",
+         "magnitude_threshold", "bench-bin_count", "synth-width"],
+)
+def test_out_of_range_setting_is_a_config_error_before_any_read(
+    tmp_path, scene_dir, monkeypatch, capsys, command, text
+):
+    def no_read(*args, **kwargs):
+        raise AssertionError("read a frame although the config is out of range")
+
+    monkeypatch.setattr(flowseg.cli, "read_frame", no_read)
+    cfg = tmp_path / "out_of_range.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    frames, gt = str(scene_dir / "frames"), str(scene_dir / "gt")
+    argv = {
+        "segment": ["segment", "--in", frames, "--config", str(cfg), "--out", str(out)],
+        "bench": ["bench", "--config", str(cfg), "--frames", frames, "--gt", gt, "--w", "4",
+                  "--repeats", "1", "--out", str(out)],
+        "synth": ["synth", "--spec", str(cfg), "--out", str(out)],
+    }[command]
+    assert main(argv) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_perfect_match(tmp_path, scene_dir, capsys):
     code = main(["eval", "--pred", str(scene_dir / "gt"), "--gt", str(scene_dir / "gt"),
                  "--out", str(tmp_path / "report.csv"), "--window-size", "4"])
@@ -568,8 +619,19 @@ def test_eval_half_coverage(tmp_path, capsys):
 
 def test_ou_check_passes_at_defaults(capsys):
     assert main(["ou-check", "--steps", "20000", "--seed", "5"]) == 0
-    out = capsys.readouterr().out
-    assert "measured variance" in out and "0.010" in out
+    assert capsys.readouterr().out.splitlines() == [
+        "measured variance : 0.010303",
+        "expected variance : 0.010417",
+        "relative error    : 1.0916% (tolerance 5.0%)",
+        "measured mean     : -0.000852",
+        "lag-1 autocorr    : +0.1900 (expected +0.2000)",
+    ]
+
+
+def test_ou_check_has_no_time_step_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ou-check", "--dt", "0.5"])
+    assert exc.value.code == 2
 
 
 def test_ou_check_fails_with_tight_tolerance(capsys):

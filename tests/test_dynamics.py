@@ -64,12 +64,14 @@ def track(x, y, vx, vy, forces, params, steps, noise=None):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"dt": 0.0},
         {"gamma_x": -0.1},
         {"gamma_x": 2.0},
         {"gamma_y": 2.5},
         {"xi_d_x": -1.0},
         {"confinement_stiffness": -0.5},
+        {"xi_d_y": math.nan},
+        {"xi_d_x": math.inf},
+        {"confinement_stiffness": math.inf},
     ],
 )
 def test_params_validation(kwargs):
@@ -104,7 +106,7 @@ def test_velocity_decay_single_step():
 
 
 def test_velocity_decay_geometric_exact():
-    # with gamma*dt a power of two the per-step ratio is exactly representable
+    # with gamma a power of two the per-step ratio is exactly representable
     params = LangevinParams(gamma_x=0.5, gamma_y=0.5, xi_d_x=0.0, xi_d_y=0.0,
                             confinement_stiffness=0.0)
     v = 3.0
@@ -115,7 +117,7 @@ def test_velocity_decay_geometric_exact():
 
 def test_velocity_relaxation_ratio_machine_precision():
     params = LangevinParams(xi_d_x=0.0, xi_d_y=0.0, confinement_stiffness=0.0)
-    ratio = 1.0 - params.gamma_x * params.dt
+    ratio = 1.0 - params.gamma_x
     prev = 3.7
     for vx in track(0, 0, prev, 0.0, ZERO_FORCES, params, steps=40)[:, 2]:
         assert vx == pytest.approx(prev * ratio, rel=5e-15)
@@ -239,13 +241,13 @@ def test_confinement_monotone_at_defaults():
 
 # Monotone (overshoot-free) approach from rest needs the damped spring to be
 # at least critically damped: real eigenvalues of the update map,
-# (gamma*dt + k*dt^2)^2 >= 4*k*dt^2. Underdamped parameters oscillate through
+# (gamma + k)^2 >= 4*k. Underdamped parameters oscillate through
 # the anchor even though they still converge. The tested region, with a 5%
-# margin, is gamma*dt in [0.05, 0.95], k in [0.05, 1] * gamma*dt and
-# (gamma*dt + k)^2 >= 4.2*k. For a given gamma*dt the last condition holds for
-# k up to the smaller root of (gamma*dt + k)^2 = 4.2*k, so k is drawn from
-# [0.05*gamma*dt, min(gamma*dt, that root)], which is nonempty from
-# gamma*dt = 4.2*0.05/1.05^2 on.
+# margin, is gamma in [0.05, 0.95], k in [0.05, 1] * gamma and
+# (gamma + k)^2 >= 4.2*k. For a given gamma the last condition holds for
+# k up to the smaller root of (gamma + k)^2 = 4.2*k, so k is drawn from
+# [0.05*gamma, min(gamma, that root)], which is nonempty from
+# gamma = 4.2*0.05/1.05^2 on.
 _K_MARGIN = 4.2
 
 
@@ -264,10 +266,10 @@ def overdamped_gamma_k(draw):
 @settings(max_examples=30)
 @given(gamma_k=overdamped_gamma_k(), d0=st.floats(0.5, 50.0))
 def test_confinement_monotone_in_overdamped_region(gamma_k, d0):
-    gamma_dt, k = gamma_k
-    assert (gamma_dt + k) ** 2 >= 4.0 * k
-    params = LangevinParams(gamma_x=gamma_dt, gamma_y=gamma_dt, xi_d_x=0.0,
-                            xi_d_y=0.0, dt=1.0, confinement_stiffness=k)
+    gamma, k = gamma_k
+    assert (gamma + k) ** 2 >= 4.0 * k
+    params = LangevinParams(gamma_x=gamma, gamma_y=gamma, xi_d_x=0.0,
+                            xi_d_y=0.0, confinement_stiffness=k)
     # The anchor sits inside the frame, so a deviation that rounds below
     # zero is reported rather than clamped away.
     anchor = 100.0
@@ -352,9 +354,6 @@ def reference_propagate(seg_map, forces, params, noise, steps, step_offset=0):
     """The per-group loop: each group takes its own update, with its scalar
     forces, on its slice of the step's noise block."""
     width, height = seg_map.width, seg_map.height
-    dt = params.dt
-    amp_x = params.xi_d_x * params.noise_scale
-    amp_y = params.xi_d_y * params.noise_scale
     out = []
     groups = seg_map.groups
     for s in range(steps):
@@ -366,11 +365,11 @@ def reference_propagate(seg_map, forces, params, noise, steps, step_offset=0):
             block = xi[pos : pos + g.size]
             pos += g.size
             f = forces[g.id]
-            vx = g.vx - params.gamma_x * g.vx * dt + f.drift_x * dt + amp_x * block[..., 0]
+            vx = g.vx - params.gamma_x * g.vx + f.drift_x + params.xi_d_x * block[..., 0]
             restoring = params.confinement_stiffness * (g.y - f.anchor_y) - f.confine_y
-            vy = g.vy - params.gamma_y * g.vy * dt - restoring * dt + amp_y * block[..., 1]
-            x = g.x + vx * dt
-            y = g.y + vy * dt
+            vy = g.vy - params.gamma_y * g.vy - restoring + params.xi_d_y * block[..., 1]
+            x = g.x + vx
+            y = g.y + vy
             cx = np.clip(x, 0.0, width - 1.0)
             cy = np.clip(y, 0.0, height - 1.0)
             clamped = g.clamped | (cx != x) | (cy != y)
@@ -414,9 +413,8 @@ def forces_for(seg, params, ablation=ForceAblation()):
 
 PARAM_SETS = [
     LangevinParams(),
-    LangevinParams(gamma_x=0.3, gamma_y=1.1, xi_d_x=0.7, xi_d_y=0.2, dt=0.5,
-                   confinement_stiffness=0.2, sqrt_dt_noise=True),
-    LangevinParams(dt=1.5, gamma_x=1.2, gamma_y=0.4, sqrt_dt_noise=True),
+    LangevinParams(gamma_x=0.3, gamma_y=1.1, xi_d_x=0.7, xi_d_y=0.2, confinement_stiffness=0.2),
+    LangevinParams(gamma_x=1.2, gamma_y=0.4),
 ]
 ABLATIONS = [
     ForceAblation(),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,6 +107,9 @@ def test_spec_validation():
         SceneSpec(width=4, height=4, frame_count=4, blocks=())
     with pytest.raises(InputError):
         one_block_spec(frames=0)
+    for noise_level in (math.nan, math.inf):
+        with pytest.raises(InputError, match="noise_level"):
+            replace(one_block_spec(), noise_level=noise_level)
 
 
 def test_spec_config_roundtrip():
@@ -131,11 +135,11 @@ def test_texture_determinism_and_contrast():
 
 
 def test_stationary_variance_matches_ar1_closed_form():
-    # re-derivation: v' = a*v + c*xi with a = 1 - gamma*dt, c = xi_d*dt,
+    # re-derivation: v' = a*v + c*xi with a = 1 - gamma, c = xi_d,
     # so Var = c^2 / (1 - a^2) = 0.01 / 0.96 at the default operating point
     params = LangevinParams(confinement_stiffness=0.0)
     expected = 0.1**2 / (1.0 - 0.2**2)
-    assert ar1_stationary_variance(0.8, 0.1, 1.0) == pytest.approx(expected)
+    assert ar1_stationary_variance(0.8, 0.1) == pytest.approx(expected)
     stats = ou_statistics(params, steps=20_000, particles=4, seed=3)
     assert stats.variance == pytest.approx(expected, rel=0.05)
     assert abs(stats.autocorr_lag1 - 0.2) < 0.05
@@ -149,7 +153,7 @@ def test_zero_noise_zero_variance():
 
 def test_undamped_variance_grows_linearly():
     # with gamma = 0 the velocity is a random walk: Var after n steps is
-    # (xi_d * dt)^2 * n
+    # xi_d^2 * n
     params = LangevinParams(gamma_x=0.0, gamma_y=0.0, xi_d_x=0.1, xi_d_y=0.1,
                             confinement_stiffness=0.0)
     for steps in (400, 800):
