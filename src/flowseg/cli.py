@@ -6,7 +6,10 @@ errors included, such as an ``--out`` path that is a file), 4 metric or
 tolerance failure. A number in a config file, scene spec or manifest must
 be finite and in range: NaN, an infinity or a setting out of range (such
 as ``window_size = 2`` or ``bin_count = 1``) is a config error, found
-before any frame is read.
+before any frame is read. So is a flag out of range (a count such as
+``--repeats`` below 1, a ``bench --w`` size below 3), found before any
+work. ``ou-check``'s ``--gamma`` and ``--xid`` are the process under
+check: one it cannot check is an input error.
 
 The seed of ``segment`` and ``bench`` is ``--seed`` if given, else the
 config's ``seed`` key, else 0; ``ou-check`` takes ``--seed`` or 0.
@@ -45,6 +48,7 @@ import re
 import sys
 import tempfile
 from contextlib import closing
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterator
 
@@ -143,20 +147,31 @@ def _read_ground_truth(path: Path, numbers) -> dict[int, np.ndarray]:
 
 
 def _parse_window_range(text: str) -> tuple[int, ...]:
-    """Window sizes of ``4..6`` or ``4,6,8``, each once, in the order given."""
+    """Window sizes of ``4..6`` or ``4,6,8``, each once, in the order given;
+    a size below 3 is a config error."""
     if ".." in text:
         lo, _, hi = text.partition("..")
         try:
-            sizes = range(int(lo), int(hi) + 1)
+            sizes = tuple(range(int(lo), int(hi) + 1))
         except ValueError:
             raise ConfigError(f"bad window range {text!r} (use e.g. 4..6)") from None
         if not sizes:
             raise ConfigError(f"empty window range {text!r} (use e.g. 4..6)")
-        return tuple(sizes)
-    try:
-        return tuple(dict.fromkeys(int(p) for p in text.split(",")))
-    except ValueError:
-        raise ConfigError(f"bad window list {text!r} (use e.g. 4,5,6)") from None
+    else:
+        try:
+            sizes = tuple(dict.fromkeys(int(p) for p in text.split(",")))
+        except ValueError:
+            raise ConfigError(f"bad window list {text!r} (use e.g. 4,5,6)") from None
+    if min(sizes) < 3:
+        raise ConfigError(f"window size {min(sizes)} is below 3 (2 seed frames + 1 propagated)")
+    return sizes
+
+
+def _at_least_one(**counts: int | None) -> None:
+    """A ConfigError naming the first of ``counts`` that is given and below 1."""
+    for name, value in counts.items():
+        if value is not None and value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
 
 
 def _load_pipeline_config(path, flag_seed: int | None) -> tuple[PipelineConfig, dict]:
@@ -181,8 +196,7 @@ def cmd_segment(args) -> int:
     if not str(out_dir):
         raise ConfigError("no output directory (use --out or an output_dir config key)")
     jobs = args.jobs if args.jobs is not None else run_keys["jobs"]
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    _at_least_one(jobs=jobs)
     if out_dir.exists() and not out_dir.is_dir():
         raise InputError(f"output path is not a directory: {out_dir}")
 
@@ -261,11 +275,6 @@ def _write_window(out_dir: Path, frames: list[Frame], maps, cfg: PipelineConfig,
 
 def cmd_eval(args) -> int:
     pred_dir = Path(args.pred)
-    preds = _read_masks_dir(pred_dir)
-    if not preds:
-        raise InputError(f"no prediction masks in {pred_dir}")
-    gts = _read_ground_truth(Path(args.gt), sorted(preds))
-
     window_size, first_frame = args.window_size, 1
     manifest_path = pred_dir / "manifest.txt"
     if manifest_path.exists():
@@ -279,6 +288,11 @@ def cmd_eval(args) -> int:
     if window_size is not None and window_size < 1:
         raise ConfigError(f"window size must be >= 1, got {window_size}")
 
+    preds = _read_masks_dir(pred_dir)
+    if not preds:
+        raise InputError(f"no prediction masks in {pred_dir}")
+    gts = _read_ground_truth(Path(args.gt), sorted(preds))
+
     report = score_frames(sorted(preds.items()), gts, window_size, first_frame)
     if args.out:
         report.write_csv(args.out)
@@ -288,6 +302,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    _at_least_one(frames=args.frames)
     if args.spec:
         cfg = parse_config_file(args.spec)
         spec = SceneSpec.from_config(cfg)
@@ -322,9 +337,9 @@ def cmd_synth(args) -> int:
 
 def cmd_bench(args) -> int:
     window_sizes = _parse_window_range(args.window_sizes)
+    _at_least_one(repeats=args.repeats)
     if args.config:
-        cfg, _ = _load_pipeline_config(args.config, args.seed)
-        cfg.window_size = min(window_sizes)
+        cfg = replace(_load_pipeline_config(args.config, args.seed)[0], window_size=min(window_sizes))
     else:
         cfg = PipelineConfig(window_size=min(window_sizes), seed=args.seed or 0)
 
@@ -336,6 +351,7 @@ def cmd_bench(args) -> int:
         gt_map = _read_ground_truth(Path(args.gt), numbers)
         frames, masks = list(frame_iter), [gt_map[n] for n in numbers]
     else:
+        _at_least_one(scene_frames=args.scene_frames)
         scene = generate_scene(synth.preset_scene("one-way", frame_count=args.scene_frames))
         frames, masks = scene.frames, scene.masks
 
@@ -350,6 +366,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_ou_check(args) -> int:
+    _at_least_one(steps=args.steps, particles=args.particles)
     params = LangevinParams(
         gamma_x=args.gamma, gamma_y=args.gamma,
         xi_d_x=args.xid, xi_d_y=args.xid, confinement_stiffness=0.0,

@@ -1,6 +1,9 @@
 """Dense optical flow between two grayscale frames.
 
-The estimator is a coarse-to-fine pyramidal least-squares flow:
+The estimator is a coarse-to-fine pyramidal least-squares flow of fixed
+shape: 3 pyramid levels, a 9x9 least-squares window (radius 4, which
+keeps motion boundaries tight) and 4 warp/solve iterations per level.
+Only the ``downscale`` factor is a setting.
 
 1. Both frames are reduced by the integer ``downscale`` factor (block mean),
    so all downstream processing runs at that resolution.
@@ -48,6 +51,12 @@ from .errors import InputError
 from .io import FlowField, Frame
 
 MIN_LEVEL_SIZE = 8
+PYRAMID_LEVELS = 3
+# WINDOW_RADIUS 4 keeps motion boundaries tight; wider windows smear the
+# magnitude transition at object edges and make segment borders depend on
+# local texture contrast.
+WINDOW_RADIUS = 4
+ITERATIONS = 4
 # Floor for the window-averaged weaker eigenvalue of the structure tensor,
 # in squared intensity units per pixel; below it a pixel is invalid.
 TEXTURE_EIGEN_FLOOR = 1.0
@@ -60,21 +69,9 @@ _MEDIAN_CHUNK_ROWS = 16
 
 @dataclass(frozen=True)
 class FlowParams:
-    # window_radius 4 keeps motion boundaries tight; wider windows smear
-    # the magnitude transition at object edges and make segment borders
-    # depend on local texture contrast.
-    pyramid_levels: int = 3
-    window_radius: int = 4
-    iterations: int = 4
     downscale: int = 2
 
     def __post_init__(self):
-        if self.pyramid_levels < 1:
-            raise InputError("pyramid_levels must be >= 1")
-        if self.window_radius < 1:
-            raise InputError("window_radius must be >= 1")
-        if self.iterations < 1:
-            raise InputError("iterations must be >= 1")
         if self.downscale < 1:
             raise InputError("downscale must be an integer >= 1")
 
@@ -391,10 +388,7 @@ def compute_dense_flow(a: Frame, b: Frame, params: FlowParams = FlowParams()) ->
         )
 
     pyr_a, pyr_b = [base_a], [base_b]
-    while (
-        len(pyr_a) < params.pyramid_levels
-        and min(pyr_a[-1].shape) // 2 >= MIN_LEVEL_SIZE
-    ):
+    while len(pyr_a) < PYRAMID_LEVELS and min(pyr_a[-1].shape) // 2 >= MIN_LEVEL_SIZE:
         pyr_a.append(_decimate(pyr_a[-1]))
         pyr_b.append(_decimate(pyr_b[-1]))
 
@@ -407,11 +401,9 @@ def compute_dense_flow(a: Frame, b: Frame, params: FlowParams = FlowParams()) ->
         if level < len(pyr_a) - 1:
             u = _upsample(u, pyr_a[level].shape) * 2.0
             v = _upsample(v, pyr_a[level].shape) * 2.0
-        u, v = _refine(
-            pyr_a[level], pyr_b[level], u, v, params.window_radius, params.iterations, grid
-        )
+        u, v = _refine(pyr_a[level], pyr_b[level], u, v, WINDOW_RADIUS, ITERATIONS, grid)
 
     u = _median(u)
     v = _median(v)
-    valid = _textured(base_a, params.window_radius)
+    valid = _textured(base_a, WINDOW_RADIUS)
     return FlowField(u=u, v=v, valid=valid)

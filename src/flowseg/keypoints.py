@@ -20,10 +20,10 @@ from .io import FlowField
 
 TWO_PI = 2.0 * np.pi
 NONE_BIN = -1
+PEAK_MIN_FRACTION = 0.05
 
 DEFAULT_MAGNITUDE_THRESHOLD = 0.4
 DEFAULT_BIN_COUNT = 8
-DEFAULT_PEAK_MIN_FRACTION = 0.05
 DEFAULT_MIN_GROUP_SIZE = 10
 
 _STRUCT_8 = np.ones((3, 3), dtype=bool)
@@ -165,11 +165,9 @@ def quantize(
     return _quantized(keep, maps.ori[keep], magnitude_threshold, bin_count)
 
 
-def detect_peaks(
-    histogram: np.ndarray, peak_min_fraction: float = DEFAULT_PEAK_MIN_FRACTION
-) -> set[int]:
+def detect_peaks(histogram: np.ndarray) -> set[int]:
     """Circular peaks: strictly above the left neighbor, at least the right
-    neighbor, and at least peak_min_fraction of the total count.
+    neighbor, and at least PEAK_MIN_FRACTION of the total count.
 
     Falls back to the argmax bin (lowest index on ties) when the histogram
     is nonempty but no bin qualifies.
@@ -180,7 +178,7 @@ def detect_peaks(
         return set()
     left = np.roll(h, 1)
     right = np.roll(h, -1)
-    is_peak = (h > left) & (h >= right) & (h >= peak_min_fraction * total)
+    is_peak = (h > left) & (h >= right) & (h >= PEAK_MIN_FRACTION * total)
     peaks = {int(i) for i in np.flatnonzero(is_peak)}
     if not peaks:
         peaks = {int(np.argmax(h))}
@@ -241,7 +239,6 @@ def segment_flow(
     flow: FlowField,
     magnitude_threshold: float = DEFAULT_MAGNITUDE_THRESHOLD,
     bin_count: int = DEFAULT_BIN_COUNT,
-    peak_min_fraction: float = DEFAULT_PEAK_MIN_FRACTION,
     min_group_size: int = DEFAULT_MIN_GROUP_SIZE,
     frame_index: int = 0,
 ) -> SegmentationMap:
@@ -252,7 +249,7 @@ def segment_flow(
     keep = flow.valid & (mag >= magnitude_threshold)
     ori = _orientation(u[keep], v[keep], mag[keep])
     quantized = _quantized(keep, ori, magnitude_threshold, bin_count)
-    peaks = detect_peaks(quantized.histogram, peak_min_fraction)
+    peaks = detect_peaks(quantized.histogram)
     return group_keypoints(
         quantized, peaks, flow=flow, min_group_size=min_group_size, frame_index=frame_index
     )

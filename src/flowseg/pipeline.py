@@ -37,14 +37,8 @@ from .dynamics import ForceAblation, LangevinParams, NoiseSource, estimate_group
 from .errors import ConfigError, InputError, SourceError
 from .flow import FlowParams, compute_dense_flow
 from .io import Frame
-from .keypoints import (
-    DEFAULT_BIN_COUNT,
-    DEFAULT_MAGNITUDE_THRESHOLD,
-    DEFAULT_MIN_GROUP_SIZE,
-    DEFAULT_PEAK_MIN_FRACTION,
-    SegmentationMap,
-    segment_flow,
-)
+from .keypoints import DEFAULT_BIN_COUNT, DEFAULT_MAGNITUDE_THRESHOLD, DEFAULT_MIN_GROUP_SIZE
+from .keypoints import SegmentationMap, segment_flow
 
 log = logging.getLogger(__name__)
 
@@ -68,7 +62,6 @@ class PipelineConfig:
     flow: FlowParams = field(default_factory=FlowParams)
     magnitude_threshold: float = DEFAULT_MAGNITUDE_THRESHOLD
     bin_count: int = DEFAULT_BIN_COUNT
-    peak_min_fraction: float = DEFAULT_PEAK_MIN_FRACTION
     min_group_size: int = DEFAULT_MIN_GROUP_SIZE
     langevin: LangevinParams = field(default_factory=LangevinParams)
     ablation: ForceAblation = field(default_factory=ForceAblation)
@@ -156,7 +149,6 @@ def _process_window(
         flow,
         magnitude_threshold=cfg.magnitude_threshold,
         bin_count=cfg.bin_count,
-        peak_min_fraction=cfg.peak_min_fraction,
         min_group_size=cfg.min_group_size,
         frame_index=first_frame + 1,
     )

@@ -319,7 +319,6 @@ def _baseline_per_pair(frames, cfg: PipelineConfig, repeats: int) -> float:
                 flow,
                 magnitude_threshold=cfg.magnitude_threshold,
                 bin_count=cfg.bin_count,
-                peak_min_fraction=cfg.peak_min_fraction,
                 min_group_size=cfg.min_group_size,
             )
         times.append((perf_counter() - t0) * 1e3)

@@ -10,6 +10,7 @@ import flowseg.cli
 import flowseg.evaluation
 import flowseg.flow
 import flowseg.pipeline
+import flowseg.synth
 from flowseg import (
     ForceAblation,
     Frame,
@@ -456,9 +457,14 @@ def test_non_finite_config_number_is_a_config_error(tmp_path, scene_dir, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["dt = 0.5", "sqrt_dt_noise = true"])
+@pytest.mark.parametrize(
+    "key",
+    ["dt = 0.5", "sqrt_dt_noise = true", "flow_pyramid_levels = 3", "flow_window_radius = 4",
+     "flow_iterations = 4", "peak_min_fraction = 0.05"],
+)
 def test_time_step_keys_are_unknown(tmp_path, scene_dir, capsys, key):
-    # one Langevin step is one frame: there is no time step to set
+    # one Langevin step is one frame, so there is no time step to set; the
+    # flow estimator's shape and the peak floor are constants, not settings
     cfg = tmp_path / "time_step.cfg"
     cfg.write_text(f"{PIPELINE_CONFIG}{key}\n")
     out = tmp_path / "out"
@@ -699,6 +705,47 @@ def test_bench_window_list_syntax(tmp_path, scene_dir):
     code = main(["bench", "--w", "4,6", "--frames", str(scene_dir / "frames"),
                  "--gt", str(scene_dir / "gt"), "--repeats", "1", "--seed", "1"])
     assert code == 0
+
+
+@pytest.mark.parametrize("window_sizes, config", [("2", False), ("2..4", True)], ids=["flag", "config"])
+def test_bench_window_below_3_is_a_config_error_before_any_flow(
+    tmp_path, monkeypatch, capsys, window_sizes, config
+):
+    def no_flow(*args, **kwargs):
+        raise AssertionError("computed flow for a window size that cannot run")
+
+    monkeypatch.setattr(flowseg.synth, "compute_dense_flow", no_flow)
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(PIPELINE_CONFIG)
+    argv = ["bench", "--w", window_sizes, "--repeats", "1", "--scene-frames", "8"]
+    assert main(argv + (["--config", str(cfg)] if config else [])) == 2
+    assert "config error: window size 2 is below 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "bench --repeats 0 --w 3 --scene-frames 8",
+        "bench --scene-frames 0 --w 3 --repeats 1",
+        "ou-check --steps 0",
+        "ou-check --particles 0",
+        "synth --preset one-way --frames 0 --out {tmp}/out",
+        "eval --pred {tmp}/pred --gt {tmp}/pred --window-size 0",
+    ],
+    ids=["bench-repeats", "bench-scene-frames", "ou-check-steps", "ou-check-particles", "synth-frames",
+         "eval-window-size"],
+)
+def test_out_of_range_flag_is_a_config_error_before_any_work(tmp_path, monkeypatch, capsys, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("started work although a flag is out of range")
+
+    for name in ("generate_scene", "ou_statistics", "read_frame"):
+        monkeypatch.setattr(flowseg.cli, name, no_work)
+    (tmp_path / "pred").mkdir()
+    (tmp_path / "pred" / "mask_000001.pgm").write_bytes(b"")
+    assert main(argv.format(tmp=tmp_path).split()) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_bench_bad_range(capsys):

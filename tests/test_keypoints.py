@@ -207,7 +207,7 @@ def test_empty_histogram():
 
 def test_single_peak_with_fraction_rule():
     # hand evaluation: 50 > 10 (left), 50 >= 10 (right), 50 >= 0.05 * 79
-    assert detect_peaks(np.array([10, 50, 10, 0, 0, 0, 0, 9]), 0.05) == {1}
+    assert detect_peaks(np.array([10, 50, 10, 0, 0, 0, 0, 9])) == {1}
 
 
 def test_argmax_fallback_on_plateau():
@@ -226,7 +226,7 @@ def test_peaks_match_rule_restatement(hist):
             expected.add(i)
     if not expected and total > 0:
         expected = {int(np.argmax(h))}
-    assert detect_peaks(h, frac) == expected
+    assert detect_peaks(h) == expected
 
 
 # --- grouping ---------------------------------------------------------------

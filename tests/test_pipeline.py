@@ -312,7 +312,7 @@ def test_config_parsing_defaults_and_overrides():
     assert cfg.seed == 11
     assert cfg.magnitude_threshold == 0.5
     assert cfg.flow.downscale == 1
-    assert cfg.flow.pyramid_levels == 3  # default
+    assert cfg.bin_count == 8  # default
     assert cfg.langevin.gamma_x == 0.8  # default
     assert not cfg.ablation.disturbance
 
