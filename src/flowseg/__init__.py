@@ -44,14 +44,11 @@ from .io import (
 )
 from .keypoints import (
     Group,
-    MagOriMaps,
     QuantizedMap,
     SegmentationMap,
     detect_peaks,
     group_keypoints,
-    magnitude_orientation,
     maps_identical,
-    quantize,
     segment_flow,
 )
 from .pipeline import PipelineConfig, RunResult, segment_video, stream_windows
@@ -83,7 +80,6 @@ __all__ = [
     "InputError",
     "LabelMask",
     "LangevinParams",
-    "MagOriMaps",
     "MetricError",
     "NoiseSource",
     "PipelineConfig",
@@ -101,13 +97,11 @@ __all__ = [
     "generate_scene",
     "group_keypoints",
     "iou",
-    "magnitude_orientation",
     "maps_identical",
     "noise_texture",
     "ou_statistics",
     "preset_scene",
     "propagate_map",
-    "quantize",
     "rasterize",
     "rasterize_maps",
     "read_flow_file",

@@ -23,19 +23,25 @@ that the run did not write are deleted once its files are moved in, and
 other files are left alone. An ``--out`` that names a file is an input
 error before any frame is read.
 
+``synth`` writes each ground-truth mask ``gt_*.pgm`` with block numbers
+(0 is background, so a scene holds at most 255 blocks). ``eval`` counts
+every non-zero pixel as ground truth, so 0/255 masks score the same.
+
 ``bench`` is the paper's window-size trade-off sweep: larger windows run
 dense flow on fewer frames (faster) but propagate the groups further from
 their seed frames (less accurate). On a 100-frame synthetic scene:
 
     flowseg bench --scene-frames 100 --w 3..10 --repeats 5 --seed 1 --out sweep.csv
 
-A config's ``force_*`` keys switch force families off, so this loop scores
-each of the 7 subsets of damping, drift/confinement and disturbance that
-keeps at least one on:
+``--w`` sets ``bench``'s window sizes, so its ``--config`` may omit
+``window_size`` (a run manifest that has it works too). A config's
+``force_*`` keys switch force families off, so this loop scores each of
+the 7 subsets of damping, drift/confinement and disturbance that keeps at
+least one on:
 
     for e in true false; do for d in true false; do for n in true false; do
       [ "$e$d$n" = falsefalsefalse ] && continue
-      printf 'window_size = 4\nforce_external = %s\nforce_drift_confine = %s\nforce_disturbance = %s\n' \
+      printf 'force_external = %s\nforce_drift_confine = %s\nforce_disturbance = %s\n' \
         $e $d $n > forces.cfg
       flowseg bench --config forces.cfg --w 4 --scene-frames 40 --repeats 1 --seed 1
     done; done; done
@@ -174,14 +180,17 @@ def _at_least_one(**counts: int | None) -> None:
             raise ConfigError(f"{name} must be >= 1, got {value}")
 
 
-def _load_pipeline_config(path, flag_seed: int | None) -> tuple[PipelineConfig, dict]:
+def _load_pipeline_config(
+    path, flag_seed: int | None, window_size: int | None = None
+) -> tuple[PipelineConfig, dict]:
     """The pipeline settings of a config file or run manifest, and its run
     keys (``RUN_KEYS``: strings or None, except ``jobs``, an int that
-    defaults to 1); any other key is a config error."""
+    defaults to 1); any other key is a config error. A ``window_size``
+    given here lets the file omit that key."""
     cfg_dict = parse_config_file(path)
     run_keys = {key: cfg_dict.get_str(key, None) for key in RUN_KEYS}
     run_keys["jobs"] = cfg_dict.get_int("jobs", 1)
-    cfg = PipelineConfig.from_config(cfg_dict, seed_override=flag_seed)
+    cfg = PipelineConfig.from_config(cfg_dict, seed_override=flag_seed, window_size=window_size)
     cfg_dict.reject_unknown()
     return cfg, run_keys
 
@@ -319,8 +328,7 @@ def cmd_synth(args) -> int:
     for i, frame in enumerate(scene.frames, start=1):
         write_frame(frame, frames_dir / f"frame_{i:06d}.pgm")
     for i, mask in enumerate(scene.masks, start=1):
-        binary = np.where(mask > 0, 255, 0).astype(np.uint8)
-        write_frame(Frame(binary), gt_dir / f"gt_{i:06d}.pgm")
+        write_frame(Frame(mask), gt_dir / f"gt_{i:06d}.pgm")
     if args.write_flow:
         flow_dir = out_dir / "flow"
         flow_dir.mkdir(parents=True, exist_ok=True)
@@ -338,10 +346,11 @@ def cmd_synth(args) -> int:
 def cmd_bench(args) -> int:
     window_sizes = _parse_window_range(args.window_sizes)
     _at_least_one(repeats=args.repeats)
+    w = min(window_sizes)
     if args.config:
-        cfg = replace(_load_pipeline_config(args.config, args.seed)[0], window_size=min(window_sizes))
+        cfg = replace(_load_pipeline_config(args.config, args.seed, window_size=w)[0], window_size=w)
     else:
-        cfg = PipelineConfig(window_size=min(window_sizes), seed=args.seed or 0)
+        cfg = PipelineConfig(window_size=w, seed=args.seed or 0)
 
     if args.frames:
         if not args.gt:

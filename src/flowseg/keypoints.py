@@ -1,8 +1,11 @@
 """From a flow field to the initial segmentation map.
 
-Pipeline: magnitude/orientation maps -> orientation quantization under a
-magnitude threshold -> circular histogram peak detection -> 8-connected
-grouping of same-bin keypoints.
+``segment_flow`` runs the one keypoint chain: the speed of every flow
+vector -> the direction and orientation bin of each keypoint (a valid
+pixel at least the magnitude threshold fast) -> circular histogram peak
+detection (``detect_peaks``) -> 8-connected grouping of same-bin
+keypoints (``group_keypoints``). A ``QuantizedMap`` is what passes from
+binning to grouping.
 
 A map's members live in its ``Group`` objects and nowhere else. The code
 that makes maps (``group_keypoints`` here, ``propagate_map`` in dynamics)
@@ -27,15 +30,6 @@ DEFAULT_BIN_COUNT = 8
 DEFAULT_MIN_GROUP_SIZE = 10
 
 _STRUCT_8 = np.ones((3, 3), dtype=bool)
-
-
-@dataclass(eq=False)
-class MagOriMaps:
-    """Per-pixel speed (px/frame) and direction in [0, 2pi)."""
-
-    mag: np.ndarray
-    ori: np.ndarray
-    valid: np.ndarray
 
 
 @dataclass(eq=False)
@@ -114,57 +108,6 @@ def maps_identical(a: SegmentationMap, b: SegmentationMap) -> bool:
     return True
 
 
-def _polar(flow: FlowField):
-    """``u``, ``v`` and magnitude of every flow vector, in float64."""
-    u, v = flow.u.astype(np.float64), flow.v.astype(np.float64)
-    return u, v, np.hypot(u, v)
-
-
-def _orientation(u, v, mag):
-    """Direction in [0, 2pi) of each vector (u, v); zero vectors get 0."""
-    ori = np.mod(np.arctan2(v, u), TWO_PI)
-    ori[ori >= TWO_PI] = 0.0  # guard against mod rounding to exactly 2pi
-    ori[mag == 0.0] = 0.0
-    return ori
-
-
-def magnitude_orientation(flow: FlowField) -> MagOriMaps:
-    """Full-quadrant magnitude/orientation maps; zero vectors get angle 0."""
-    u, v, mag = _polar(flow)
-    return MagOriMaps(mag=mag, ori=_orientation(u, v, mag), valid=flow.valid.copy())
-
-
-def _quantized(keep, ori, magnitude_threshold, bin_count) -> QuantizedMap:
-    """The map binning the pixels of ``keep``, whose orientations ``ori``
-    holds in raster order; every other pixel gets NONE_BIN."""
-    if bin_count < 2:
-        raise InputError("bin_count must be >= 2")
-    if magnitude_threshold < 0:
-        raise InputError("magnitude_threshold must be >= 0")
-    idx = np.floor(ori * (bin_count / TWO_PI) + 0.5).astype(np.int16) % bin_count
-    bins = np.full(keep.shape, NONE_BIN, dtype=np.int16)
-    bins[keep] = idx
-    histogram = np.bincount(idx.astype(np.int64), minlength=bin_count)
-    return QuantizedMap(bins, bin_count, histogram)
-
-
-def quantize(
-    maps: MagOriMaps,
-    magnitude_threshold: float = DEFAULT_MAGNITUDE_THRESHOLD,
-    bin_count: int = DEFAULT_BIN_COUNT,
-) -> QuantizedMap:
-    """Assign each fast-enough valid pixel to an orientation bin.
-
-    Bin k is centered on direction k*2pi/b and covers
-    [(k - 1/2), (k + 1/2)) * 2pi/b modulo 2pi. Centering the bins on the
-    compass directions keeps axis-aligned motion in one bin: estimator
-    noise around a dominant direction like (v, 0) must not split its
-    pixels across two adjacent bins, which edge-anchored bins would do.
-    """
-    keep = maps.valid & (maps.mag >= magnitude_threshold)
-    return _quantized(keep, maps.ori[keep], magnitude_threshold, bin_count)
-
-
 def detect_peaks(histogram: np.ndarray) -> set[int]:
     """Circular peaks: strictly above the left neighbor, at least the right
     neighbor, and at least PEAK_MIN_FRACTION of the total count.
@@ -188,7 +131,7 @@ def detect_peaks(histogram: np.ndarray) -> set[int]:
 def group_keypoints(
     quantized: QuantizedMap,
     peaks: set[int],
-    flow: FlowField | None = None,
+    flow: FlowField,
     min_group_size: int = DEFAULT_MIN_GROUP_SIZE,
     frame_index: int = 0,
 ) -> SegmentationMap:
@@ -196,10 +139,12 @@ def group_keypoints(
 
     Components smaller than ``min_group_size`` are dropped. Ids run 1..N in
     raster order of each component's first pixel. Member velocities are
-    sampled from ``flow`` when given, else zero.
+    sampled from ``flow``, the field that ``quantized`` bins.
     """
     if not set(peaks) <= set(range(quantized.bin_count)):
         raise InputError(f"peaks {peaks} outside bin range 0..{quantized.bin_count - 1}")
+    if flow.u.shape != quantized.bins.shape:
+        raise InputError(f"flow shape {flow.u.shape} differs from bin map shape {quantized.bins.shape}")
     height, width = quantized.bins.shape
     entries = []  # (first raster index, bin id, flat member indices)
     for bin_id in sorted(peaks):
@@ -222,15 +167,11 @@ def group_keypoints(
     idxs = np.concatenate([e[2] for e in entries] + [np.empty(0, np.int64)])
     rows = idxs // width
     cols = idxs % width
-    if flow is not None:
-        vx = flow.u[rows, cols].astype(np.float64)
-        vy = flow.v[rows, cols].astype(np.float64)
-    else:
-        vx = np.zeros(idxs.size)
-        vy = np.zeros(idxs.size)
     groups = split_groups(
         range(1, len(entries) + 1), [e[1] for e in entries], np.cumsum([0] + [e[2].size for e in entries]),
-        cols.astype(np.float64), rows.astype(np.float64), vx, vy, np.zeros(idxs.size, dtype=bool),
+        cols.astype(np.float64), rows.astype(np.float64),
+        flow.u[rows, cols].astype(np.float64), flow.v[rows, cols].astype(np.float64),
+        np.zeros(idxs.size, dtype=bool),
     )
     return SegmentationMap(frame_index, width, height, groups)
 
@@ -242,14 +183,31 @@ def segment_flow(
     min_group_size: int = DEFAULT_MIN_GROUP_SIZE,
     frame_index: int = 0,
 ) -> SegmentationMap:
-    """Run the whole keypoint-extraction chain on one flow field, taking
-    orientations and bins only where quantize keeps a pixel: element-wise
-    arithmetic gives each one the bits it has on the whole field."""
-    u, v, mag = _polar(flow)
+    """Run the whole keypoint-extraction chain on one flow field.
+
+    A keypoint is a valid pixel whose speed, the float64 magnitude of its
+    flow vector, is at least ``magnitude_threshold``. Directions and bins
+    are taken on keypoints only: element-wise arithmetic gives each one the
+    bits it has on the whole field. A direction lies in [0, 2pi), and a
+    zero vector's is 0. Bin k is centered on direction k*2pi/b and covers
+    [(k - 1/2), (k + 1/2)) * 2pi/b modulo 2pi. Centering the bins on the
+    compass directions keeps axis-aligned motion in one bin: estimator
+    noise around a dominant direction like (v, 0) must not split its
+    pixels across two adjacent bins, which edge-anchored bins would do.
+    """
+    if bin_count < 2:
+        raise InputError("bin_count must be >= 2")
+    if not magnitude_threshold >= 0:
+        raise InputError("magnitude_threshold must be >= 0")
+    u, v = flow.u.astype(np.float64), flow.v.astype(np.float64)
+    mag = np.hypot(u, v)
     keep = flow.valid & (mag >= magnitude_threshold)
-    ori = _orientation(u[keep], v[keep], mag[keep])
-    quantized = _quantized(keep, ori, magnitude_threshold, bin_count)
+    ori = np.mod(np.arctan2(v[keep], u[keep]), TWO_PI)
+    ori[ori >= TWO_PI] = 0.0  # guard against mod rounding to exactly 2pi
+    ori[mag[keep] == 0.0] = 0.0
+    idx = np.floor(ori * (bin_count / TWO_PI) + 0.5).astype(np.int16) % bin_count
+    bins = np.full(keep.shape, NONE_BIN, dtype=np.int16)
+    bins[keep] = idx
+    quantized = QuantizedMap(bins, bin_count, np.bincount(idx.astype(np.int64), minlength=bin_count))
     peaks = detect_peaks(quantized.histogram)
-    return group_keypoints(
-        quantized, peaks, flow=flow, min_group_size=min_group_size, frame_index=frame_index
-    )
+    return group_keypoints(quantized, peaks, flow, min_group_size=min_group_size, frame_index=frame_index)

@@ -79,10 +79,15 @@ class PipelineConfig:
             raise InputError("magnitude_threshold must be >= 0")
 
     @classmethod
-    def from_config(cls, cfg: ConfigDict, seed_override: int | None = None) -> "PipelineConfig":
-        """The settings of ``cfg``; one out of range is a ConfigError."""
+    def from_config(
+        cls, cfg: ConfigDict, seed_override: int | None = None, window_size: int | None = None
+    ) -> "PipelineConfig":
+        """The settings of ``cfg``; one out of range is a ConfigError. A
+        ``window_size`` given here is the default of that key, which ``cfg``
+        may then omit."""
         try:
-            kwargs = _config_kwargs(cls, cfg)
+            defaults = {} if window_size is None else {"window_size": window_size}
+            kwargs = _config_kwargs(cls, cfg, defaults=defaults)
             if seed_override is not None:
                 kwargs["seed"] = seed_override
             return cls(**kwargs)
@@ -101,15 +106,15 @@ class PipelineConfig:
         return values
 
 
-def _config_kwargs(cls, cfg: ConfigDict, prefix: str = "") -> dict:
+def _config_kwargs(cls, cfg: ConfigDict, prefix: str = "", defaults: dict | None = None) -> dict:
     """Constructor arguments of dataclass ``cls`` for the keys present in
-    ``cfg``; absent keys fall back to the dataclass defaults, and a field
-    without a default is a required key."""
-    kwargs = {}
+    ``cfg``; absent keys fall back to ``defaults``, then to the dataclass
+    defaults, and a field with neither is a required key."""
+    kwargs = dict(defaults or {})
     for f in fields(cls):
         if f.name in SECTION_PREFIXES:
             kwargs[f.name] = f.type(**_config_kwargs(f.type, cfg, SECTION_PREFIXES[f.name]))
-        elif prefix + f.name in cfg or f.default is MISSING:
+        elif prefix + f.name in cfg or (f.default is MISSING and f.name not in kwargs):
             kwargs[f.name] = _GETTERS[f.type](cfg, prefix + f.name)
     return kwargs
 

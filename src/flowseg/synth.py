@@ -52,6 +52,8 @@ class SceneSpec:
             raise InputError("frame_count must be >= 1")
         if not (self.noise_level >= 0 and np.isfinite(self.noise_level)):
             raise InputError(f"noise_level={self.noise_level} must be finite and >= 0")
+        if len(self.blocks) > 255:
+            raise InputError(f"{len(self.blocks)} blocks: masks are uint8, so a scene holds at most 255")
         for i, blk in enumerate(self.blocks):
             x, y, w, h = blk.rect
             if w < 1 or h < 1:

@@ -37,7 +37,7 @@ from flowseg.cli import main
 from flowseg.evaluation import resample_nearest
 from flowseg.io import FlowField, Frame
 
-from test_keypoints import flood_fill_groups, quantized_from_bins
+from test_keypoints import flood_fill_groups, quantized_from_bins, zero_flow
 
 
 @contextmanager
@@ -223,7 +223,7 @@ def test_criterion_7_format_fidelity(tmp_path):
                 rng.random((h, w)) < 0.5, rng.integers(0, 3, (h, w)), -1
             ).astype(np.int16)
             peaks = {0, 1}
-            seg = group_keypoints(quantized_from_bins(bins), peaks, min_group_size=2)
+            seg = group_keypoints(quantized_from_bins(bins), peaks, zero_flow(bins.shape), min_group_size=2)
             oracle = flood_fill_groups(bins, peaks, 2)
             assert len(seg.groups) == len(oracle)
             for g, (_, bin_id, pixels) in zip(seg.groups, oracle):

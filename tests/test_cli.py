@@ -79,6 +79,48 @@ def test_synth_preset_and_flow(tmp_path):
     assert len(list((out / "flow").glob("*.flo"))) == 3
 
 
+def grid_spec(blocks: int) -> str:
+    """A 64x64 scene of ``blocks`` moving 2x2 blocks, one per 4x4 cell."""
+    lines = ["width = 64", "height = 64", "frames = 2"]
+    for i in range(blocks):
+        lines += [f"block{i + 1}_rect = {4 * (i % 16)}, {4 * (i // 16)}, 2, 2", f"block{i + 1}_velocity = 1, 0"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("blocks, code", [(255, 0), (256, 2)])
+def test_synth_numbers_at_most_255_blocks(tmp_path, capsys, blocks, code):
+    spec = tmp_path / "grid.cfg"
+    spec.write_text(grid_spec(blocks))
+    out = tmp_path / "scene"
+    assert main(["synth", "--spec", str(spec), "--out", str(out)]) == code
+    if code:
+        assert "config error: 256 blocks" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        gt = flowseg.cli.read_frame(out / "gt" / "gt_000001.pgm").data
+        assert set(np.unique(gt).tolist()) == set(range(256))
+
+
+def test_synth_gt_holds_block_numbers_and_eval_scores_them_as_binary(tmp_path, capsys):
+    spec = tmp_path / "two.cfg"
+    spec.write_text(SCENE_SPEC + "block2_rect = 40, 4, 16, 12\nblock2_velocity = -2, 0\n")
+    scene = tmp_path / "scene"
+    assert main(["synth", "--spec", str(spec), "--out", str(scene)]) == 0
+    gt = scene / "gt"
+    assert set(np.unique(flowseg.cli.read_frame(gt / "gt_000001.pgm").data).tolist()) == {0, 1, 2}
+    binary = tmp_path / "gt255"
+    binary.mkdir()
+    for path in sorted(gt.glob("*.pgm")):
+        labels = flowseg.cli.read_frame(path).data
+        write_frame(Frame(np.where(labels > 0, 255, 0).astype(np.uint8)), binary / path.name)
+
+    code, run = run_segment(tmp_path, scene)
+    assert code == 0
+    for name, truth in (("labelled.csv", gt), ("binary.csv", binary)):
+        assert main(["eval", "--pred", str(run), "--gt", str(truth), "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "labelled.csv").read_text() == (tmp_path / "binary.csv").read_text()
+
+
 def test_segment_outputs(tmp_path, scene_dir, capsys):
     code, out = run_segment(tmp_path, scene_dir)
     assert code == 0
@@ -699,6 +741,26 @@ def test_bench_sweeps_the_synthetic_scene(tmp_path, capsys):
     run_cfg = PipelineConfig(window_size=4, seed=1, ablation=ForceAblation(disturbance=False))
     expected = report(segment_video(scene.frames, run_cfg), dict(enumerate(scene.masks, start=1)))
     assert row["mean_accuracy"] == f"{expected.mean_accuracy:.6f}"
+
+
+def test_bench_config_may_omit_window_size(tmp_path, scene_dir):
+    # --w sets the window size: a forces-only config runs as the same
+    # config with a window_size key does, and a run manifest works too
+    code, run = run_segment(tmp_path, scene_dir)
+    assert code == 0
+    rows = {}
+    for name, text in (("forces", "force_disturbance = false\n"),
+                       ("forces-w", "window_size = 6\nforce_disturbance = false\n")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        out_csv = tmp_path / f"{name}.csv"
+        assert main(["bench", "--config", str(cfg), "--scene-frames", "12", "--w", "4", "--repeats", "1",
+                     "--seed", "1", "--out", str(out_csv)]) == 0
+        [row] = csv.DictReader(out_csv.open())
+        rows[name] = (row["window_size"], row["mean_accuracy"])
+    assert rows["forces"] == rows["forces-w"]
+    assert main(["bench", "--config", str(run / "manifest.txt"), "--scene-frames", "12", "--w", "4",
+                 "--repeats", "1"]) == 0
 
 
 def test_bench_window_list_syntax(tmp_path, scene_dir):

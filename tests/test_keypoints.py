@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from flowseg import (
     FlowField,
     InputError,
+    QuantizedMap,
     detect_peaks,
     group_keypoints,
-    magnitude_orientation,
-    quantize,
     segment_flow,
 )
 from flowseg.flow import compute_dense_flow
@@ -25,6 +24,37 @@ TWO_PI = 2.0 * math.pi
 
 def field_from(u, v, valid=None):
     return FlowField(u=np.asarray(u, np.float32), v=np.asarray(v, np.float32), valid=valid)
+
+
+def zero_flow(shape):
+    return FlowField(u=np.zeros(shape, np.float32), v=np.zeros(shape, np.float32))
+
+
+# --- reference forms ----------------------------------------------------------
+# segment_flow takes directions and bins on kept pixels only. These are the
+# same stages on the whole field, in plain numpy;
+# test_segment_flow_matches_stage_chain binds segment_flow to them bit for bit.
+
+
+def magnitude_orientation(flow):
+    """Speed and direction in [0, 2pi) of every flow vector, in float64;
+    a zero vector's direction is 0."""
+    u, v = flow.u.astype(np.float64), flow.v.astype(np.float64)
+    mag = np.hypot(u, v)
+    ori = np.mod(np.arctan2(v, u), TWO_PI)
+    ori[ori >= TWO_PI] = 0.0  # mod can round to exactly 2pi
+    ori[mag == 0.0] = 0.0
+    return mag, ori
+
+
+def quantize(flow, magnitude_threshold, bin_count):
+    """Bin k, centred on direction k*2pi/b, for each valid pixel at least
+    ``magnitude_threshold`` fast; NONE_BIN for every other pixel."""
+    mag, ori = magnitude_orientation(flow)
+    keep = flow.valid & (mag >= magnitude_threshold)
+    bins = np.full(mag.shape, NONE_BIN, np.int16)
+    bins[keep] = np.mod(np.floor(ori[keep] * (bin_count / TWO_PI) + 0.5), bin_count)
+    return QuantizedMap(bins, bin_count, np.bincount(bins[keep], minlength=bin_count))
 
 
 def flood_fill_groups(bins, peaks, min_size):
@@ -65,39 +95,38 @@ def flood_fill_groups(bins, peaks, min_size):
 
 
 def test_three_four_five_triangle():
-    maps = magnitude_orientation(field_from([[3.0]], [[4.0]]))
-    assert maps.mag[0, 0] == pytest.approx(5.0)
-    assert maps.ori[0, 0] == pytest.approx(0.9273, abs=1e-4)
+    mag, ori = magnitude_orientation(field_from([[3.0]], [[4.0]]))
+    assert mag[0, 0] == pytest.approx(5.0)
+    assert ori[0, 0] == pytest.approx(0.9273, abs=1e-4)
 
 
 def test_zero_vector_convention():
-    maps = magnitude_orientation(field_from([[0.0]], [[0.0]]))
-    assert maps.mag[0, 0] == 0.0
-    assert maps.ori[0, 0] == 0.0
+    mag, ori = magnitude_orientation(field_from([[0.0]], [[0.0]]))
+    assert mag[0, 0] == 0.0
+    assert ori[0, 0] == 0.0
 
 
 def test_negative_axis_full_quadrant():
-    maps = magnitude_orientation(field_from([[-1.0]], [[0.0]]))
-    assert maps.mag[0, 0] == pytest.approx(1.0)
-    assert maps.ori[0, 0] == pytest.approx(math.pi)
+    mag, ori = magnitude_orientation(field_from([[-1.0]], [[0.0]]))
+    assert mag[0, 0] == pytest.approx(1.0)
+    assert ori[0, 0] == pytest.approx(math.pi)
 
 
 def test_invalid_pixels_have_zero_magnitude():
-    maps = magnitude_orientation(
-        field_from([[2.0, 2.0]], [[1.0, 1.0]], valid=np.array([[True, False]]))
-    )
-    assert maps.mag[0, 1] == 0.0
-    assert maps.valid[0, 0] and not maps.valid[0, 1]
+    flow = field_from([[2.0, 2.0]], [[1.0, 1.0]], valid=np.array([[True, False]]))
+    mag, _ = magnitude_orientation(flow)
+    assert mag[0, 1] == 0.0
+    assert flow.valid[0, 0] and not flow.valid[0, 1]
 
 
 @given(seed=st.integers(0, 2**32 - 1))
 def test_mag_ori_ranges(seed):
     rng = np.random.default_rng(seed)
-    maps = magnitude_orientation(
+    mag, ori = magnitude_orientation(
         field_from(rng.standard_normal((6, 6)) * 5, rng.standard_normal((6, 6)) * 5)
     )
-    assert (maps.mag >= 0).all()
-    assert (maps.ori >= 0).all() and (maps.ori < TWO_PI).all()
+    assert (mag >= 0).all()
+    assert (ori >= 0).all() and (ori < TWO_PI).all()
 
 
 # --- quantization ----------------------------------------------------------
@@ -108,12 +137,12 @@ def ori_field(angle, mag=1.0):
 
 
 def test_quantize_small_angle_bin_zero():
-    q = quantize(magnitude_orientation(ori_field(0.1)), 0.4, 8)
+    q = quantize(ori_field(0.1), 0.4, 8)
     assert q.bins[0, 0] == 0
 
 
 def test_quantize_below_threshold_none():
-    q = quantize(magnitude_orientation(ori_field(0.1, mag=0.3)), 0.4, 8)
+    q = quantize(ori_field(0.1, mag=0.3), 0.4, 8)
     assert q.bins[0, 0] == NONE_BIN
     assert q.histogram.sum() == 0
 
@@ -121,40 +150,42 @@ def test_quantize_below_threshold_none():
 def test_quantize_bins_centered_on_directions():
     # angles within half a bin width of a compass direction map to that
     # direction's bin, so near-axis motion never splits across two bins
-    q = quantize(magnitude_orientation(ori_field(TWO_PI - 1e-6)), 0.4, 8)
+    q = quantize(ori_field(TWO_PI - 1e-6), 0.4, 8)
     assert q.bins[0, 0] == 0
-    q = quantize(magnitude_orientation(ori_field(7 * TWO_PI / 8)), 0.4, 8)
+    q = quantize(ori_field(7 * TWO_PI / 8), 0.4, 8)
     assert q.bins[0, 0] == 7
-    q = quantize(magnitude_orientation(ori_field(math.pi + 0.01)), 0.4, 8)
+    q = quantize(ori_field(math.pi + 0.01), 0.4, 8)
     assert q.bins[0, 0] == 4
-    q = quantize(magnitude_orientation(ori_field(math.pi - 0.01)), 0.4, 8)
+    q = quantize(ori_field(math.pi - 0.01), 0.4, 8)
     assert q.bins[0, 0] == 4
 
 
 def test_quantize_excludes_invalid_even_at_zero_threshold():
-    maps = magnitude_orientation(
-        field_from([[1.0, 1.0]], [[0.0, 0.0]], valid=np.array([[True, False]]))
-    )
-    q = quantize(maps, 0.0, 8)
+    flow = field_from([[1.0, 1.0]], [[0.0, 0.0]], valid=np.array([[True, False]]))
+    q = quantize(flow, 0.0, 8)
     assert q.bins[0, 0] == 0
     assert q.bins[0, 1] == NONE_BIN
 
 
 def test_quantize_validation():
-    maps = magnitude_orientation(ori_field(0.3))
+    flow = ori_field(0.3)
     with pytest.raises(InputError):
-        quantize(maps, 0.4, 1)
+        segment_flow(flow, 0.4, 1)
     with pytest.raises(InputError):
-        quantize(maps, -0.1, 8)
+        segment_flow(flow, -0.1, 8)
+
+
+def test_nan_threshold_is_rejected():
+    # NaN >= 0 is false: a NaN threshold keeps no pixel, so it must not
+    # pass as an empty map
+    with pytest.raises(InputError, match="magnitude_threshold"):
+        segment_flow(ori_field(0.3), math.nan, 8)
 
 
 @given(seed=st.integers(0, 2**32 - 1), bins=st.integers(2, 12))
 def test_histogram_counts_kept_pixels(seed, bins):
     rng = np.random.default_rng(seed)
-    maps = magnitude_orientation(
-        field_from(rng.standard_normal((8, 8)), rng.standard_normal((8, 8)))
-    )
-    q = quantize(maps, 0.4, bins)
+    q = quantize(field_from(rng.standard_normal((8, 8)), rng.standard_normal((8, 8))), 0.4, bins)
     assert q.histogram.sum() == np.count_nonzero(q.bins != NONE_BIN)
     assert q.histogram.shape == (bins,)
 
@@ -167,11 +198,9 @@ def test_histogram_counts_kept_pixels(seed, bins):
 def test_threshold_monotonicity(seed, t1, t2):
     lo, hi = sorted((t1, t2))
     rng = np.random.default_rng(seed)
-    maps = magnitude_orientation(
-        field_from(rng.standard_normal((10, 10)), rng.standard_normal((10, 10)))
-    )
-    kept_lo = np.count_nonzero(quantize(maps, lo, 8).bins != NONE_BIN)
-    kept_hi = np.count_nonzero(quantize(maps, hi, 8).bins != NONE_BIN)
+    flow = field_from(rng.standard_normal((10, 10)), rng.standard_normal((10, 10)))
+    kept_lo = np.count_nonzero(quantize(flow, lo, 8).bins != NONE_BIN)
+    kept_hi = np.count_nonzero(quantize(flow, hi, 8).bins != NONE_BIN)
     assert kept_hi <= kept_lo
 
 
@@ -188,8 +217,8 @@ def test_rotation_covariance(seed, bins):
     u, v = mags * np.cos(angles), mags * np.sin(angles)
     rot = np.exp(1j * width)
     rotated = (u + 1j * v) * rot
-    q1 = quantize(magnitude_orientation(field_from(u, v)), 0.4, bins)
-    q2 = quantize(magnitude_orientation(field_from(rotated.real, rotated.imag)), 0.4, bins)
+    q1 = quantize(field_from(u, v), 0.4, bins)
+    q2 = quantize(field_from(rotated.real, rotated.imag), 0.4, bins)
     keep = q1.bins != NONE_BIN
     assert np.array_equal(q2.bins[keep], (q1.bins[keep] + 1) % bins)
 
@@ -235,8 +264,6 @@ def test_peaks_match_rule_restatement(hist):
 def quantized_from_bins(bins):
     bins = np.asarray(bins, np.int16)
     hist = np.bincount(bins[bins != NONE_BIN], minlength=8)
-    from flowseg import QuantizedMap
-
     return QuantizedMap(bins=bins, bin_count=8, histogram=hist)
 
 
@@ -244,7 +271,7 @@ def test_two_disjoint_blobs_two_groups():
     bins = np.full((40, 60), NONE_BIN, np.int16)
     bins[5:15, 5:15] = 2
     bins[5:15, 35:45] = 2
-    seg = group_keypoints(quantized_from_bins(bins), {2})
+    seg = group_keypoints(quantized_from_bins(bins), {2}, zero_flow(bins.shape))
     assert [g.size for g in seg.groups] == [100, 100]
     assert [g.id for g in seg.groups] == [1, 2]
     assert all(g.bin == 2 for g in seg.groups)
@@ -254,7 +281,7 @@ def test_adjacent_pixels_different_bins_stay_separate():
     bins = np.full((4, 4), NONE_BIN, np.int16)
     bins[1, 1] = 0
     bins[1, 2] = 4
-    seg = group_keypoints(quantized_from_bins(bins), {0, 4}, min_group_size=1)
+    seg = group_keypoints(quantized_from_bins(bins), {0, 4}, zero_flow(bins.shape), min_group_size=1)
     assert len(seg.groups) == 2
     assert {g.bin for g in seg.groups} == {0, 4}
 
@@ -264,7 +291,7 @@ def test_random_scatter_matches_flood_fill_oracle():
     bins = np.full((100, 100), NONE_BIN, np.int16)
     flat = rng.choice(100 * 100, size=200, replace=False)
     bins[np.unravel_index(flat, bins.shape)] = 3
-    seg = group_keypoints(quantized_from_bins(bins), {3}, min_group_size=1)
+    seg = group_keypoints(quantized_from_bins(bins), {3}, zero_flow(bins.shape), min_group_size=1)
     oracle = flood_fill_groups(bins, {3}, 1)
     assert len(seg.groups) == len(oracle)
     for g, (_, b, pixels) in zip(seg.groups, oracle):
@@ -286,7 +313,7 @@ def test_grouping_matches_oracle_and_partitions(seed, h, w, density, min_size):
         rng.random((h, w)) < density, rng.integers(0, 4, (h, w)), NONE_BIN
     ).astype(np.int16)
     peaks = {0, 2}
-    seg = group_keypoints(quantized_from_bins(bins), peaks, min_group_size=min_size)
+    seg = group_keypoints(quantized_from_bins(bins), peaks, zero_flow(bins.shape), min_group_size=min_size)
     oracle = flood_fill_groups(bins, peaks, min_size)
 
     assert [g.id for g in seg.groups] == list(range(1, len(oracle) + 1))
@@ -333,7 +360,16 @@ def test_centroid_is_the_bits_of_ndarray_mean():
 def test_peaks_outside_bin_range_rejected():
     bins = np.full((4, 4), NONE_BIN, np.int16)
     with pytest.raises(InputError):
-        group_keypoints(quantized_from_bins(bins), {9})
+        group_keypoints(quantized_from_bins(bins), {9}, zero_flow(bins.shape))
+
+
+def test_flow_of_another_shape_rejected():
+    # member velocities are read at the bin map's rows and columns, which
+    # are other pixels on a field of another shape
+    bins = np.full((4, 6), NONE_BIN, np.int16)
+    bins[1:3, 1:4] = 0
+    with pytest.raises(InputError, match="flow shape"):
+        group_keypoints(quantized_from_bins(bins), {0}, zero_flow((8, 10)), min_group_size=1)
 
 
 # --- the whole chain ----------------------------------------------------------
@@ -390,8 +426,8 @@ def chain_flow(name):
 @pytest.mark.parametrize("name", ["one-way", "two-way", "two-way-noisy", "edge-cases"])
 def test_segment_flow_matches_stage_chain(name, threshold, bin_count):
     flow = chain_flow(name)
-    quantized = quantize(magnitude_orientation(flow), threshold, bin_count)
-    chain = group_keypoints(quantized, detect_peaks(quantized.histogram), flow=flow)
+    quantized = quantize(flow, threshold, bin_count)
+    chain = group_keypoints(quantized, detect_peaks(quantized.histogram), flow)
     fused = segment_flow(flow, threshold, bin_count)
     assert maps_identical(fused, chain)
     assert fused.groups

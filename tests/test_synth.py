@@ -13,14 +13,12 @@ from flowseg import (
     ar1_stationary_variance,
     bench_compare,
     generate_scene,
-    magnitude_orientation,
     noise_texture,
     ou_statistics,
     preset_scene,
-    quantize,
+    segment_flow,
 )
 from flowseg.config import format_config, parse_config_text
-from flowseg.keypoints import NONE_BIN
 
 
 def one_block_spec(velocity=(2.0, 0.0), frames=8):
@@ -59,9 +57,10 @@ def test_opposite_blocks_quantize_to_opposite_bins():
         background_seed=5,
     )
     scene = generate_scene(spec)
-    q = quantize(magnitude_orientation(scene.flows[0]), 0.4, 8)
-    present = set(np.unique(q.bins[q.bins != NONE_BIN]))
-    assert present == {0, 4}
+    seg = segment_flow(scene.flows[0], 0.4, 8)
+    assert [g.bin for g in seg.groups] == [0, 4]
+    # every moving pixel is a member: no pixel falls in another bin
+    assert sum(g.size for g in seg.groups) == np.count_nonzero(scene.masks[0])
 
 
 def test_zero_velocity_gives_empty_masks():
