@@ -1,27 +1,29 @@
 """Command-line interface.
 
 Subcommands: segment, eval, synth, bench, ou-check. Exit codes are a
-stable contract: 0 success, 2 config error, 3 input error (filesystem
-errors included, such as an ``--out`` path that is a file), 4 metric or
-tolerance failure. A number in a config file, scene spec or manifest must
-be finite and in range: NaN, an infinity or a setting out of range (such
-as ``window_size = 2`` or ``bin_count = 1``) is a config error, found
-before any frame is read. So is a flag out of range (a count such as
-``--repeats`` below 1, a ``bench --w`` size below 3), found before any
-work. ``ou-check``'s ``--gamma`` and ``--xid`` are the process under
-check: one it cannot check is an input error.
+stable contract: 0 success, 2 config error, 3 input error (a file that
+breaks its format, a frame source that fails mid-run, and filesystem
+errors such as an ``--out`` path that is a file), 4 metric or tolerance
+failure. A number in a config file, scene spec or manifest must be finite
+and in range: NaN, an infinity or a setting out of range (such as
+``window_size = 2`` or ``bin_count = 1``) is a config error, found before
+any frame is read. So is a flag out of range (a count such as
+``--repeats`` below 1, a ``bench --w`` size below 3, an ``ou-check
+--gamma`` outside (0, 2) or a ``--xid`` that is not a finite number >= 0),
+found before any work.
 
 The seed of ``segment`` and ``bench`` is ``--seed`` if given, else the
 config's ``seed`` key, else 0; ``ou-check`` takes ``--seed`` or 0.
 
 ``segment`` streams through ``pipeline.run_windows`` (at most ``--jobs``
-windows in flight) and writes each window's files as it arrives, so memory
-holds a few windows, not the video. Files are staged beside ``--out`` and
-moved in after the last window, so a failed run leaves ``--out`` as it was.
-``--out`` holds one run: the ``mask_*.pgm`` and ``overlay_*.ppm`` files
-that the run did not write are deleted once its files are moved in, and
-other files are left alone. An ``--out`` that names a file is an input
-error before any frame is read.
+windows in flight, 1 by default) and writes each window's files as it
+arrives, so memory holds a few windows, not the video. Output files carry
+the numbers of the input files: the pipeline numbers frames from the first
+one. Files are staged beside ``--out`` and moved in after the last window,
+so a failed run leaves ``--out`` as it was. ``--out`` holds one run: the
+``mask_*.pgm`` and ``overlay_*.ppm`` files that the run did not write are
+deleted once its files are moved in, and other files are left alone. An
+``--out`` that names a file is an input error before any frame is read.
 
 ``synth`` writes each ground-truth mask ``gt_*.pgm`` with block numbers
 (0 is background, so a scene holds at most 255 blocks). ``eval`` counts
@@ -62,7 +64,7 @@ import numpy as np
 
 from . import synth
 from .config import format_config, parse_config_file
-from .errors import ConfigError, FlowSegError, InputError, MetricError
+from .errors import ConfigError, InputError, MetricError
 from .evaluation import rasterize_maps, render_overlays, score_frames
 from .evaluation import rasterize, render_overlay  # noqa: F401  (perfbench traces these names)
 from .flow import _block_mean
@@ -79,9 +81,9 @@ EXIT_CONFIG = 2
 EXIT_INPUT = 3
 EXIT_METRIC = 4
 
-# Manifest keys that locate or schedule a run, or record its input's frame
-# numbering, but do not change its maps; they are no pipeline settings.
-RUN_KEYS = ("input_dir", "output_dir", "jobs", "first_frame")
+# Manifest keys that locate a run or record its input's frame numbering,
+# but do not change its maps; they are no pipeline settings.
+RUN_KEYS = ("input_dir", "output_dir", "first_frame")
 
 _NUMBER_RE = re.compile(r"(\d+)(?!.*\d)")
 
@@ -111,10 +113,9 @@ def _read_frames_dir(path: Path) -> tuple[Iterator[Frame], int, int]:
     """A lazy iterator over the .pgm frames of ``path`` sorted by their
     trailing number, the first number and the count.
 
-    Numbers must be strictly consecutive (checked before any frame is read);
-    the first number anchors the 1-based frame indexing of every output
-    file. Every frame must have the first frame's size; an error names both
-    frames by their numbers.
+    Numbers must be strictly consecutive (checked before any frame is read),
+    so the pipeline, given the first number, numbers every frame as its
+    file is numbered; the pipeline also checks the frame sizes.
     """
     numbered = _numbered_pgms(path, "input")
     if not numbered:
@@ -122,20 +123,7 @@ def _read_frames_dir(path: Path) -> tuple[Iterator[Frame], int, int]:
     numbers = [n for n, _ in numbered]
     if numbers != list(range(numbers[0], numbers[0] + len(numbers))):
         raise InputError(f"frame numbers in {path} are not consecutive: {numbers}")
-
-    def frames() -> Iterator[Frame]:
-        first = None
-        for number, p in numbered:
-            frame = read_frame(p)
-            first = first or frame
-            if frame.data.shape != first.data.shape:
-                raise InputError(
-                    f"inconsistent frame dimensions: frame {number} is {(frame.width, frame.height)}, "
-                    f"frame {numbers[0]} is {(first.width, first.height)}"
-                )
-            yield frame
-
-    return frames(), numbers[0], len(numbers)
+    return (read_frame(p) for _, p in numbered), numbers[0], len(numbers)
 
 
 def _read_masks_dir(path: Path) -> dict[int, np.ndarray]:
@@ -184,12 +172,10 @@ def _load_pipeline_config(
     path, flag_seed: int | None, window_size: int | None = None
 ) -> tuple[PipelineConfig, dict]:
     """The pipeline settings of a config file or run manifest, and its run
-    keys (``RUN_KEYS``: strings or None, except ``jobs``, an int that
-    defaults to 1); any other key is a config error. A ``window_size``
-    given here lets the file omit that key."""
+    keys (``RUN_KEYS``, strings or None); any other key is a config error.
+    A ``window_size`` given here lets the file omit that key."""
     cfg_dict = parse_config_file(path)
     run_keys = {key: cfg_dict.get_str(key, None) for key in RUN_KEYS}
-    run_keys["jobs"] = cfg_dict.get_int("jobs", 1)
     cfg = PipelineConfig.from_config(cfg_dict, seed_override=flag_seed, window_size=window_size)
     cfg_dict.reject_unknown()
     return cfg, run_keys
@@ -204,8 +190,7 @@ def cmd_segment(args) -> int:
         raise ConfigError("no input directory (use --in or an input_dir config key)")
     if not str(out_dir):
         raise ConfigError("no output directory (use --out or an output_dir config key)")
-    jobs = args.jobs if args.jobs is not None else run_keys["jobs"]
-    _at_least_one(jobs=jobs)
+    _at_least_one(jobs=args.jobs)
     if out_dir.exists() and not out_dir.is_dir():
         raise InputError(f"output path is not a directory: {out_dir}")
 
@@ -213,9 +198,6 @@ def cmd_segment(args) -> int:
     w = cfg.window_size
     if count < w:
         raise InputError(f"need at least window_size={w} frames, got {count}")
-    offset = first_number - 1
-    # jobs is an execution detail, not part of the result-determining
-    # config, so it stays out of the manifest
     run = {"input_dir": str(in_dir), "output_dir": str(out_dir), "first_frame": first_number}
     manifest = format_config(
         {**cfg.to_dict(), **run},
@@ -230,18 +212,16 @@ def cmd_segment(args) -> int:
         with (
             open(staging / "groups.jsonl", "w") as groups_fh,
             open(staging / "timings.csv", "w", newline="") as timings_fh,
-            closing(run_windows(frames, cfg, jobs)) as results,
+            closing(run_windows(frames, cfg, args.jobs, first_number)) as results,
         ):
             timings = csv.writer(timings_fh)
             timings.writerow(["frame_index", "phase", "milliseconds"])
             for windows, window_frames, maps, window_timings in results:
-                _write_window(staging, window_frames[1:], maps, cfg, offset, groups_fh)
+                _write_window(staging, window_frames[1:], maps, cfg, groups_fh)
                 masks += len(maps)
-                timings.writerows(
-                    [t.frame_index + offset, t.phase, f"{t.milliseconds:.3f}"] for t in window_timings
-                )
-            skipped = range(windows * w + 1, count + 1)
-            timings.writerows([frame + offset, PHASE_SKIPPED, "0.000"] for frame in skipped)
+                timings.writerows([t.frame_index, t.phase, f"{t.milliseconds:.3f}"] for t in window_timings)
+            skipped = range(first_number + windows * w, first_number + count)
+            timings.writerows([frame, PHASE_SKIPPED, "0.000"] for frame in skipped)
         out_dir.mkdir(parents=True, exist_ok=True)
         written = {path.name for path in staging.iterdir()}
         for name in written:
@@ -257,28 +237,25 @@ def cmd_segment(args) -> int:
     return EXIT_OK
 
 
-def _write_window(out_dir: Path, frames: list[Frame], maps, cfg: PipelineConfig, offset: int, groups_fh):
+def _write_window(out_dir: Path, frames: list[Frame], maps, cfg: PipelineConfig, groups_fh):
     """Write each map's mask, its overlay on the frame at its position in ``frames``, and its groups."""
     for frame_index, seg_map in maps:
         if any(g.id > 255 for g in seg_map.groups):
-            raise InputError(
-                f"frame {frame_index + offset}: more than 255 groups cannot be stored in a P5 mask"
-            )
+            raise InputError(f"frame {frame_index}: more than 255 groups cannot be stored in a P5 mask")
     masks = rasterize_maps([seg_map for _, seg_map in maps], cfg.dilation_radius)
     overlays = [None] * len(maps)
     if cfg.write_overlays:
         small = np.rint(_block_mean(np.stack([f.data for f in frames]), cfg.flow.downscale))
         overlays = render_overlays([Frame(f) for f in small.astype(np.uint8)], masks)
     for (frame_index, seg_map), mask, rgb in zip(maps, masks, overlays):
-        file_number = frame_index + offset
-        write_frame(Frame(mask.labels.astype(np.uint8)), out_dir / f"mask_{file_number:06d}.pgm")
+        write_frame(Frame(mask.labels.astype(np.uint8)), out_dir / f"mask_{frame_index:06d}.pgm")
         if rgb is not None:
-            write_ppm(rgb, out_dir / f"overlay_{file_number:06d}.ppm")
+            write_ppm(rgb, out_dir / f"overlay_{frame_index:06d}.ppm")
         for g in seg_map.groups:
             cx, cy = g.centroid
             groups_fh.write(
                 '{"frame": %d, "id": %d, "bin": %d, "centroid": [%.4f, %.4f], "members": %d}\n'
-                % (file_number, g.id, g.bin, cx, cy, g.size)
+                % (frame_index, g.id, g.bin, cx, cy, g.size)
             )
 
 
@@ -376,13 +353,16 @@ def cmd_bench(args) -> int:
 
 def cmd_ou_check(args) -> int:
     _at_least_one(steps=args.steps, particles=args.particles)
-    params = LangevinParams(
-        gamma_x=args.gamma, gamma_y=args.gamma,
-        xi_d_x=args.xid, xi_d_y=args.xid, confinement_stiffness=0.0,
-    )
+    try:
+        params = LangevinParams(
+            gamma_x=args.gamma, gamma_y=args.gamma,
+            xi_d_x=args.xid, xi_d_y=args.xid, confinement_stiffness=0.0,
+        )
+    except InputError as exc:
+        raise ConfigError(str(exc)) from None
     expected = ar1_stationary_variance(args.gamma, args.xid)
     if not np.isfinite(expected):
-        raise InputError(
+        raise ConfigError(
             f"gamma = {args.gamma:g} leaves the velocity with no stationary "
             "variance to check (need 0 < gamma < 2)"
         )
@@ -412,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="pipeline config file")
     p.add_argument("--out", dest="output", help="output directory")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None, help="window-level parallelism")
+    p.add_argument("--jobs", type=int, default=1, help="window-level parallelism")
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("eval", help="score prediction masks against ground truth")
@@ -475,9 +455,6 @@ def main(argv=None) -> int:
     except MetricError as exc:
         print(f"metric error: {exc}", file=sys.stderr)
         return EXIT_METRIC
-    except FlowSegError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 def entry() -> None:

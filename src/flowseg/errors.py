@@ -9,8 +9,8 @@ class InputError(FlowSegError):
     """An operation was called with inputs that violate its contract."""
 
 
-class FormatError(FlowSegError):
-    """A file does not conform to its documented binary format."""
+class FormatError(InputError):
+    """An input file does not conform to its documented binary format."""
 
 
 class ConfigError(FlowSegError):
@@ -25,8 +25,8 @@ class MetricError(FlowSegError):
     """An evaluation metric was asked to score unusable inputs."""
 
 
-class SourceError(FlowSegError):
-    """A streaming frame source failed mid-run.
+class SourceError(InputError):
+    """An input frame source failed mid-run.
 
     ``last_window`` is the 1-based number of the last fully processed
     window (0 if the source failed before any window completed).

@@ -27,6 +27,7 @@ PEAK_MIN_FRACTION = 0.05
 
 DEFAULT_MAGNITUDE_THRESHOLD = 0.4
 DEFAULT_BIN_COUNT = 8
+MAX_BIN_COUNT = np.iinfo(np.int16).max  # the bin map is int16
 DEFAULT_MIN_GROUP_SIZE = 10
 
 _STRUCT_8 = np.ones((3, 3), dtype=bool)
@@ -188,22 +189,23 @@ def segment_flow(
     A keypoint is a valid pixel whose speed, the float64 magnitude of its
     flow vector, is at least ``magnitude_threshold``. Directions and bins
     are taken on keypoints only: element-wise arithmetic gives each one the
-    bits it has on the whole field. A direction lies in [0, 2pi), and a
+    bits it has on the whole field. A direction lies in [0, 2pi] (``mod``
+    may round one just below 2pi up to 2pi, which falls in bin 0), and a
     zero vector's is 0. Bin k is centered on direction k*2pi/b and covers
     [(k - 1/2), (k + 1/2)) * 2pi/b modulo 2pi. Centering the bins on the
     compass directions keeps axis-aligned motion in one bin: estimator
     noise around a dominant direction like (v, 0) must not split its
     pixels across two adjacent bins, which edge-anchored bins would do.
+    The bin map is int16, so ``bin_count`` is at most ``MAX_BIN_COUNT``.
     """
-    if bin_count < 2:
-        raise InputError("bin_count must be >= 2")
+    if not 2 <= bin_count <= MAX_BIN_COUNT:
+        raise InputError(f"bin_count must be in 2..{MAX_BIN_COUNT}")
     if not magnitude_threshold >= 0:
         raise InputError("magnitude_threshold must be >= 0")
     u, v = flow.u.astype(np.float64), flow.v.astype(np.float64)
     mag = np.hypot(u, v)
     keep = flow.valid & (mag >= magnitude_threshold)
     ori = np.mod(np.arctan2(v[keep], u[keep]), TWO_PI)
-    ori[ori >= TWO_PI] = 0.0  # guard against mod rounding to exactly 2pi
     ori[mag[keep] == 0.0] = 0.0
     idx = np.floor(ori * (bin_count / TWO_PI) + 0.5).astype(np.int16) % bin_count
     bins = np.full(keep.shape, NONE_BIN, dtype=np.int16)

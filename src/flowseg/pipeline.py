@@ -1,20 +1,22 @@
 """Windowed segmentation pipeline.
 
 One loop, ``_windows``, cuts a frame source into consecutive windows of
-``window_size`` frames, checking every frame against the first frame's
-size. Per window: dense flow on the first two frames seeds a segmentation
-map, group forces are estimated from it, and one ``propagate_map`` call
-covers the remaining window_size - 2 frames by stochastic propagation
-instead of further flow computation, yielding window_size - 1 maps per
-window. Leftover frames that do not fill a whole window are skipped (and
-reported).
+``window_size`` frames, numbers them and checks every frame against the
+first frame's size. Per window: dense flow on the first two frames seeds
+a segmentation map, group forces are estimated from it, and one
+``propagate_map`` call covers the remaining window_size - 2 frames by
+stochastic propagation instead of further flow computation, yielding
+window_size - 1 maps per window. Leftover frames that do not fill a whole
+window are skipped (and reported).
 
 ``run_windows`` is the one run path. It yields each window's frames, maps
 and timings in order, reading the source only as far as the windows it
 runs, on the caller's thread or on a pool of at most ``jobs`` windows in
-flight. ``segment_video`` collects its windows into a ``RunResult``,
-``stream_windows`` yields their maps, and ``flowseg segment`` writes each
-window's files as it arrives. Per-phase timings are logged at DEBUG.
+flight. Every fault of the source, a frame of another size included, is
+an ``InputError``. ``segment_video`` collects its windows into a
+``RunResult``, ``stream_windows`` yields their maps, and ``flowseg
+segment`` writes each window's files as it arrives. Per-phase timings are
+logged at DEBUG.
 
 Timings hold one row per frame. The flow row times the window's flow call
 and the keypoint row its segmentation and force estimation. A propagated
@@ -22,7 +24,9 @@ frame's langevin row is not a measurement of that frame: it is the
 window's propagation time divided by window_size - 2, the mean time per
 step, so every langevin row of a window holds the same value.
 
-Frames and windows are numbered 1-based in all public outputs.
+Windows, and so their noise streams, are numbered from 1. Maps, timings,
+errors and the leftover-frames log number frames from ``run_windows``'
+``first_frame``: 1, or the first file number for ``flowseg segment``.
 """
 
 import logging
@@ -37,7 +41,7 @@ from .dynamics import ForceAblation, LangevinParams, NoiseSource, estimate_group
 from .errors import ConfigError, InputError, SourceError
 from .flow import FlowParams, compute_dense_flow
 from .io import Frame
-from .keypoints import DEFAULT_BIN_COUNT, DEFAULT_MAGNITUDE_THRESHOLD, DEFAULT_MIN_GROUP_SIZE
+from .keypoints import DEFAULT_BIN_COUNT, DEFAULT_MAGNITUDE_THRESHOLD, DEFAULT_MIN_GROUP_SIZE, MAX_BIN_COUNT
 from .keypoints import SegmentationMap, segment_flow
 
 log = logging.getLogger(__name__)
@@ -73,8 +77,8 @@ class PipelineConfig:
             raise InputError("window_size must be >= 3 (2 seed frames + 1 propagated)")
         if self.dilation_radius < 0:
             raise InputError("dilation_radius must be >= 0")
-        if self.bin_count < 2:
-            raise InputError("bin_count must be >= 2")
+        if not 2 <= self.bin_count <= MAX_BIN_COUNT:
+            raise InputError(f"bin_count must be in 2..{MAX_BIN_COUNT}")
         if not self.magnitude_threshold >= 0:
             raise InputError("magnitude_threshold must be >= 0")
 
@@ -140,10 +144,9 @@ class RunResult:
 
 
 def _process_window(
-    window_number: int, window_frames: Sequence[Frame], cfg: PipelineConfig
+    window_number: int, first_frame: int, window_frames: Sequence[Frame], cfg: PipelineConfig
 ) -> tuple[list[tuple[int, SegmentationMap]], list[PhaseTiming]]:
     timings = []
-    first_frame = (window_number - 1) * cfg.window_size + 1
 
     t0 = perf_counter()
     flow = compute_dense_flow(window_frames[0], window_frames[1], cfg.flow)
@@ -176,15 +179,19 @@ def _process_window(
     return maps, timings
 
 
-def _windows(source: Iterable[Frame], w: int) -> Iterator[tuple[int, list[Frame]]]:
-    """Yield (window_number, frames) for each whole window of ``source``.
+def _windows(
+    source: Iterable[Frame], w: int, first_frame: int
+) -> Iterator[tuple[int, int, list[Frame]]]:
+    """Yield (window_number, first frame number, frames) for each whole
+    window of ``source``, whose first frame is number ``first_frame``.
 
-    Every frame, leftovers included, must have the first frame's size. A
-    failing source raises SourceError naming the last window yielded.
+    Every frame, leftovers included, must have the first frame's size; an
+    InputError names both by their numbers. A failing source raises
+    SourceError naming the last window yielded.
     """
     it = iter(source)
     buffered: list[Frame] = []
-    number = 0
+    number, start = 0, first_frame  # windows yielded, number of the next window's first frame
     dims = None
     while True:
         try:
@@ -199,38 +206,39 @@ def _windows(source: Iterable[Frame], w: int) -> Iterator[tuple[int, list[Frame]
             dims = (frame.width, frame.height)
         elif (frame.width, frame.height) != dims:
             raise InputError(
-                f"inconsistent frame dimensions: frame {number * w + len(buffered) + 1} is "
-                f"{(frame.width, frame.height)}, frame 1 is {dims}"
+                f"inconsistent frame dimensions: frame {start + len(buffered)} is "
+                f"{(frame.width, frame.height)}, frame {first_frame} is {dims}"
             )
         buffered.append(frame)
         if len(buffered) == w:
             number += 1
-            yield number, buffered
+            yield number, start, buffered
+            start += w
             buffered = []
     if buffered:
-        first = number * w + 1
         log.info(
             "skipping %d leftover frame(s) %s (pad the input to a multiple of %d)",
-            len(buffered), list(range(first, first + len(buffered))), w,
+            len(buffered), list(range(start, start + len(buffered))), w,
         )
 
 
 def run_windows(
-    source: Iterable[Frame], cfg: PipelineConfig, jobs: int = 1
+    source: Iterable[Frame], cfg: PipelineConfig, jobs: int = 1, first_frame: int = 1
 ) -> Iterator[tuple[int, list[Frame], list[tuple[int, SegmentationMap]], list[PhaseTiming]]]:
     """Yield (window_number, frames, maps, timings) for each whole window of
-    ``source``, in window order.
+    ``source``, in window order. The source's first frame is number
+    ``first_frame``; maps and timings carry frame numbers counted from it.
 
     With one job each window runs on the caller's thread when it is asked
     for. Otherwise windows run on a thread pool, at most ``jobs`` in flight
     beyond the one being yielded; closing the generator cancels the queued
     ones and waits for the running ones. Either way, a source that fails
-    (SourceError, or InputError for a frame of another size) raises after
+    (an InputError: SourceError, or a frame of another size) raises after
     every window cut before it has been yielded."""
-    windows = _windows(source, cfg.window_size)
+    windows = _windows(source, cfg.window_size, first_frame)
     if jobs == 1:
-        for number, frames in windows:
-            yield number, frames, *_process_window(number, frames, cfg)
+        for number, first, frames in windows:
+            yield number, frames, *_process_window(number, first, frames, cfg)
         return
     pool = ThreadPoolExecutor(max_workers=jobs)
     pending: deque = deque()
@@ -238,13 +246,13 @@ def run_windows(
     try:
         while True:
             try:
-                number, frames = next(windows)
+                number, first, frames = next(windows)
             except StopIteration:
                 break
-            except (SourceError, InputError) as exc:  # raised once the windows before it are out
+            except InputError as exc:  # raised once the windows before it are out
                 failure = exc
                 break
-            pending.append((number, frames, pool.submit(_process_window, number, frames, cfg)))
+            pending.append((number, frames, pool.submit(_process_window, number, first, frames, cfg)))
             if len(pending) > jobs:
                 number, frames, future = pending.popleft()
                 yield number, frames, *future.result()

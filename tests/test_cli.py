@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import json
+import re
 import threading
 import tracemalloc
 
@@ -264,7 +266,8 @@ def test_segment_insufficient_frames(tmp_path, scene_dir, capsys):
     assert code == 3
 
 
-def test_segment_mixed_sizes_names_frames_by_their_numbers(tmp_path, capsys):
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_segment_mixed_sizes_names_frames_by_their_numbers(tmp_path, capsys, jobs):
     frames = tmp_path / "frames"
     frames.mkdir()
     for number in range(101, 109):
@@ -273,11 +276,53 @@ def test_segment_mixed_sizes_names_frames_by_their_numbers(tmp_path, capsys):
     cfg = tmp_path / "pipeline.cfg"
     cfg.write_text(PIPELINE_CONFIG)
     out = tmp_path / "out"
-    code = main(["segment", "--in", str(frames), "--config", str(cfg), "--out", str(out)])
+    code = main(["segment", "--in", str(frames), "--config", str(cfg), "--out", str(out),
+                 "--jobs", str(jobs)])
     assert code == 3
     err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert "frame source failed" not in err
     assert "frame 103 is (80, 62), frame 101 is (80, 60)" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_segment_numbers_outputs_as_the_input_files(tmp_path, scene_dir, jobs):
+    # 12 frames at |W| = 5: two windows and two leftover frames, numbered
+    # from 1 and, copied, from 101
+    shifted = tmp_path / "shifted"
+    shifted.mkdir()
+    for number, p in enumerate(sorted((scene_dir / "frames").glob("*.pgm")), start=101):
+        (shifted / f"frame_{number:06d}.pgm").write_bytes(p.read_bytes())
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text("window_size = 5\nflow_downscale = 2\n")
+
+    def segment(frames, name):
+        out = tmp_path / name
+        assert main(["segment", "--in", str(frames), "--config", str(cfg), "--out", str(out),
+                     "--jobs", str(jobs)]) == 0
+        return out
+
+    def shift(name):  # mask_000002.pgm -> mask_000102.pgm
+        return re.sub(r"\d{6}", lambda m: f"{int(m[0]) + 100:06d}", name)
+
+    run, run_101 = segment(scene_dir / "frames", "run"), segment(shifted, "run_101")
+    images = sorted(p.name for p in run.iterdir() if p.suffix in (".pgm", ".ppm"))
+    assert len(images) == 2 * 4 * 2  # two windows of four maps, a mask and an overlay each
+    assert sorted(p.name for p in run_101.iterdir()) == sorted(shift(p.name) for p in run.iterdir())
+    for name in images:
+        assert (run / name).read_bytes() == (run_101 / shift(name)).read_bytes(), name
+
+    def groups(out):
+        return [json.loads(line) for line in (out / "groups.jsonl").read_text().splitlines()]
+
+    assert groups(run_101) == [{**row, "frame": row["frame"] + 100} for row in groups(run)]
+
+    def frames_and_phases(out):
+        return [row[:2] for row in csv.reader((out / "timings.csv").read_text().splitlines()[1:])]
+
+    assert frames_and_phases(run_101) == [[str(int(f) + 100), phase] for f, phase in frames_and_phases(run)]
+    assert frames_and_phases(run_101)[-2:] == [["111", "skipped"], ["112", "skipped"]]
 
 
 def groups_at(count):
@@ -289,7 +334,7 @@ def groups_at(count):
 
 
 def test_segment_too_many_groups_writes_nothing(tmp_path, scene_dir, monkeypatch, capsys):
-    def run_with_256_groups(source, cfg, jobs=1):
+    def run_with_256_groups(source, cfg, jobs=1, first_frame=1):
         frames = list(source)
         yield 1, frames[:4], [(i, SegmentationMap(i, 32, 32, groups_at(3))) for i in (2, 3, 4)], []
         yield 2, frames[4:8], [(i, SegmentationMap(i, 32, 32, groups_at(256))) for i in (6, 7, 8)], []
@@ -307,8 +352,8 @@ def crowd_window_2(tmp_path, scene_dir, monkeypatch):
     """Give window 2's seed map 256 groups."""
     process = flowseg.pipeline._process_window
 
-    def crowded(number, frames, cfg):
-        maps, timings = process(number, frames, cfg)
+    def crowded(number, first_frame, frames, cfg):
+        maps, timings = process(number, first_frame, frames, cfg)
         if number == 2:
             frame_index, seg_map = maps[0]
             maps[0] = (frame_index, SegmentationMap(frame_index, seg_map.width, seg_map.height, groups_at(256)))
@@ -344,7 +389,9 @@ def test_segment_failure_mid_stream_leaves_out_as_it_was(
     threads = threading.active_count()
     code, _ = run_segment(tmp_path, source, out_name="out", extra=("--jobs", str(jobs)))
     assert code == 3
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert message in err
     assert [p.name for p in out.iterdir()] == ["mask_000002.pgm"]
     assert (out / "mask_000002.pgm").read_bytes() == b"from an earlier run"
     assert {p.name for p in tmp_path.iterdir()} == beside_out  # no staging directory left
@@ -502,11 +549,12 @@ def test_non_finite_config_number_is_a_config_error(tmp_path, scene_dir, capsys,
 @pytest.mark.parametrize(
     "key",
     ["dt = 0.5", "sqrt_dt_noise = true", "flow_pyramid_levels = 3", "flow_window_radius = 4",
-     "flow_iterations = 4", "peak_min_fraction = 0.05"],
+     "flow_iterations = 4", "peak_min_fraction = 0.05", "jobs = 2"],
 )
 def test_time_step_keys_are_unknown(tmp_path, scene_dir, capsys, key):
     # one Langevin step is one frame, so there is no time step to set; the
-    # flow estimator's shape and the peak floor are constants, not settings
+    # flow estimator's shape and the peak floor are constants, not settings;
+    # --jobs alone sets the window parallelism
     cfg = tmp_path / "time_step.cfg"
     cfg.write_text(f"{PIPELINE_CONFIG}{key}\n")
     out = tmp_path / "out"
@@ -526,12 +574,13 @@ def test_time_step_keys_are_unknown(tmp_path, scene_dir, capsys, key):
         ("segment", PIPELINE_CONFIG + "force_external = false\nforce_drift_confine = false\n"
                                       "force_disturbance = false\n"),
         ("segment", PIPELINE_CONFIG + "bin_count = 1\n"),
+        ("segment", PIPELINE_CONFIG + "bin_count = 40000\n"),
         ("segment", PIPELINE_CONFIG + "magnitude_threshold = -1\n"),
         ("bench", PIPELINE_CONFIG + "bin_count = 1\n"),
         ("synth", SCENE_SPEC.replace("width = 64", "width = 4")),
     ],
     ids=["window_size", "flow_downscale", "gamma_x", "dilation_radius", "all-forces-off", "bin_count",
-         "magnitude_threshold", "bench-bin_count", "synth-width"],
+         "bin_count-above-int16", "magnitude_threshold", "bench-bin_count", "synth-width"],
 )
 def test_out_of_range_setting_is_a_config_error_before_any_read(
     tmp_path, scene_dir, monkeypatch, capsys, command, text
@@ -692,7 +741,7 @@ def test_ou_check_rejects_gamma_without_stationary_variance(capsys, monkeypatch)
         raise AssertionError("simulated a check that cannot be made")
 
     monkeypatch.setattr(flowseg.cli, "ou_statistics", no_simulation)
-    assert main(["ou-check", "--gamma", "0"]) == 3
+    assert main(["ou-check", "--gamma", "0"]) == 2
     assert "stationary variance" in capsys.readouterr().err
 
 
@@ -791,11 +840,13 @@ def test_bench_window_below_3_is_a_config_error_before_any_flow(
         "bench --scene-frames 0 --w 3 --repeats 1",
         "ou-check --steps 0",
         "ou-check --particles 0",
+        "ou-check --gamma 2",
+        "ou-check --xid nan",
         "synth --preset one-way --frames 0 --out {tmp}/out",
         "eval --pred {tmp}/pred --gt {tmp}/pred --window-size 0",
     ],
-    ids=["bench-repeats", "bench-scene-frames", "ou-check-steps", "ou-check-particles", "synth-frames",
-         "eval-window-size"],
+    ids=["bench-repeats", "bench-scene-frames", "ou-check-steps", "ou-check-particles", "ou-check-gamma",
+         "ou-check-xid", "synth-frames", "eval-window-size"],
 )
 def test_out_of_range_flag_is_a_config_error_before_any_work(tmp_path, monkeypatch, capsys, argv):
     def no_work(*args, **kwargs):

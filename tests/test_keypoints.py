@@ -172,6 +172,8 @@ def test_quantize_validation():
     with pytest.raises(InputError):
         segment_flow(flow, 0.4, 1)
     with pytest.raises(InputError):
+        segment_flow(flow, 0.4, 32768)  # beyond the int16 bin map
+    with pytest.raises(InputError):
         segment_flow(flow, -0.1, 8)
 
 
