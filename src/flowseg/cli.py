@@ -69,7 +69,7 @@ from .evaluation import rasterize_maps, render_overlays, score_frames
 from .evaluation import rasterize, render_overlay  # noqa: F401  (perfbench traces these names)
 from .flow import _block_mean
 from .io import Frame, read_frame, write_flow_file, write_frame, write_ppm
-from .pipeline import PHASE_SKIPPED, PipelineConfig, run_windows
+from .pipeline import PHASE_SKIPPED, PipelineConfig, check_frame_size, run_windows
 from .pipeline import segment_video  # noqa: F401  (perfbench traces these names)
 from .synth import SceneSpec, ar1_stationary_variance, generate_scene, ou_statistics
 from .dynamics import LangevinParams
@@ -115,7 +115,7 @@ def _read_frames_dir(path: Path) -> tuple[Iterator[Frame], int, int]:
 
     Numbers must be strictly consecutive (checked before any frame is read),
     so the pipeline, given the first number, numbers every frame as its
-    file is numbered; the pipeline also checks the frame sizes.
+    file is numbered; the pipeline (and ``bench``) check the frame sizes.
     """
     numbered = _numbered_pgms(path, "input")
     if not numbered:
@@ -336,6 +336,9 @@ def cmd_bench(args) -> int:
         numbers = range(first, first + count)
         gt_map = _read_ground_truth(Path(args.gt), numbers)
         frames, masks = list(frame_iter), [gt_map[n] for n in numbers]
+        dims = (frames[0].width, frames[0].height)
+        for number, frame in zip(numbers, frames):
+            check_frame_size(frame, number, dims, first)
     else:
         _at_least_one(scene_frames=args.scene_frames)
         scene = generate_scene(synth.preset_scene("one-way", frame_count=args.scene_frames))

@@ -39,6 +39,14 @@ def _parse_floats(value: str, count: int) -> tuple[float, ...]:
     return tuple(_parse_finite(p) for p in parts)
 
 
+def _parse_integral(value: str, count: int) -> tuple[int, ...]:
+    """``_parse_floats`` of ``value``; a number with a fraction is a ValueError."""
+    numbers = _parse_floats(value, count)
+    if not all(n.is_integer() for n in numbers):
+        raise ValueError(value)
+    return tuple(int(n) for n in numbers)
+
+
 class ConfigDict:
     """Parsed key/value pairs with typed, line-aware accessors."""
 
@@ -85,8 +93,8 @@ class ConfigDict:
     def get_pair(self, key: str, default=_MISSING) -> tuple[float, float]:
         return self._get(key, default, lambda v: _parse_floats(v, 2), "numeric 'a, b' pair")
 
-    def get_quad(self, key: str, default=_MISSING) -> tuple[float, float, float, float]:
-        return self._get(key, default, lambda v: _parse_floats(v, 4), "numeric 'x, y, w, h' quad")
+    def get_quad(self, key: str, default=_MISSING) -> tuple[int, int, int, int]:
+        return self._get(key, default, lambda v: _parse_integral(v, 4), "integer 'x, y, w, h' quad")
 
     def reject_unknown(self) -> None:
         """Raise if any parsed key was never consumed (typo protection)."""

@@ -138,7 +138,7 @@ def read_frame(path) -> Frame:
 def write_frame(frame: Frame, path) -> None:
     with open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n255\n" % (frame.width, frame.height))
-        fh.write(frame.data.tobytes())
+        fh.write(frame.data)
 
 
 def read_ppm(path) -> np.ndarray:
@@ -152,7 +152,7 @@ def write_ppm(rgb: np.ndarray, path) -> None:
         raise InputError("P6 payload must be an (h, w, 3) array")
     with open(path, "wb") as fh:
         fh.write(b"P6\n%d %d\n255\n" % (rgb.shape[1], rgb.shape[0]))
-        fh.write(rgb.tobytes())
+        fh.write(rgb)
 
 
 def read_flow_file(path) -> FlowField:

@@ -179,6 +179,16 @@ def _process_window(
     return maps, timings
 
 
+def check_frame_size(frame: Frame, number: int, dims: tuple[int, int], first_frame: int) -> None:
+    """Raise an InputError naming frame ``number`` unless its (width, height)
+    is ``dims``, the size of frame ``first_frame``."""
+    if (frame.width, frame.height) != dims:
+        raise InputError(
+            f"inconsistent frame dimensions: frame {number} is "
+            f"{(frame.width, frame.height)}, frame {first_frame} is {dims}"
+        )
+
+
 def _windows(
     source: Iterable[Frame], w: int, first_frame: int
 ) -> Iterator[tuple[int, int, list[Frame]]]:
@@ -204,11 +214,7 @@ def _windows(
             ) from exc
         if dims is None:
             dims = (frame.width, frame.height)
-        elif (frame.width, frame.height) != dims:
-            raise InputError(
-                f"inconsistent frame dimensions: frame {start + len(buffered)} is "
-                f"{(frame.width, frame.height)}, frame {first_frame} is {dims}"
-            )
+        check_frame_size(frame, start + len(buffered), dims, first_frame)
         buffered.append(frame)
         if len(buffered) == w:
             number += 1

@@ -5,7 +5,9 @@ textured background: the strongest verifiable stand-in for structured
 flows, since block pixels move with a known constant velocity and the
 ground truth (masks and flow) is exact by construction. Blocks with zero
 velocity are background for ground-truth purposes (nothing moves above
-the magnitude threshold).
+the magnitude threshold). With sensor noise of level s, a frame is
+clip(rint(frame + s * z), 0, 255) for standard normal draws z seeded per
+frame; the ground-truth flows are float32, as every FlowField is.
 """
 
 import csv
@@ -52,9 +54,13 @@ class SceneSpec:
             raise InputError("frame_count must be >= 1")
         if not (self.noise_level >= 0 and np.isfinite(self.noise_level)):
             raise InputError(f"noise_level={self.noise_level} must be finite and >= 0")
+        if self.background_seed < 0:
+            raise InputError(f"background_seed={self.background_seed} must be >= 0")
         if len(self.blocks) > 255:
             raise InputError(f"{len(self.blocks)} blocks: masks are uint8, so a scene holds at most 255")
         for i, blk in enumerate(self.blocks):
+            if not all(isinstance(c, (int, np.integer)) for c in blk.rect):
+                raise InputError(f"block {i + 1}: rect {blk.rect} must be whole pixels")
             x, y, w, h = blk.rect
             if w < 1 or h < 1:
                 raise InputError(f"block {i + 1}: empty rect")
@@ -62,6 +68,8 @@ class SceneSpec:
                 raise InputError(f"block {i + 1}: rect {blk.rect} outside frame at t=0")
             if not all(np.isfinite(blk.velocity)):
                 raise InputError(f"block {i + 1}: non-finite velocity")
+            if blk.texture_seed < 0:
+                raise InputError(f"block {i + 1}: texture seed {blk.texture_seed} must be >= 0")
 
     @classmethod
     def from_config(cls, cfg: ConfigDict) -> "SceneSpec":
@@ -69,7 +77,7 @@ class SceneSpec:
         blocks = []
         i = 1
         while f"block{i}_rect" in cfg:
-            rect = tuple(int(v) for v in cfg.get_quad(f"block{i}_rect"))
+            rect = cfg.get_quad(f"block{i}_rect")
             vx, vy = cfg.get_pair(f"block{i}_velocity", (0.0, 0.0))
             seed = cfg.get_int(f"block{i}_seed", i)
             blocks.append(BlockSpec(rect=rect, velocity=(vx, vy), texture_seed=seed))
@@ -117,11 +125,18 @@ def noise_texture(height: int, width: int, seed: int) -> np.ndarray:
     img = ndimage.gaussian_filter(rng.random((height, width)), 1.0, mode="wrap")
     lo, hi = img.min(), img.max()
     if hi > lo:
-        img = (img - lo) / (hi - lo)
-    return np.rint(img * 255).astype(np.uint8)
+        img -= lo
+        img /= hi - lo
+    img *= 255
+    return np.rint(img, out=img).astype(np.uint8)
 
 
 def generate_scene(spec: SceneSpec) -> SceneData:
+    """The frames, ground-truth masks and float32 ground-truth flows of
+    ``spec``. Each block is pasted at round(rect + velocity * t) over the
+    background; with ``noise_level`` s > 0 frame t is then
+    clip(rint(frame + s * z), 0, 255), z standard normal draws from the
+    generator seeded (background_seed, 7919, t)."""
     background = noise_texture(spec.height, spec.width, spec.background_seed)
     textures = [
         noise_texture(blk.rect[3], blk.rect[2], blk.texture_seed) for blk in spec.blocks
@@ -131,6 +146,7 @@ def generate_scene(spec: SceneSpec) -> SceneData:
     masks: list[np.ndarray] = []
     truncated: list[tuple[int, int]] = []
     placements: list[list[tuple[int, int, int, int] | None]] = []  # per frame, per block
+    noise = np.empty((spec.height, spec.width)) if spec.noise_level > 0 else None
 
     for t in range(spec.frame_count):
         img = background.copy()
@@ -153,18 +169,21 @@ def generate_scene(spec: SceneSpec) -> SceneData:
             if moving:
                 mask[ys:ye, xs:xe] = number
             frame_placement.append((xs, ys, xe, ye) if moving else None)
-        if spec.noise_level > 0:
-            rng = np.random.default_rng((spec.background_seed, 7919, t))
-            noisy = img.astype(np.float64) + rng.normal(0.0, spec.noise_level, img.shape)
-            img = np.clip(np.rint(noisy), 0, 255).astype(np.uint8)
+        if noise is not None:
+            # the bytes of rng.normal(0.0, s, shape), which draws 0.0 + s * z from this stream
+            np.random.default_rng((spec.background_seed, 7919, t)).standard_normal(out=noise)
+            noise *= spec.noise_level
+            noise += img
+            np.rint(noise, out=noise)
+            img = np.clip(noise, 0, 255, out=noise).astype(np.uint8)
         frames.append(Frame(img))
         masks.append(mask)
         placements.append(frame_placement)
 
     flows: list[FlowField] = []
     for t in range(spec.frame_count - 1):
-        u = np.zeros((spec.height, spec.width), dtype=np.float64)
-        v = np.zeros((spec.height, spec.width), dtype=np.float64)
+        u = np.zeros((spec.height, spec.width), dtype=np.float32)
+        v = np.zeros((spec.height, spec.width), dtype=np.float32)
         for blk, placed in zip(spec.blocks, placements[t]):
             if placed is None:
                 continue

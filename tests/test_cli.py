@@ -103,6 +103,33 @@ def test_synth_numbers_at_most_255_blocks(tmp_path, capsys, blocks, code):
         assert set(np.unique(gt).tolist()) == set(range(256))
 
 
+@pytest.mark.parametrize(
+    "line, negative, message",
+    [
+        ("background_seed = 1", "background_seed = -1", "background_seed=-1 must be >= 0"),
+        ("block1_seed = 2", "block1_seed = -5", "block 1: texture seed -5 must be >= 0"),
+    ],
+    ids=["background", "block"],
+)
+def test_synth_negative_seed_is_a_config_error_before_any_write(tmp_path, capsys, line, negative, message):
+    spec = tmp_path / "scene.cfg"
+    spec.write_text(SCENE_SPEC.replace(line, negative))
+    out = tmp_path / "scene"
+    assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_synth_fractional_rect_is_a_config_error_before_any_write(tmp_path, capsys):
+    spec = tmp_path / "scene.cfg"
+    spec.write_text(SCENE_SPEC.replace("block1_rect = 6, 20, 16, 24", "block1_rect = 4.7, 4, 16, 16"))
+    out = tmp_path / "scene"
+    assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "key 'block1_rect': expected integer 'x, y, w, h' quad, got '4.7, 4, 16, 16'" in err
+    assert not out.exists()
+
+
 def test_synth_gt_holds_block_numbers_and_eval_scores_them_as_binary(tmp_path, capsys):
     spec = tmp_path / "two.cfg"
     spec.write_text(SCENE_SPEC + "block2_rect = 40, 4, 16, 12\nblock2_velocity = -2, 0\n")
@@ -892,3 +919,23 @@ def test_bench_missing_gt_frame_is_an_input_error(tmp_path, scene_dir, capsys):
                  "--gt", str(scene_dir / "gt"), "--repeats", "1", "--seed", "1"])
     assert code == 3
     assert "ground truth missing for frames: [5]" in capsys.readouterr().err
+
+
+def test_bench_mixed_sizes_names_frames_by_number_before_any_flow(tmp_path, monkeypatch, capsys):
+    frames, gt = tmp_path / "frames", tmp_path / "gt"
+    frames.mkdir()
+    gt.mkdir()
+    for number in range(1, 13):
+        height = 62 if number == 9 else 64
+        write_frame(Frame(np.full((height, 64), number, np.uint8)), frames / f"frame_{number:06d}.pgm")
+        write_frame(Frame(np.zeros((height, 64), np.uint8)), gt / f"gt_{number:06d}.pgm")
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("computed flow before checking the frame sizes")
+
+    monkeypatch.setattr(flowseg.synth, "compute_dense_flow", no_flow)
+    monkeypatch.setattr(flowseg.pipeline, "compute_dense_flow", no_flow)
+    code = main(["bench", "--w", "3", "--frames", str(frames), "--gt", str(gt), "--repeats", "1"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "input error: inconsistent frame dimensions: frame 9 is (64, 62), frame 1 is (64, 64)\n"

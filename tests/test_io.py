@@ -151,3 +151,16 @@ def test_ppm_roundtrip(tmp_path):
     path = tmp_path / "o.ppm"
     write_ppm(rgb, path)
     assert np.array_equal(read_ppm(path), rgb)
+
+
+def test_writers_write_the_header_and_the_raster_bytes(tmp_path):
+    rng = np.random.default_rng(3)
+    gray = rng.integers(0, 256, (5, 7), dtype=np.uint8)
+    rgb = rng.integers(0, 256, (5, 7, 3), dtype=np.uint8)
+    write_frame(Frame(gray), tmp_path / "f.pgm")
+    write_ppm(rgb, tmp_path / "o.ppm")
+    assert (tmp_path / "f.pgm").read_bytes() == b"P5\n7 5\n255\n" + gray.tobytes()
+    assert (tmp_path / "o.ppm").read_bytes() == b"P6\n7 5\n255\n" + rgb.tobytes()
+    # a strided view is written as its own pixels, row by row
+    write_ppm(rgb[:, ::2], tmp_path / "s.ppm")
+    assert (tmp_path / "s.ppm").read_bytes() == b"P6\n4 5\n255\n" + rgb[:, ::2].tobytes()

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from flowseg import (
     BlockSpec,
@@ -19,6 +20,7 @@ from flowseg import (
     segment_flow,
 )
 from flowseg.config import format_config, parse_config_text
+from flowseg.io import FlowField
 
 
 def one_block_spec(velocity=(2.0, 0.0), frames=8):
@@ -109,6 +111,14 @@ def test_spec_validation():
     for noise_level in (math.nan, math.inf):
         with pytest.raises(InputError, match="noise_level"):
             replace(one_block_spec(), noise_level=noise_level)
+    with pytest.raises(InputError, match="background_seed=-1"):
+        replace(one_block_spec(), background_seed=-1)
+    with pytest.raises(InputError, match="texture seed -5"):
+        SceneSpec(width=64, height=48, frame_count=4,
+                  blocks=(BlockSpec(rect=(4, 10, 16, 12), velocity=(1, 0), texture_seed=-5),))
+    with pytest.raises(InputError, match="whole pixels"):
+        SceneSpec(width=64, height=48, frame_count=4,
+                  blocks=(BlockSpec(rect=(4.7, 4, 16, 16), velocity=(1, 0)),))
 
 
 def test_spec_config_roundtrip():
@@ -128,6 +138,114 @@ def test_texture_determinism_and_contrast():
     b = noise_texture(32, 32, seed=4)
     assert np.array_equal(a, b)
     assert a.min() == 0 and a.max() == 255
+
+
+# --- reference forms -------------------------------------------------------------
+# generate_scene draws its noise into one buffer, makes its flows float32 from
+# the start and noise_texture normalises in place; these are the plain forms
+# those replaced, and each test below compares bytes and bit patterns with one.
+
+
+def reference_noise_texture(height, width, seed):
+    rng = np.random.default_rng(seed)
+    img = ndimage.gaussian_filter(rng.random((height, width)), 1.0, mode="wrap")
+    lo, hi = img.min(), img.max()
+    if hi > lo:
+        img = (img - lo) / (hi - lo)
+    return np.rint(img * 255).astype(np.uint8)
+
+
+def reference_scene(spec):
+    """(frames, masks, flows, truncated) of ``spec``: noise from
+    ``normal(0.0, noise_level)``, flows made in float64."""
+    background = reference_noise_texture(spec.height, spec.width, spec.background_seed)
+    textures = [reference_noise_texture(b.rect[3], b.rect[2], b.texture_seed) for b in spec.blocks]
+    frames, masks, truncated, placements = [], [], [], []
+    for t in range(spec.frame_count):
+        img = background.copy()
+        mask = np.zeros((spec.height, spec.width), dtype=np.uint8)
+        frame_placement = []
+        for number, (blk, tex) in enumerate(zip(spec.blocks, textures), start=1):
+            x0 = int(round(blk.rect[0] + blk.velocity[0] * t))
+            y0 = int(round(blk.rect[1] + blk.velocity[1] * t))
+            bw, bh = blk.rect[2], blk.rect[3]
+            xs, ys = max(x0, 0), max(y0, 0)
+            xe, ye = min(x0 + bw, spec.width), min(y0 + bh, spec.height)
+            if xs >= xe or ys >= ye:
+                truncated.append((t + 1, number))
+                frame_placement.append(None)
+                continue
+            if (xe - xs, ye - ys) != (bw, bh):
+                truncated.append((t + 1, number))
+            img[ys:ye, xs:xe] = tex[ys - y0 : ye - y0, xs - x0 : xe - x0]
+            moving = blk.velocity[0] != 0 or blk.velocity[1] != 0
+            if moving:
+                mask[ys:ye, xs:xe] = number
+            frame_placement.append((xs, ys, xe, ye) if moving else None)
+        if spec.noise_level > 0:
+            rng = np.random.default_rng((spec.background_seed, 7919, t))
+            noisy = img.astype(np.float64) + rng.normal(0.0, spec.noise_level, img.shape)
+            img = np.clip(np.rint(noisy), 0, 255).astype(np.uint8)
+        frames.append(img)
+        masks.append(mask)
+        placements.append(frame_placement)
+    flows = []
+    for t in range(spec.frame_count - 1):
+        u = np.zeros((spec.height, spec.width), dtype=np.float64)
+        v = np.zeros((spec.height, spec.width), dtype=np.float64)
+        for blk, placed in zip(spec.blocks, placements[t]):
+            if placed is None:
+                continue
+            xs, ys, xe, ye = placed
+            u[ys:ye, xs:xe] = blk.velocity[0]
+            v[ys:ye, xs:xe] = blk.velocity[1]
+        flows.append(FlowField(u=u, v=v))
+    return frames, masks, flows, truncated
+
+
+REFERENCE_SCENES = {
+    "one-way": preset_scene("one-way"),
+    "two-way": preset_scene("two-way"),
+    "static": preset_scene("static"),
+    "two-way-noise-6": replace(preset_scene("two-way"), noise_level=6.0),
+    "two-way-noise-0.3": replace(preset_scene("two-way"), noise_level=0.3),
+    # block 1 leaves the frame on the right; block 2 stands still
+    "clipped-and-still": SceneSpec(
+        width=64, height=48, frame_count=8,
+        blocks=(
+            BlockSpec(rect=(40, 4, 16, 12), velocity=(5.0, 0.0), texture_seed=3),
+            BlockSpec(rect=(8, 28, 12, 12), velocity=(0.0, 0.0), texture_seed=4),
+        ),
+        background_seed=2, noise_level=6.0,
+    ),
+    "sub-pixel": one_block_spec(velocity=(1.5, 0.5)),
+    # components that float32 rounds: the flow bits show where it rounds
+    "inexact-velocity": one_block_spec(velocity=(0.7, -1 / 3)),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_SCENES)
+def test_scene_matches_reference_form(name):
+    spec = REFERENCE_SCENES[name]
+    frames, masks, flows, truncated = reference_scene(spec)
+    scene = generate_scene(spec)
+    assert scene.truncated == truncated
+    assert (name == "clipped-and-still") == bool(truncated)
+    assert [f.data.tobytes() for f in scene.frames] == [f.tobytes() for f in frames]
+    assert [m.tobytes() for m in scene.masks] == [m.tobytes() for m in masks]
+    assert len(scene.flows) == len(flows)
+    for got, want in zip(scene.flows, flows):
+        assert got.u.dtype == got.v.dtype == np.float32
+        assert got.u.tobytes() == want.u.tobytes() and got.v.tobytes() == want.v.tobytes()
+        assert got.valid.all()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 7), (32, 32), (60, 80)])
+@pytest.mark.parametrize("seed", [0, 4, 2**31 - 2])
+def test_noise_texture_matches_reference_form(shape, seed):
+    got = noise_texture(*shape, seed=seed)
+    assert got.dtype == np.uint8
+    assert got.tobytes() == reference_noise_texture(*shape, seed).tobytes()
 
 
 # --- velocity-process statistics oracle ------------------------------------------
