@@ -7,7 +7,6 @@ computed once per window instead of once per frame pair.
 """
 
 from .dynamics import (
-    ForceAblation,
     GroupForces,
     LangevinParams,
     NoiseSource,
@@ -72,7 +71,6 @@ __all__ = [
     "FlowField",
     "FlowParams",
     "FlowSegError",
-    "ForceAblation",
     "FormatError",
     "Frame",
     "Group",

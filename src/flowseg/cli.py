@@ -8,9 +8,10 @@ failure. A number in a config file, scene spec or manifest must be finite
 and in range: NaN, an infinity or a setting out of range (such as
 ``window_size = 2`` or ``bin_count = 1``) is a config error, found before
 any frame is read. So is a flag out of range (a count such as
-``--repeats`` below 1, a ``bench --w`` size below 3, an ``ou-check
---gamma`` outside (0, 2) or a ``--xid`` that is not a finite number >= 0),
-found before any work.
+``--repeats`` below 1, a ``bench --w`` size below 3, a ``bench
+--scene-frames`` below twice the largest ``--w``, an ``ou-check --gamma``
+outside (0, 2), or a ``--xid`` or ``--tolerance`` that is not a finite
+number >= 0), found before any work.
 
 The seed of ``segment`` and ``bench`` is ``--seed`` if given, else the
 config's ``seed`` key, else 0; ``ou-check`` takes ``--seed`` or 0.
@@ -36,15 +37,15 @@ their seed frames (less accurate). On a 100-frame synthetic scene:
     flowseg bench --scene-frames 100 --w 3..10 --repeats 5 --seed 1 --out sweep.csv
 
 ``--w`` sets ``bench``'s window sizes, so its ``--config`` may omit
-``window_size`` (a run manifest that has it works too). A config's
-``force_*`` keys switch force families off, so this loop scores each of
-the 7 subsets of damping, drift/confinement and disturbance that keeps at
-least one on:
+``window_size`` (a run manifest that has it works too). A config turns
+the damping off with ``gamma_x = gamma_y = 0``, the disturbance with
+``xi_d_x = xi_d_y = 0`` and the estimated drift and confinement with
+``force_drift_confine = false``, so this loop scores each of the 8 subsets
+of the three force families (with none, particles move ballistically):
 
-    for e in true false; do for d in true false; do for n in true false; do
-      [ "$e$d$n" = falsefalsefalse ] && continue
-      printf 'force_external = %s\nforce_drift_confine = %s\nforce_disturbance = %s\n' \
-        $e $d $n > forces.cfg
+    for g in 0.8 0; do for d in true false; do for n in 0.1,0.5 0,0; do
+      printf 'gamma_x = %s\ngamma_y = %s\nforce_drift_confine = %s\nxi_d_x = %s\nxi_d_y = %s\n' \
+        $g $g $d "${n%,*}" "${n#*,}" > forces.cfg
       flowseg bench --config forces.cfg --w 4 --scene-frames 40 --repeats 1 --seed 1
     done; done; done
 """
@@ -69,7 +70,7 @@ from .evaluation import rasterize_maps, render_overlays, score_frames
 from .evaluation import rasterize, render_overlay  # noqa: F401  (perfbench traces these names)
 from .flow import _block_mean
 from .io import Frame, read_frame, write_flow_file, write_frame, write_ppm
-from .pipeline import PHASE_SKIPPED, PipelineConfig, check_frame_size, run_windows
+from .pipeline import PHASE_SKIPPED, PipelineConfig, run_windows
 from .pipeline import segment_video  # noqa: F401  (perfbench traces these names)
 from .synth import SceneSpec, ar1_stationary_variance, generate_scene, ou_statistics
 from .dynamics import LangevinParams
@@ -209,6 +210,7 @@ def cmd_segment(args) -> int:
         staging = Path(staging_dir)
         (staging / "manifest.txt").write_text(manifest)
         windows = masks = 0  # windows are numbered from 1: the last number is the count
+        end = first_number  # number of the first frame after the last window
         with (
             open(staging / "groups.jsonl", "w") as groups_fh,
             open(staging / "timings.csv", "w", newline="") as timings_fh,
@@ -216,11 +218,12 @@ def cmd_segment(args) -> int:
         ):
             timings = csv.writer(timings_fh)
             timings.writerow(["frame_index", "phase", "milliseconds"])
-            for windows, window_frames, maps, window_timings in results:
+            for windows, first, window_frames, maps, window_timings in results:
                 _write_window(staging, window_frames[1:], maps, cfg, groups_fh)
                 masks += len(maps)
+                end = first + len(window_frames)
                 timings.writerows([t.frame_index, t.phase, f"{t.milliseconds:.3f}"] for t in window_timings)
-            skipped = range(first_number + windows * w, first_number + count)
+            skipped = range(end, first_number + count)
             timings.writerows([frame, PHASE_SKIPPED, "0.000"] for frame in skipped)
         out_dir.mkdir(parents=True, exist_ok=True)
         written = {path.name for path in staging.iterdir()}
@@ -294,7 +297,9 @@ def cmd_synth(args) -> int:
         spec = SceneSpec.from_config(cfg)
         cfg.reject_unknown()
     else:
-        spec = synth.preset_scene(args.preset, frame_count=args.frames)
+        spec = synth.preset_scene(args.preset)
+    if args.frames is not None:
+        spec = replace(spec, frame_count=args.frames)
     scene = generate_scene(spec)
 
     out_dir = Path(args.out)
@@ -336,16 +341,16 @@ def cmd_bench(args) -> int:
         numbers = range(first, first + count)
         gt_map = _read_ground_truth(Path(args.gt), numbers)
         frames, masks = list(frame_iter), [gt_map[n] for n in numbers]
-        dims = (frames[0].width, frames[0].height)
-        for number, frame in zip(numbers, frames):
-            check_frame_size(frame, number, dims, first)
     else:
-        _at_least_one(scene_frames=args.scene_frames)
+        first = 1
+        need = 2 * max(window_sizes)
+        if args.scene_frames < need:
+            raise ConfigError(f"--scene-frames {args.scene_frames} is below 2*max(window) = {need}")
         scene = generate_scene(synth.preset_scene("one-way", frame_count=args.scene_frames))
         frames, masks = scene.frames, scene.masks
 
     report = synth.bench_compare(
-        frames, masks, cfg, window_sizes=window_sizes, repeats=args.repeats
+        frames, masks, cfg, window_sizes=window_sizes, repeats=args.repeats, first_frame=first
     )
     print(report.table())
     if args.out:
@@ -356,6 +361,8 @@ def cmd_bench(args) -> int:
 
 def cmd_ou_check(args) -> int:
     _at_least_one(steps=args.steps, particles=args.particles)
+    if not (args.tolerance >= 0 and np.isfinite(args.tolerance)):
+        raise ConfigError(f"tolerance must be a finite number >= 0, got {args.tolerance}")
     try:
         params = LangevinParams(
             gamma_x=args.gamma, gamma_y=args.gamma,
@@ -410,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--preset", choices=sorted(synth.PRESETS))
     group.add_argument("--spec", help="scene spec config file")
     p.add_argument("--out", required=True)
-    p.add_argument("--frames", type=int, default=None, help="override preset frame count")
+    p.add_argument("--frames", type=int, default=None, help="override the preset's or spec's frame count")
     p.add_argument("--write-flow", action="store_true", help="also write ground-truth .flo files")
     p.set_defaults(func=cmd_synth)
 

@@ -13,7 +13,11 @@ map is labelled one frame later, so the update carries no time step:
 The drift force pushes the group along its dominant axis; the harmonic
 term k_y*(y - anchor_y) realizes the transverse confinement that keeps
 members near the group's centroid row; the random term models internal
-disturbances.
+disturbances. A force family is turned off through its coefficients:
+gamma = 0 drops the damping, xi_d = 0 the disturbance. The drift and
+confinement baseline is no coefficient: ``estimate_group_forces`` derives
+it from the params a propagation runs with, so with gamma_x = 0 the drift
+is 0 and, without noise, each member keeps its seed vx.
 
 ``propagate_map`` is the one particle update: it steps every member of a
 map together, as flat arrays, for any number of steps, and the pipeline
@@ -25,7 +29,7 @@ pair of that step's block, so trajectories are bit-reproducible no matter
 how work is scheduled.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -108,7 +112,8 @@ def estimate_group_forces(group: Group, params: LangevinParams) -> GroupForces:
 
     Flow exists only for a window's first frame pair, so the forces are the
     steady-state values gamma * mean velocity: they make the observed group
-    velocity a fixed point of the noise-free update. The confinement
+    velocity a fixed point of the noise-free update run with ``params``,
+    which must be the params that propagation uses. The confinement
     anchor is the group's centroid row.
     """
     if group.size == 0:
@@ -182,36 +187,3 @@ def propagate_map(
         step_groups = split_groups(ids, bins, starts, x, y, vx, vy, clamped)
         out.append(SegmentationMap(seg_map.frame_index + s + 1, width, height, step_groups))
     return out
-
-
-@dataclass(frozen=True)
-class ForceAblation:
-    """Enable/disable the three force families.
-
-    external -> the damping terms; drift_confine -> drift, confinement
-    baseline and stiffness; disturbance -> the random terms. At least one
-    family must stay enabled.
-    """
-
-    external: bool = True
-    drift_confine: bool = True
-    disturbance: bool = True
-
-    def __post_init__(self):
-        if not (self.external or self.drift_confine or self.disturbance):
-            raise InputError("all force terms disabled: no dynamics left")
-
-    def apply_params(self, params: LangevinParams) -> LangevinParams:
-        out = params
-        if not self.external:
-            out = replace(out, gamma_x=0.0, gamma_y=0.0)
-        if not self.drift_confine:
-            out = replace(out, confinement_stiffness=0.0)
-        if not self.disturbance:
-            out = replace(out, xi_d_x=0.0, xi_d_y=0.0)
-        return out
-
-    def apply_forces(self, forces: GroupForces) -> GroupForces:
-        if self.drift_confine:
-            return forces
-        return replace(forces, drift_x=0.0, confine_y=0.0)

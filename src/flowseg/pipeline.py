@@ -9,14 +9,15 @@ stochastic propagation instead of further flow computation, yielding
 window_size - 1 maps per window. Leftover frames that do not fill a whole
 window are skipped (and reported).
 
-``run_windows`` is the one run path. It yields each window's frames, maps
-and timings in order, reading the source only as far as the windows it
-runs, on the caller's thread or on a pool of at most ``jobs`` windows in
-flight. Every fault of the source, a frame of another size included, is
-an ``InputError``. ``segment_video`` collects its windows into a
-``RunResult``, ``stream_windows`` yields their maps, and ``flowseg
-segment`` writes each window's files as it arrives. Per-phase timings are
-logged at DEBUG.
+``run_windows`` is the one run path. It yields each window's number, first
+frame number, frames, maps and timings in order, reading the source only
+as far as the windows it runs, on the caller's thread or on a pool of at
+most ``jobs`` windows in flight. Every fault of the source, a frame of
+another size included, is an ``InputError``. ``segment_video`` collects
+its windows into a ``RunResult``, ``stream_windows`` yields their maps,
+and ``flowseg segment`` writes each window's files as it arrives. Each
+takes a window's bounds from its first frame number and its length.
+Per-phase timings are logged at DEBUG.
 
 Timings hold one row per frame. The flow row times the window's flow call
 and the keypoint row its segmentation and force estimation. A propagated
@@ -32,12 +33,12 @@ errors and the leftover-frames log number frames from ``run_windows``'
 import logging
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from time import perf_counter
 from typing import Iterable, Iterator, Sequence
 
 from .config import ConfigDict
-from .dynamics import ForceAblation, LangevinParams, NoiseSource, estimate_group_forces, propagate_map
+from .dynamics import LangevinParams, NoiseSource, estimate_group_forces, propagate_map
 from .errors import ConfigError, InputError, SourceError
 from .flow import FlowParams, compute_dense_flow
 from .io import Frame
@@ -55,12 +56,19 @@ DEFAULT_DILATION_RADIUS = 3
 
 # Config key prefix of each nested parameter section of PipelineConfig;
 # every other field is a top-level key under its own name.
-SECTION_PREFIXES = {"flow": "flow_", "langevin": "", "ablation": "force_"}
+SECTION_PREFIXES = {"flow": "flow_", "langevin": ""}
 _GETTERS = {int: ConfigDict.get_int, float: ConfigDict.get_float, bool: ConfigDict.get_bool}
 
 
 @dataclass
 class PipelineConfig:
+    """The settings of a run. A force family is turned off through its
+    coefficients in ``langevin`` (gamma for the damping, xi_d for the
+    disturbance), and each window's group forces are estimated from the
+    params it propagates with. ``force_drift_confine = False`` turns off the
+    one family that no coefficient sets: it zeroes the estimated drift and
+    confinement baseline and the confinement stiffness."""
+
     window_size: int
     seed: int = 0
     flow: FlowParams = field(default_factory=FlowParams)
@@ -68,7 +76,7 @@ class PipelineConfig:
     bin_count: int = DEFAULT_BIN_COUNT
     min_group_size: int = DEFAULT_MIN_GROUP_SIZE
     langevin: LangevinParams = field(default_factory=LangevinParams)
-    ablation: ForceAblation = field(default_factory=ForceAblation)
+    force_drift_confine: bool = True
     dilation_radius: int = DEFAULT_DILATION_RADIUS
     write_overlays: bool = True
 
@@ -160,18 +168,18 @@ def _process_window(
         min_group_size=cfg.min_group_size,
         frame_index=first_frame + 1,
     )
-    params = cfg.ablation.apply_params(cfg.langevin)
-    forces = {
-        g.id: cfg.ablation.apply_forces(estimate_group_forces(g, cfg.langevin))
-        for g in seg.groups
-    }
+    params = cfg.langevin
+    forces = {g.id: estimate_group_forces(g, params) for g in seg.groups}
+    if not cfg.force_drift_confine:  # the estimate reads only gamma, which this keeps
+        params = replace(params, confinement_stiffness=0.0)
+        forces = {i: replace(f, drift_x=0.0, confine_y=0.0) for i, f in forces.items()}
     timings.append(PhaseTiming(first_frame + 1, PHASE_KEYPOINT, (perf_counter() - t0) * 1e3))
 
-    steps = cfg.window_size - 2
+    steps = len(window_frames) - 2
     t0 = perf_counter()
     propagated = propagate_map(seg, forces, params, NoiseSource(cfg.seed, stream=window_number), steps)
     step_ms = (perf_counter() - t0) * 1e3 / steps
-    frames = range(first_frame + 2, first_frame + cfg.window_size)
+    frames = range(first_frame + 2, first_frame + len(window_frames))
     timings.extend(PhaseTiming(frame, PHASE_LANGEVIN, step_ms) for frame in frames)
     maps = [(first_frame + 1, seg), *zip(frames, propagated)]
     for t in timings:
@@ -230,10 +238,11 @@ def _windows(
 
 def run_windows(
     source: Iterable[Frame], cfg: PipelineConfig, jobs: int = 1, first_frame: int = 1
-) -> Iterator[tuple[int, list[Frame], list[tuple[int, SegmentationMap]], list[PhaseTiming]]]:
-    """Yield (window_number, frames, maps, timings) for each whole window of
-    ``source``, in window order. The source's first frame is number
-    ``first_frame``; maps and timings carry frame numbers counted from it.
+) -> Iterator[tuple[int, int, list[Frame], list[tuple[int, SegmentationMap]], list[PhaseTiming]]]:
+    """Yield (window_number, first frame number, frames, maps, timings) for
+    each whole window of ``source``, in window order. The source's first
+    frame is number ``first_frame``; maps and timings carry frame numbers
+    counted from it.
 
     With one job each window runs on the caller's thread when it is asked
     for. Otherwise windows run on a thread pool, at most ``jobs`` in flight
@@ -244,7 +253,7 @@ def run_windows(
     windows = _windows(source, cfg.window_size, first_frame)
     if jobs == 1:
         for number, first, frames in windows:
-            yield number, frames, *_process_window(number, first, frames, cfg)
+            yield number, first, frames, *_process_window(number, first, frames, cfg)
         return
     pool = ThreadPoolExecutor(max_workers=jobs)
     pending: deque = deque()
@@ -258,13 +267,14 @@ def run_windows(
             except InputError as exc:  # raised once the windows before it are out
                 failure = exc
                 break
-            pending.append((number, frames, pool.submit(_process_window, number, first, frames, cfg)))
+            future = pool.submit(_process_window, number, first, frames, cfg)
+            pending.append((number, first, frames, future))
             if len(pending) > jobs:
-                number, frames, future = pending.popleft()
-                yield number, frames, *future.result()
+                *window, future = pending.popleft()
+                yield *window, *future.result()
         while pending:
-            number, frames, future = pending.popleft()
-            yield number, frames, *future.result()
+            *window, future = pending.popleft()
+            yield *window, *future.result()
         if failure is not None:
             raise failure
     finally:
@@ -279,11 +289,13 @@ def segment_video(frames: Sequence[Frame], cfg: PipelineConfig, jobs: int = 1) -
     if total < w:
         raise InputError(f"need at least window_size={w} frames, got {total}")
     result = RunResult(window_maps=[], timings=[], windows=[], skipped_frames=[])
-    for number, _, maps, timings in run_windows(frames, cfg, jobs):
+    last = 0
+    for _, first, window_frames, maps, timings in run_windows(frames, cfg, jobs):
+        last = first + len(window_frames) - 1
         result.window_maps.append(maps)
         result.timings.extend(timings)
-        result.windows.append(((number - 1) * w + 1, number * w))
-    result.skipped_frames = list(range(len(result.windows) * w + 1, total + 1))
+        result.windows.append((first, last))
+    result.skipped_frames = list(range(last + 1, total + 1))
     result.timings.extend(PhaseTiming(frame, PHASE_SKIPPED, 0.0) for frame in result.skipped_frames)
     return result
 
@@ -293,5 +305,5 @@ def stream_windows(
 ) -> Iterator[tuple[int, list[tuple[int, SegmentationMap]]]]:
     """Incrementally yield (window_number, maps) keeping at most one window
     of frames in memory. Matches segment_video output exactly."""
-    for number, _, maps, _ in run_windows(source, cfg):
+    for number, _, _, maps, _ in run_windows(source, cfg):
         yield number, maps

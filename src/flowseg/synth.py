@@ -26,7 +26,7 @@ from .evaluation import report
 from .flow import compute_dense_flow
 from .io import FlowField, Frame
 from .keypoints import segment_flow
-from .pipeline import PipelineConfig, segment_video
+from .pipeline import PipelineConfig, check_frame_size, segment_video
 
 log = logging.getLogger(__name__)
 
@@ -352,12 +352,15 @@ def bench_compare(
     cfg: PipelineConfig,
     window_sizes: tuple[int, ...] = tuple(range(3, 11)),
     repeats: int = 5,
+    first_frame: int = 1,
 ) -> BenchReport:
     """Time the windowed pipeline against the per-pair recompute baseline
     and sweep accuracy over window sizes.
 
     The measured region runs single-threaded; each measurement is the
-    median of ``repeats`` runs.
+    median of ``repeats`` runs. Every frame must have the first frame's
+    size; an InputError names the first that differs, numbering frames
+    from ``first_frame``, before any flow runs.
     """
     total = len(frames)
     if not window_sizes:
@@ -368,6 +371,9 @@ def bench_compare(
         )
     if repeats < 1:
         raise InputError("repeats must be >= 1")
+    dims = (frames[0].width, frames[0].height)
+    for number, frame in enumerate(frames, start=first_frame):
+        check_frame_size(frame, number, dims, first_frame)
 
     baseline_ms = _baseline_per_pair(frames, cfg, repeats)
     ground_truth = dict(enumerate(ground_truth_masks, start=1))
@@ -382,7 +388,7 @@ def bench_compare(
             run = segment_video(frames, cfg_w, jobs=1)
             times.append((perf_counter() - t0) * 1e3)
         assert run is not None
-        processed = len(run.windows) * w
+        processed = sum(last - first + 1 for first, last in run.windows)
         proposed_ms = statistics.median(times) / processed
         rows.append(
             BenchRow(

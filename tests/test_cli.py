@@ -14,9 +14,9 @@ import flowseg.flow
 import flowseg.pipeline
 import flowseg.synth
 from flowseg import (
-    ForceAblation,
     Frame,
     Group,
+    LangevinParams,
     PipelineConfig,
     SegmentationMap,
     generate_scene,
@@ -79,6 +79,18 @@ def test_synth_preset_and_flow(tmp_path):
                  "--out", str(out), "--write-flow"]) == 0
     assert len(list((out / "frames").glob("*.pgm"))) == 4
     assert len(list((out / "flow").glob("*.flo"))) == 3
+
+
+def test_synth_frames_overrides_a_spec(tmp_path):
+    # --frames sets the count of a spec's scene as of a preset's, and the
+    # manifest records the count written
+    spec = tmp_path / "scene.cfg"
+    spec.write_text(SCENE_SPEC)
+    out = tmp_path / "scene"
+    assert main(["synth", "--spec", str(spec), "--frames", "3", "--out", str(out)]) == 0
+    assert len(list((out / "frames").glob("*.pgm"))) == 3
+    assert len(list((out / "gt").glob("*.pgm"))) == 3
+    assert "frames = 3\n" in (out / "manifest.txt").read_text()
 
 
 def grid_spec(blocks: int) -> str:
@@ -363,8 +375,8 @@ def groups_at(count):
 def test_segment_too_many_groups_writes_nothing(tmp_path, scene_dir, monkeypatch, capsys):
     def run_with_256_groups(source, cfg, jobs=1, first_frame=1):
         frames = list(source)
-        yield 1, frames[:4], [(i, SegmentationMap(i, 32, 32, groups_at(3))) for i in (2, 3, 4)], []
-        yield 2, frames[4:8], [(i, SegmentationMap(i, 32, 32, groups_at(256))) for i in (6, 7, 8)], []
+        yield 1, 1, frames[:4], [(i, SegmentationMap(i, 32, 32, groups_at(3))) for i in (2, 3, 4)], []
+        yield 2, 5, frames[4:8], [(i, SegmentationMap(i, 32, 32, groups_at(256))) for i in (6, 7, 8)], []
 
     monkeypatch.setattr(flowseg.cli, "run_windows", run_with_256_groups)
     out = tmp_path / "out"
@@ -373,6 +385,32 @@ def test_segment_too_many_groups_writes_nothing(tmp_path, scene_dir, monkeypatch
     assert code == 3
     assert "more than 255 groups" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def uneven_windows(source, w, first_frame):
+    """Cut windows of 5 and 4 frames, whatever ``w`` is."""
+    frames = list(source)
+    yield 1, first_frame, frames[:5]
+    yield 2, first_frame + 5, frames[5:9]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_window_bounds_come_from_the_windows_cut(tmp_path, scene_dir, monkeypatch, jobs):
+    # each window's steps, map numbers, bounds and the skipped frames follow
+    # the frames the window holds, not window_size
+    monkeypatch.setattr(flowseg.pipeline, "_windows", uneven_windows)
+    frames = [flowseg.cli.read_frame(p) for p in sorted((scene_dir / "frames").glob("*.pgm"))]
+    run = segment_video(frames, PipelineConfig(window_size=4), jobs=int(jobs))
+    assert [(number, m.frame_index) for number, m in run.maps] == [(n, n) for n in (2, 3, 4, 5, 7, 8, 9)]
+    assert run.windows == [(1, 5), (6, 9)]
+    assert run.skipped_frames == [10, 11, 12]
+
+    code, out = run_segment(tmp_path, scene_dir, extra=("--jobs", jobs))
+    assert code == 0
+    assert sorted(p.name for p in out.glob("mask_*.pgm")) == [f"mask_{n:06d}.pgm" for n in (2, 3, 4, 5, 7, 8, 9)]
+    rows = list(csv.reader((out / "timings.csv").read_text().splitlines()[1:]))
+    assert [row[0] for row in rows if row[1] == "skipped"] == ["10", "11", "12"]
+    assert [row[0] for row in rows if row[1] == "langevin"] == ["3", "4", "5", "8", "9"]
 
 
 def crowd_window_2(tmp_path, scene_dir, monkeypatch):
@@ -576,12 +614,14 @@ def test_non_finite_config_number_is_a_config_error(tmp_path, scene_dir, capsys,
 @pytest.mark.parametrize(
     "key",
     ["dt = 0.5", "sqrt_dt_noise = true", "flow_pyramid_levels = 3", "flow_window_radius = 4",
-     "flow_iterations = 4", "peak_min_fraction = 0.05", "jobs = 2"],
+     "flow_iterations = 4", "peak_min_fraction = 0.05", "jobs = 2",
+     "force_external = false", "force_disturbance = false"],
 )
 def test_time_step_keys_are_unknown(tmp_path, scene_dir, capsys, key):
     # one Langevin step is one frame, so there is no time step to set; the
     # flow estimator's shape and the peak floor are constants, not settings;
-    # --jobs alone sets the window parallelism
+    # --jobs alone sets the window parallelism; damping and disturbance are
+    # turned off through their coefficients (gamma, xi_d), not switches
     cfg = tmp_path / "time_step.cfg"
     cfg.write_text(f"{PIPELINE_CONFIG}{key}\n")
     out = tmp_path / "out"
@@ -598,15 +638,13 @@ def test_time_step_keys_are_unknown(tmp_path, scene_dir, capsys, key):
         ("segment", PIPELINE_CONFIG.replace("flow_downscale = 2", "flow_downscale = 0")),
         ("segment", PIPELINE_CONFIG + "gamma_x = 2\n"),
         ("segment", PIPELINE_CONFIG + "dilation_radius = -1\n"),
-        ("segment", PIPELINE_CONFIG + "force_external = false\nforce_drift_confine = false\n"
-                                      "force_disturbance = false\n"),
         ("segment", PIPELINE_CONFIG + "bin_count = 1\n"),
         ("segment", PIPELINE_CONFIG + "bin_count = 40000\n"),
         ("segment", PIPELINE_CONFIG + "magnitude_threshold = -1\n"),
         ("bench", PIPELINE_CONFIG + "bin_count = 1\n"),
         ("synth", SCENE_SPEC.replace("width = 64", "width = 4")),
     ],
-    ids=["window_size", "flow_downscale", "gamma_x", "dilation_radius", "all-forces-off", "bin_count",
+    ids=["window_size", "flow_downscale", "gamma_x", "dilation_radius", "bin_count",
          "bin_count-above-int16", "magnitude_threshold", "bench-bin_count", "synth-width"],
 )
 def test_out_of_range_setting_is_a_config_error_before_any_read(
@@ -806,15 +844,15 @@ def test_bench_sweeps_the_synthetic_scene(tmp_path, capsys):
     assert [r["window_size"] for r in rows] == ["3", "4"]
     assert all(0.5 < float(r["mean_accuracy"]) <= 1.0 for r in rows)
 
-    # force_* keys select a force subset: disturbance off scores as that
-    # ForceAblation's run does
+    # coefficients select a force subset: disturbance off scores as the
+    # library's run with xi_d = 0 does
     cfg = tmp_path / "forces.cfg"
-    cfg.write_text("window_size = 4\nforce_disturbance = false\n")
+    cfg.write_text("window_size = 4\nxi_d_x = 0\nxi_d_y = 0\n")
     assert main(["bench", "--config", str(cfg), "--scene-frames", "12", "--w", "4", "--repeats", "1",
                  "--seed", "1", "--out", str(out_csv)]) == 0
     [row] = csv.DictReader(out_csv.open())
     scene = generate_scene(preset_scene("one-way", frame_count=12))
-    run_cfg = PipelineConfig(window_size=4, seed=1, ablation=ForceAblation(disturbance=False))
+    run_cfg = PipelineConfig(window_size=4, seed=1, langevin=LangevinParams(xi_d_x=0.0, xi_d_y=0.0))
     expected = report(segment_video(scene.frames, run_cfg), dict(enumerate(scene.masks, start=1)))
     assert row["mean_accuracy"] == f"{expected.mean_accuracy:.6f}"
 
@@ -825,8 +863,8 @@ def test_bench_config_may_omit_window_size(tmp_path, scene_dir):
     code, run = run_segment(tmp_path, scene_dir)
     assert code == 0
     rows = {}
-    for name, text in (("forces", "force_disturbance = false\n"),
-                       ("forces-w", "window_size = 6\nforce_disturbance = false\n")):
+    for name, text in (("forces", "xi_d_x = 0\nxi_d_y = 0\n"),
+                       ("forces-w", "window_size = 6\nxi_d_x = 0\nxi_d_y = 0\n")):
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(text)
         out_csv = tmp_path / f"{name}.csv"
@@ -865,15 +903,19 @@ def test_bench_window_below_3_is_a_config_error_before_any_flow(
     [
         "bench --repeats 0 --w 3 --scene-frames 8",
         "bench --scene-frames 0 --w 3 --repeats 1",
+        "bench --scene-frames 10 --w 3..10 --repeats 1",
         "ou-check --steps 0",
         "ou-check --particles 0",
         "ou-check --gamma 2",
         "ou-check --xid nan",
+        "ou-check --tolerance -1",
+        "ou-check --tolerance nan",
         "synth --preset one-way --frames 0 --out {tmp}/out",
         "eval --pred {tmp}/pred --gt {tmp}/pred --window-size 0",
     ],
-    ids=["bench-repeats", "bench-scene-frames", "ou-check-steps", "ou-check-particles", "ou-check-gamma",
-         "ou-check-xid", "synth-frames", "eval-window-size"],
+    ids=["bench-repeats", "bench-scene-frames", "bench-scene-frames-below-2w", "ou-check-steps",
+         "ou-check-particles", "ou-check-gamma", "ou-check-xid", "ou-check-tolerance",
+         "ou-check-tolerance-nan", "synth-frames", "eval-window-size"],
 )
 def test_out_of_range_flag_is_a_config_error_before_any_work(tmp_path, monkeypatch, capsys, argv):
     def no_work(*args, **kwargs):

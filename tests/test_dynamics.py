@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from flowseg import (
-    ForceAblation,
     GroupForces,
     InputError,
     LangevinParams,
@@ -308,38 +308,45 @@ def test_noise_is_standard_normal():
     assert stats.shapiro(draws[:2000]).pvalue > 1e-3
 
 
-# --- ablation ----------------------------------------------------------------------
+# --- ablation: force families off through their coefficients --------------------
 
 
 def test_ablation_disable_disturbance_only():
-    params = LangevinParams()
-    out = ForceAblation(disturbance=False).apply_params(params)
-    assert out.xi_d_x == 0.0 and out.xi_d_y == 0.0
-    assert out.gamma_x == params.gamma_x
-    assert out.confinement_stiffness == params.confinement_stiffness
+    # xi_d = 0 leaves no noise: any two noise streams give the same maps
+    params = LangevinParams(xi_d_x=0.0, xi_d_y=0.0)
+    seg = random_map(5, 6)
+    forces = forces_for(seg, params)
+    a = propagate_map(seg, forces, params, NoiseSource(1), steps=3)
+    b = propagate_map(seg, forces, params, NoiseSource(2, stream=9), steps=3)
+    assert_maps_equal(a, b)
+    assert not maps_identical(a[-1], propagate_map(seg, forces, LangevinParams(), NoiseSource(1), 3)[-1])
 
 
 def test_ablation_identity_when_all_enabled():
-    params = LangevinParams()
-    ab = ForceAblation()
-    assert ab.apply_params(params) == params
-    forces = GroupForces(drift_x=1.0, confine_y=0.5, anchor_y=2.0)
-    assert ab.apply_forces(forces) == forces
+    # every force on, no noise: a group moving at its mean velocity keeps it,
+    # the fixed point the estimated forces make
+    params = LangevinParams(xi_d_x=0.0, xi_d_y=0.0)
+    group = make_group([100.0, 104.0], [50.0, 50.0], [2.5, 2.5], [0.0, 0.0])
+    forces = estimate_group_forces(group, params)
+    rows = track(100.0, 50.0, 2.5, 0.0, forces, params, steps=5)
+    assert rows[:, 2].tolist() == [2.5] * 5 and rows[:, 3].tolist() == [0.0] * 5
 
 
-def test_ablation_all_disabled_rejected():
-    with pytest.raises(InputError):
-        ForceAblation(external=False, drift_confine=False, disturbance=False)
+def test_all_forces_off_is_ballistic_motion():
+    # no damping, no noise and no drift: each particle keeps its velocity
+    params = LangevinParams(gamma_x=0.0, gamma_y=0.0, xi_d_x=0.0, xi_d_y=0.0,
+                            confinement_stiffness=0.0)
+    forces = estimate_group_forces(square_group(vx=1.5, vy=-0.5), params)
+    assert forces.drift_x == 0.0 and forces.confine_y == 0.0
+    rows = track(5000.0, 5000.0, 1.5, -0.5, forces, params, steps=4)
+    assert rows[:, 2].tolist() == [1.5] * 4 and rows[:, 3].tolist() == [-0.5] * 4
+    assert rows[-1, 0] == 5006.0 and rows[-1, 1] == 4998.0
 
 
 def test_ablation_disturbance_only_is_velocity_random_walk():
-    params = ForceAblation(external=False, drift_confine=False).apply_params(
-        LangevinParams()
-    )
-    forces = ForceAblation(external=False, drift_confine=False).apply_forces(
-        GroupForces(drift_x=5.0, confine_y=1.0, anchor_y=0.0)
-    )
-    assert params.gamma_x == 0.0 and forces.drift_x == 0.0
+    params = LangevinParams(gamma_x=0.0, gamma_y=0.0, confinement_stiffness=0.0)
+    forces = estimate_group_forces(make_group([5000.0], [5000.0], [0.0], [0.0]), params)
+    assert forces.drift_x == 0.0
     # the particle consumes draw pair 0 of noise blocks 0..9
     vx = track(5000.0, 5000.0, 0.0, 0.0, forces, params, steps=10, noise=NoiseSource(3))[-1, 2]
     # velocity equals the plain sum of scaled noise draws
@@ -407,8 +414,13 @@ def edge_map(width=20, height=16):
     return seg_map_of(groups, width=width, height=height)
 
 
-def forces_for(seg, params, ablation=ForceAblation()):
-    return {g.id: ablation.apply_forces(estimate_group_forces(g, params)) for g in seg.groups}
+def forces_for(seg, params, drift_confine=True):
+    """The forces the pipeline estimates; ``drift_confine=False`` zeroes the
+    drift and confinement baseline, as ``force_drift_confine = false`` does."""
+    forces = {g.id: estimate_group_forces(g, params) for g in seg.groups}
+    if drift_confine:
+        return forces
+    return {i: dataclasses.replace(f, drift_x=0.0, confine_y=0.0) for i, f in forces.items()}
 
 
 PARAM_SETS = [
@@ -416,12 +428,18 @@ PARAM_SETS = [
     LangevinParams(gamma_x=0.3, gamma_y=1.1, xi_d_x=0.7, xi_d_y=0.2, confinement_stiffness=0.2),
     LangevinParams(gamma_x=1.2, gamma_y=0.4),
 ]
+# force subsets: the coefficients that turn damping and disturbance off, and
+# whether the estimated drift and confinement stay on
+NO_DAMPING = {"gamma_x": 0.0, "gamma_y": 0.0}
+NO_NOISE = {"xi_d_x": 0.0, "xi_d_y": 0.0}
+NO_STIFFNESS = {"confinement_stiffness": 0.0}
 ABLATIONS = [
-    ForceAblation(),
-    ForceAblation(external=False),
-    ForceAblation(drift_confine=False),
-    ForceAblation(disturbance=False),
-    ForceAblation(external=False, drift_confine=False),
+    ({}, True),
+    (NO_DAMPING, True),
+    (NO_STIFFNESS, False),  # drift/confine off, damping on
+    (NO_NOISE, True),
+    ({**NO_DAMPING, **NO_STIFFNESS}, False),  # disturbance only
+    ({**NO_DAMPING, **NO_NOISE, **NO_STIFFNESS}, False),  # all off: ballistic
 ]
 
 
@@ -439,10 +457,12 @@ def assert_maps_equal(got, ref):
 @pytest.mark.parametrize("params", PARAM_SETS)
 @pytest.mark.parametrize("ablation", ABLATIONS)
 def test_propagate_matches_per_group_reference(steps, params, ablation):
+    # the forces come from the params that run, as the pipeline takes them
+    overrides, drift_confine = ablation
+    run_params = dataclasses.replace(params, **overrides)
     for seed, n_groups in ((steps, 1), (10 + steps, 7), (20 + steps, 60)):
         seg = random_map(seed, n_groups)
-        run_params = ablation.apply_params(params)
-        forces = forces_for(seg, params, ablation)
+        forces = forces_for(seg, run_params, drift_confine)
         noise = NoiseSource(seed, stream=3)
         got = propagate_map(seg, forces, run_params, noise, steps=steps, step_offset=5)
         ref = reference_propagate(seg, forces, run_params, noise, steps=steps, step_offset=5)

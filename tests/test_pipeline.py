@@ -302,7 +302,8 @@ window_size = 4
 seed = 11
 magnitude_threshold = 0.5
 flow_downscale = 1
-force_disturbance = false
+xi_d_x = 0
+xi_d_y = 0
 """
 
 
@@ -314,7 +315,8 @@ def test_config_parsing_defaults_and_overrides():
     assert cfg.flow.downscale == 1
     assert cfg.bin_count == 8  # default
     assert cfg.langevin.gamma_x == 0.8  # default
-    assert not cfg.ablation.disturbance
+    assert cfg.langevin.xi_d_x == cfg.langevin.xi_d_y == 0.0
+    assert cfg.force_drift_confine  # default
 
 
 def test_config_missing_required_key():
@@ -353,3 +355,33 @@ def test_seed_changes_propagated_maps(small_frames):
     run_b = segment_video(small_frames[:4], small_config(seed=2))
     assert maps_identical(run_a.maps[0][1], run_b.maps[0][1])  # seeded map is flow-only
     assert not maps_identical(run_a.maps[1][1], run_b.maps[1][1])
+
+
+def test_undamped_noise_free_members_keep_their_seed_vx(small_frames):
+    # the drift is estimated from the params that run: with gamma = 0 it is
+    # 0, so every member's vx on every propagated map is its seed vx
+    langevin = LangevinParams(gamma_x=0.0, gamma_y=0.0, xi_d_x=0.0, xi_d_y=0.0)
+    run = segment_video(small_frames[:16], small_config(window_size=8, langevin=langevin))
+    for window in run.window_maps:
+        (_, seed), *propagated = window
+        assert seed.groups
+        for _, seg_map in propagated:
+            assert [g.vx.tobytes() for g in seg_map.groups] == [g.vx.tobytes() for g in seed.groups]
+
+
+def test_drift_confine_off_lets_damping_decay_the_seed_velocity(small_frames):
+    # with the drift and confinement off and no noise, damping alone acts:
+    # every member's velocity shrinks by (1 - gamma) each propagated step
+    langevin = LangevinParams(gamma_x=0.3, gamma_y=0.3, xi_d_x=0.0, xi_d_y=0.0)
+    cfg = small_config(window_size=6, langevin=langevin, force_drift_confine=False)
+    run = segment_video(small_frames[:12], cfg)
+    for window in run.window_maps:
+        (_, seed), *propagated = window
+        assert seed.groups
+        for step, (_, seg_map) in enumerate(propagated, start=1):
+            for g, g0 in zip(seg_map.groups, seed.groups, strict=True):
+                np.testing.assert_allclose(g.vx, g0.vx * 0.7**step, rtol=1e-12, atol=1e-15)
+                np.testing.assert_allclose(g.vy, g0.vy * 0.7**step, rtol=1e-12, atol=1e-15)
+    # the switch acts: with the drift on the same run gives other maps
+    drift_on = segment_video(small_frames[:12], small_config(window_size=6, langevin=langevin))
+    assert not maps_identical(run.window_maps[0][-1][1], drift_on.window_maps[0][-1][1])

@@ -343,3 +343,22 @@ def test_bench_requires_enough_frames(bench_scene):
     with pytest.raises(InputError):
         bench_compare(bench_scene.frames[:10], bench_scene.masks[:10], cfg,
                       window_sizes=(6,), repeats=1)
+
+
+def test_bench_mixed_sizes_names_frame_before_any_flow(monkeypatch):
+    # every frame is checked against the first, numbered from 1, before the
+    # baseline computes any flow
+    import flowseg.pipeline
+    import flowseg.synth
+    from flowseg import Frame
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("computed flow before checking the frame sizes")
+
+    monkeypatch.setattr(flowseg.synth, "compute_dense_flow", no_flow)
+    monkeypatch.setattr(flowseg.pipeline, "compute_dense_flow", no_flow)
+    frames = [Frame(np.full((62 if n == 9 else 64, 64), n, np.uint8)) for n in range(1, 13)]
+    masks = [np.zeros(f.data.shape, np.uint8) for f in frames]
+    with pytest.raises(InputError, match=r"^inconsistent frame dimensions: frame 9 is \(64, 62\), "
+                                         r"frame 1 is \(64, 64\)$"):
+        bench_compare(frames, masks, PipelineConfig(window_size=3), window_sizes=(3,), repeats=1)
