@@ -43,6 +43,7 @@ from .io import (
 )
 from .keypoints import (
     Group,
+    KeypointParams,
     QuantizedMap,
     SegmentationMap,
     detect_peaks,
@@ -76,6 +77,7 @@ __all__ = [
     "Group",
     "GroupForces",
     "InputError",
+    "KeypointParams",
     "LabelMask",
     "LangevinParams",
     "MetricError",

@@ -6,12 +6,12 @@ breaks its format, a frame source that fails mid-run, and filesystem
 errors such as an ``--out`` path that is a file), 4 metric or tolerance
 failure. A number in a config file, scene spec or manifest must be finite
 and in range: NaN, an infinity or a setting out of range (such as
-``window_size = 2`` or ``bin_count = 1``) is a config error, found before
-any frame is read. So is a flag out of range (a count such as
-``--repeats`` below 1, a ``bench --w`` size below 3, a ``bench
---scene-frames`` below twice the largest ``--w``, an ``ou-check --gamma``
-outside (0, 2), or a ``--xid`` or ``--tolerance`` that is not a finite
-number >= 0), found before any work.
+``window_size = 2``, ``bin_count = 1`` or ``min_group_size = 0``) is a
+config error, found before any frame is read. So is a flag out of range
+(a count such as ``--repeats`` below 1, a ``bench --w`` size below 3, a
+``bench --scene-frames`` below twice the largest ``--w``, an ``ou-check
+--gamma`` outside (0, 2), or a ``--xid`` or ``--tolerance`` that is not a
+finite number >= 0), found before any work.
 
 The seed of ``segment`` and ``bench`` is ``--seed`` if given, else the
 config's ``seed`` key, else 0; ``ou-check`` takes ``--seed`` or 0.

@@ -1,11 +1,11 @@
 """From a flow field to the initial segmentation map.
 
-``segment_flow`` runs the one keypoint chain: the speed of every flow
-vector -> the direction and orientation bin of each keypoint (a valid
-pixel at least the magnitude threshold fast) -> circular histogram peak
-detection (``detect_peaks``) -> 8-connected grouping of same-bin
-keypoints (``group_keypoints``). A ``QuantizedMap`` is what passes from
-binning to grouping.
+``segment_flow`` runs the one keypoint chain, with the settings of one
+``KeypointParams``: the speed of every flow vector -> the direction and
+orientation bin of each keypoint (a valid pixel at least the magnitude
+threshold fast) -> circular histogram peak detection (``detect_peaks``)
+-> 8-connected grouping of same-bin keypoints (``group_keypoints``). A
+``QuantizedMap`` is what passes from binning to grouping.
 
 A map's members live in its ``Group`` objects and nowhere else. The code
 that makes maps (``group_keypoints`` here, ``propagate_map`` in dynamics)
@@ -31,6 +31,29 @@ MAX_BIN_COUNT = np.iinfo(np.int16).max  # the bin map is int16
 DEFAULT_MIN_GROUP_SIZE = 10
 
 _STRUCT_8 = np.ones((3, 3), dtype=bool)
+
+
+@dataclass(frozen=True)
+class KeypointParams:
+    """Settings of the keypoint chain, each checked here and nowhere else.
+
+    A keypoint is a valid pixel at least ``magnitude_threshold`` fast; its
+    direction falls in one of ``bin_count`` orientation bins, and a group
+    keeps at least ``min_group_size`` keypoints. The bin map is int16, so
+    ``bin_count`` is at most ``MAX_BIN_COUNT``.
+    """
+
+    magnitude_threshold: float = DEFAULT_MAGNITUDE_THRESHOLD
+    bin_count: int = DEFAULT_BIN_COUNT
+    min_group_size: int = DEFAULT_MIN_GROUP_SIZE
+
+    def __post_init__(self):
+        if not 2 <= self.bin_count <= MAX_BIN_COUNT:
+            raise InputError(f"bin_count must be in 2..{MAX_BIN_COUNT}")
+        if not self.magnitude_threshold >= 0:  # NaN fails too
+            raise InputError("magnitude_threshold must be >= 0")
+        if self.min_group_size < 1:
+            raise InputError("min_group_size must be >= 1")
 
 
 @dataclass(eq=False)
@@ -178,33 +201,27 @@ def group_keypoints(
 
 
 def segment_flow(
-    flow: FlowField,
-    magnitude_threshold: float = DEFAULT_MAGNITUDE_THRESHOLD,
-    bin_count: int = DEFAULT_BIN_COUNT,
-    min_group_size: int = DEFAULT_MIN_GROUP_SIZE,
-    frame_index: int = 0,
+    flow: FlowField, params: KeypointParams = KeypointParams(), frame_index: int = 0
 ) -> SegmentationMap:
-    """Run the whole keypoint-extraction chain on one flow field.
+    """Run the whole keypoint-extraction chain on one flow field, with the
+    settings of ``params``.
 
     A keypoint is a valid pixel whose speed, the float64 magnitude of its
-    flow vector, is at least ``magnitude_threshold``. Directions and bins
-    are taken on keypoints only: element-wise arithmetic gives each one the
-    bits it has on the whole field. A direction lies in [0, 2pi] (``mod``
+    flow vector, is at least ``params.magnitude_threshold``. Directions and
+    bins are taken on keypoints only: element-wise arithmetic gives each one
+    the bits it has on the whole field. A direction lies in [0, 2pi] (``mod``
     may round one just below 2pi up to 2pi, which falls in bin 0), and a
-    zero vector's is 0. Bin k is centered on direction k*2pi/b and covers
-    [(k - 1/2), (k + 1/2)) * 2pi/b modulo 2pi. Centering the bins on the
-    compass directions keeps axis-aligned motion in one bin: estimator
-    noise around a dominant direction like (v, 0) must not split its
-    pixels across two adjacent bins, which edge-anchored bins would do.
-    The bin map is int16, so ``bin_count`` is at most ``MAX_BIN_COUNT``.
+    zero vector's is 0. With b = ``params.bin_count``, bin k is centered on
+    direction k*2pi/b and covers [(k - 1/2), (k + 1/2)) * 2pi/b modulo 2pi.
+    Centering the bins on the compass directions keeps axis-aligned motion
+    in one bin: estimator noise around a dominant direction like (v, 0) must
+    not split its pixels across two adjacent bins, which edge-anchored bins
+    would do.
     """
-    if not 2 <= bin_count <= MAX_BIN_COUNT:
-        raise InputError(f"bin_count must be in 2..{MAX_BIN_COUNT}")
-    if not magnitude_threshold >= 0:
-        raise InputError("magnitude_threshold must be >= 0")
+    bin_count = params.bin_count
     u, v = flow.u.astype(np.float64), flow.v.astype(np.float64)
     mag = np.hypot(u, v)
-    keep = flow.valid & (mag >= magnitude_threshold)
+    keep = flow.valid & (mag >= params.magnitude_threshold)
     ori = np.mod(np.arctan2(v[keep], u[keep]), TWO_PI)
     ori[mag[keep] == 0.0] = 0.0
     idx = np.floor(ori * (bin_count / TWO_PI) + 0.5).astype(np.int16) % bin_count
@@ -212,4 +229,4 @@ def segment_flow(
     bins[keep] = idx
     quantized = QuantizedMap(bins, bin_count, np.bincount(idx.astype(np.int64), minlength=bin_count))
     peaks = detect_peaks(quantized.histogram)
-    return group_keypoints(quantized, peaks, flow, min_group_size=min_group_size, frame_index=frame_index)
+    return group_keypoints(quantized, peaks, flow, params.min_group_size, frame_index)

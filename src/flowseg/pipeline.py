@@ -42,8 +42,7 @@ from .dynamics import LangevinParams, NoiseSource, estimate_group_forces, propag
 from .errors import ConfigError, InputError, SourceError
 from .flow import FlowParams, compute_dense_flow
 from .io import Frame
-from .keypoints import DEFAULT_BIN_COUNT, DEFAULT_MAGNITUDE_THRESHOLD, DEFAULT_MIN_GROUP_SIZE, MAX_BIN_COUNT
-from .keypoints import SegmentationMap, segment_flow
+from .keypoints import KeypointParams, SegmentationMap, segment_flow
 
 log = logging.getLogger(__name__)
 
@@ -56,25 +55,25 @@ DEFAULT_DILATION_RADIUS = 3
 
 # Config key prefix of each nested parameter section of PipelineConfig;
 # every other field is a top-level key under its own name.
-SECTION_PREFIXES = {"flow": "flow_", "langevin": ""}
+SECTION_PREFIXES = {"flow": "flow_", "keypoint": "", "langevin": ""}
 _GETTERS = {int: ConfigDict.get_int, float: ConfigDict.get_float, bool: ConfigDict.get_bool}
 
 
 @dataclass
 class PipelineConfig:
-    """The settings of a run. A force family is turned off through its
-    coefficients in ``langevin`` (gamma for the damping, xi_d for the
-    disturbance), and each window's group forces are estimated from the
-    params it propagates with. ``force_drift_confine = False`` turns off the
-    one family that no coefficient sets: it zeroes the estimated drift and
-    confinement baseline and the confinement stiffness."""
+    """The settings of a run. It composes the three stages' settings,
+    ``FlowParams``, ``KeypointParams`` and ``LangevinParams``, which check
+    themselves, and checks only its own fields. A force family is turned
+    off through its coefficients in ``langevin`` (gamma for the damping,
+    xi_d for the disturbance), and each window's group forces are estimated
+    from the params it propagates with. ``force_drift_confine = False``
+    turns off the one family that no coefficient sets: it zeroes the
+    estimated drift and confinement baseline and the confinement stiffness."""
 
     window_size: int
     seed: int = 0
     flow: FlowParams = field(default_factory=FlowParams)
-    magnitude_threshold: float = DEFAULT_MAGNITUDE_THRESHOLD
-    bin_count: int = DEFAULT_BIN_COUNT
-    min_group_size: int = DEFAULT_MIN_GROUP_SIZE
+    keypoint: KeypointParams = field(default_factory=KeypointParams)
     langevin: LangevinParams = field(default_factory=LangevinParams)
     force_drift_confine: bool = True
     dilation_radius: int = DEFAULT_DILATION_RADIUS
@@ -85,10 +84,6 @@ class PipelineConfig:
             raise InputError("window_size must be >= 3 (2 seed frames + 1 propagated)")
         if self.dilation_radius < 0:
             raise InputError("dilation_radius must be >= 0")
-        if not 2 <= self.bin_count <= MAX_BIN_COUNT:
-            raise InputError(f"bin_count must be in 2..{MAX_BIN_COUNT}")
-        if not self.magnitude_threshold >= 0:
-            raise InputError("magnitude_threshold must be >= 0")
 
     @classmethod
     def from_config(
@@ -161,13 +156,7 @@ def _process_window(
     timings.append(PhaseTiming(first_frame, PHASE_FLOW, (perf_counter() - t0) * 1e3))
 
     t0 = perf_counter()
-    seg = segment_flow(
-        flow,
-        magnitude_threshold=cfg.magnitude_threshold,
-        bin_count=cfg.bin_count,
-        min_group_size=cfg.min_group_size,
-        frame_index=first_frame + 1,
-    )
+    seg = segment_flow(flow, cfg.keypoint, first_frame + 1)
     params = cfg.langevin
     forces = {g.id: estimate_group_forces(g, params) for g in seg.groups}
     if not cfg.force_drift_confine:  # the estimate reads only gamma, which this keeps

@@ -144,14 +144,15 @@ def generate_scene(spec: SceneSpec) -> SceneData:
 
     frames: list[Frame] = []
     masks: list[np.ndarray] = []
+    flows: list[FlowField] = []  # pair (t, t + 1): each moving block's velocity where it sits in frame t
     truncated: list[tuple[int, int]] = []
-    placements: list[list[tuple[int, int, int, int] | None]] = []  # per frame, per block
     noise = np.empty((spec.height, spec.width)) if spec.noise_level > 0 else None
 
     for t in range(spec.frame_count):
         img = background.copy()
         mask = np.zeros((spec.height, spec.width), dtype=np.uint8)
-        frame_placement: list[tuple[int, int, int, int] | None] = []
+        # u and v share one zeroed buffer: a flow that a caller drops frees one block among the frames kept
+        u, v = np.zeros((2, spec.height, spec.width), dtype=np.float32)
         for number, (blk, tex) in enumerate(zip(spec.blocks, textures), start=1):
             x0 = int(round(blk.rect[0] + blk.velocity[0] * t))
             y0 = int(round(blk.rect[1] + blk.velocity[1] * t))
@@ -160,15 +161,14 @@ def generate_scene(spec: SceneSpec) -> SceneData:
             xe, ye = min(x0 + bw, spec.width), min(y0 + bh, spec.height)
             if xs >= xe or ys >= ye:
                 truncated.append((t + 1, number))
-                frame_placement.append(None)
                 continue
             if (xe - xs, ye - ys) != (bw, bh):
                 truncated.append((t + 1, number))
             img[ys:ye, xs:xe] = tex[ys - y0 : ye - y0, xs - x0 : xe - x0]
-            moving = blk.velocity[0] != 0 or blk.velocity[1] != 0
-            if moving:
+            if blk.velocity[0] != 0 or blk.velocity[1] != 0:
                 mask[ys:ye, xs:xe] = number
-            frame_placement.append((xs, ys, xe, ye) if moving else None)
+                u[ys:ye, xs:xe] = blk.velocity[0]
+                v[ys:ye, xs:xe] = blk.velocity[1]
         if noise is not None:
             # the bytes of rng.normal(0.0, s, shape), which draws 0.0 + s * z from this stream
             np.random.default_rng((spec.background_seed, 7919, t)).standard_normal(out=noise)
@@ -178,19 +178,8 @@ def generate_scene(spec: SceneSpec) -> SceneData:
             img = np.clip(noise, 0, 255, out=noise).astype(np.uint8)
         frames.append(Frame(img))
         masks.append(mask)
-        placements.append(frame_placement)
-
-    flows: list[FlowField] = []
-    for t in range(spec.frame_count - 1):
-        u = np.zeros((spec.height, spec.width), dtype=np.float32)
-        v = np.zeros((spec.height, spec.width), dtype=np.float32)
-        for blk, placed in zip(spec.blocks, placements[t]):
-            if placed is None:
-                continue
-            xs, ys, xe, ye = placed
-            u[ys:ye, xs:xe] = blk.velocity[0]
-            v[ys:ye, xs:xe] = blk.velocity[1]
-        flows.append(FlowField(u=u, v=v))
+        if t + 1 < spec.frame_count:
+            flows.append(FlowField(u=u, v=v))
 
     if truncated:
         log.warning("%d block placement(s) clipped at the frame boundary", len(truncated))
@@ -335,13 +324,7 @@ def _baseline_per_pair(frames, cfg: PipelineConfig, repeats: int) -> float:
     for _ in range(repeats):
         t0 = perf_counter()
         for a, b in zip(frames[:-1], frames[1:]):
-            flow = compute_dense_flow(a, b, cfg.flow)
-            segment_flow(
-                flow,
-                magnitude_threshold=cfg.magnitude_threshold,
-                bin_count=cfg.bin_count,
-                min_group_size=cfg.min_group_size,
-            )
+            segment_flow(compute_dense_flow(a, b, cfg.flow), cfg.keypoint)
         times.append((perf_counter() - t0) * 1e3)
     return statistics.median(times) / (len(frames) - 1)
 

@@ -267,6 +267,52 @@ def test_segment_malformed_config_line(tmp_path, scene_dir, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, text, line",
+    [
+        ("segment", PIPELINE_CONFIG + "window_size = 5\n", 4),
+        ("segment", PIPELINE_CONFIG + "= 5\n", 4),
+        ("segment", PIPELINE_CONFIG + "write_overlays = maybe\n", 4),
+        ("synth", SCENE_SPEC.replace("block1_velocity = 2, 0", "block1_velocity = 1, 2, 3"), 7),
+    ],
+    ids=["duplicate-key", "empty-key", "bool-maybe", "synth-velocity-triple"],
+)
+def test_config_fault_is_a_config_error_naming_its_line(tmp_path, scene_dir, capsys, command, text, line):
+    cfg = tmp_path / "fault.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    argv = {
+        "segment": ["segment", "--in", str(scene_dir / "frames"), "--config", str(cfg), "--out", str(out)],
+        "synth": ["synth", "--spec", str(cfg), "--out", str(out)],
+    }[command]
+    assert main(argv) == 2
+    assert f"config error: line {line}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "numbers, message",
+    [(None, "input directory not found"), ((), "no numbered .pgm frames"),
+     ((1, 2, 3, 5, 6), "not consecutive")],
+    ids=["missing-dir", "no-numbered-frames", "gap-in-numbers"],
+)
+def test_segment_frame_dir_fault_is_an_input_error(tmp_path, scene_dir, capsys, numbers, message):
+    frames = tmp_path / "frames"
+    if numbers is not None:
+        frames.mkdir()
+        (frames / "readme.pgm").write_bytes((scene_dir / "frames" / "frame_000001.pgm").read_bytes())
+        for n in numbers:
+            src = scene_dir / "frames" / f"frame_{n:06d}.pgm"
+            (frames / src.name).write_bytes(src.read_bytes())
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text(PIPELINE_CONFIG)
+    out = tmp_path / "out"
+    assert main(["segment", "--in", str(frames), "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err
+    assert not out.exists()
+
+
 def test_segment_unknown_key(tmp_path, scene_dir, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("window_size = 4\nwindoow_size = 5\n")
@@ -643,9 +689,12 @@ def test_time_step_keys_are_unknown(tmp_path, scene_dir, capsys, key):
         ("segment", PIPELINE_CONFIG + "magnitude_threshold = -1\n"),
         ("bench", PIPELINE_CONFIG + "bin_count = 1\n"),
         ("synth", SCENE_SPEC.replace("width = 64", "width = 4")),
+        ("segment", PIPELINE_CONFIG + "min_group_size = 0\n"),
+        ("segment", PIPELINE_CONFIG + "min_group_size = -3\n"),
     ],
     ids=["window_size", "flow_downscale", "gamma_x", "dilation_radius", "bin_count",
-         "bin_count-above-int16", "magnitude_threshold", "bench-bin_count", "synth-width"],
+         "bin_count-above-int16", "magnitude_threshold", "bench-bin_count", "synth-width",
+         "min_group_size-zero", "min_group_size-negative"],
 )
 def test_out_of_range_setting_is_a_config_error_before_any_read(
     tmp_path, scene_dir, monkeypatch, capsys, command, text
@@ -756,6 +805,16 @@ def test_eval_missing_gt_frames_listed(tmp_path, scene_dir, capsys):
     code = main(["eval", "--pred", str(scene_dir / "gt"), "--gt", str(gt)])
     assert code == 3
     assert "4" in capsys.readouterr().err
+
+
+def test_eval_against_empty_ground_truth_is_a_metric_error(tmp_path, scene_dir, capsys):
+    gt = tmp_path / "gt_empty"
+    gt.mkdir()
+    for p in (scene_dir / "gt").glob("*.pgm"):
+        write_frame(Frame(np.zeros((64, 64), np.uint8)), gt / p.name)
+    code = main(["eval", "--pred", str(scene_dir / "gt"), "--gt", str(gt)])
+    assert code == 4
+    assert "metric error: ground truth mask is empty" in capsys.readouterr().err
 
 
 def test_eval_half_coverage(tmp_path, capsys):

@@ -6,7 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from flowseg import FlowField, FormatError, Frame, read_flow_file, read_frame, write_flow_file, write_frame
+from flowseg import (
+    FlowField,
+    FormatError,
+    Frame,
+    InputError,
+    read_flow_file,
+    read_frame,
+    write_flow_file,
+    write_frame,
+)
 from flowseg.io import read_ppm, write_ppm
 
 
@@ -79,6 +88,13 @@ def test_flow_truncated_header(tmp_path):
         read_flow_file(path)
 
 
+def test_flow_zero_width(tmp_path):
+    path = tmp_path / "empty.flo"
+    path.write_bytes(struct.pack("<f", 202021.25) + struct.pack("<ii", 0, 2))
+    with pytest.raises(FormatError, match="bad flow dimensions 0x2"):
+        read_flow_file(path)
+
+
 def test_flow_unknown_sentinel_marks_invalid(tmp_path):
     path = tmp_path / "sent.flo"
     payload = struct.pack("<f", 202021.25) + struct.pack("<ii", 2, 1)
@@ -144,6 +160,31 @@ def test_frame_truncated_raster(tmp_path):
     path.write_bytes(b"P5\n4 4\n255\n\x00\x01")
     with pytest.raises(FormatError):
         read_frame(path)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"P5\n2 2", "truncated header"),
+        (b"P5\n2 2\n255#\x00\x01\x02\x03", "missing whitespace after maxval"),
+        (b"P5\n2 x\n255\n\x00\x01\x02\x03", "non-numeric header token"),
+        (b"P5\n0 2\n255\n", "bad dimensions 0x2"),
+        (b"P5\n2 2\n0\n\x00\x01\x02\x03", "maxval 0 unsupported"),
+    ],
+    ids=["truncated-header", "no-space-after-maxval", "non-numeric", "zero-width", "zero-maxval"],
+)
+def test_frame_header_fault_names_the_file(tmp_path, data, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=message) as info:
+        read_frame(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_ppm_writer_rejects_a_gray_array(tmp_path):
+    with pytest.raises(InputError, match="P6 payload"):
+        write_ppm(np.zeros((2, 4), np.uint8), tmp_path / "gray.ppm")
+    assert not (tmp_path / "gray.ppm").exists()
 
 
 def test_ppm_roundtrip(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from flowseg import (
     FlowField,
     InputError,
+    KeypointParams,
     QuantizedMap,
     detect_peaks,
     group_keypoints,
@@ -168,20 +169,22 @@ def test_quantize_excludes_invalid_even_at_zero_threshold():
 
 
 def test_quantize_validation():
-    flow = ori_field(0.3)
     with pytest.raises(InputError):
-        segment_flow(flow, 0.4, 1)
+        KeypointParams(0.4, 1)
     with pytest.raises(InputError):
-        segment_flow(flow, 0.4, 32768)  # beyond the int16 bin map
+        KeypointParams(0.4, 32768)  # beyond the int16 bin map
     with pytest.raises(InputError):
-        segment_flow(flow, -0.1, 8)
+        KeypointParams(-0.1, 8)
+    for size in (0, -3):  # a group of no keypoints is no group
+        with pytest.raises(InputError, match="min_group_size"):
+            KeypointParams(min_group_size=size)
 
 
 def test_nan_threshold_is_rejected():
     # NaN >= 0 is false: a NaN threshold keeps no pixel, so it must not
     # pass as an empty map
     with pytest.raises(InputError, match="magnitude_threshold"):
-        segment_flow(ori_field(0.3), math.nan, 8)
+        KeypointParams(math.nan, 8)
 
 
 @given(seed=st.integers(0, 2**32 - 1), bins=st.integers(2, 12))
@@ -339,7 +342,7 @@ def test_group_velocities_sampled_from_flow():
     u[1:4, 1:4] = 2.0
     v[1:4, 1:4] = -1.0
     flow = FlowField(u=u, v=v)
-    seg = segment_flow(flow, magnitude_threshold=0.4, min_group_size=2)
+    seg = segment_flow(flow, KeypointParams(magnitude_threshold=0.4, min_group_size=2))
     assert len(seg.groups) == 1
     g = seg.groups[0]
     assert g.mean_velocity == (2.0, -1.0)
@@ -430,6 +433,6 @@ def test_segment_flow_matches_stage_chain(name, threshold, bin_count):
     flow = chain_flow(name)
     quantized = quantize(flow, threshold, bin_count)
     chain = group_keypoints(quantized, detect_peaks(quantized.histogram), flow)
-    fused = segment_flow(flow, threshold, bin_count)
+    fused = segment_flow(flow, KeypointParams(threshold, bin_count))
     assert maps_identical(fused, chain)
     assert fused.groups

@@ -12,6 +12,7 @@ from flowseg import (
     ConfigError,
     Frame,
     InputError,
+    KeypointParams,
     LangevinParams,
     PipelineConfig,
     SceneSpec,
@@ -311,9 +312,9 @@ def test_config_parsing_defaults_and_overrides():
     cfg = PipelineConfig.from_config(parse_config_text(CONFIG_TEXT))
     assert cfg.window_size == 4
     assert cfg.seed == 11
-    assert cfg.magnitude_threshold == 0.5
+    assert cfg.keypoint.magnitude_threshold == 0.5
     assert cfg.flow.downscale == 1
-    assert cfg.bin_count == 8  # default
+    assert cfg.keypoint.bin_count == 8  # default
     assert cfg.langevin.gamma_x == 0.8  # default
     assert cfg.langevin.xi_d_x == cfg.langevin.xi_d_y == 0.0
     assert cfg.force_drift_confine  # default
@@ -344,10 +345,22 @@ def test_config_bad_value_type():
 def test_manifest_roundtrip():
     cfg = PipelineConfig(
         window_size=5, seed=9, flow=FlowParams(downscale=1),
+        keypoint=KeypointParams(bin_count=12, min_group_size=4),
         langevin=LangevinParams(xi_d_y=0.25),
     )
     back = PipelineConfig.from_config(parse_config_text(format_config(cfg.to_dict())))
     assert back.to_dict() == cfg.to_dict()
+    assert back.keypoint == cfg.keypoint
+
+
+def test_config_keys_are_the_stage_settings_in_field_order():
+    # the keypoint section's keys carry no prefix, so manifests keep their keys and order
+    assert list(PipelineConfig(window_size=4).to_dict()) == [
+        "window_size", "seed", "flow_downscale",
+        "magnitude_threshold", "bin_count", "min_group_size",
+        "gamma_x", "gamma_y", "xi_d_x", "xi_d_y", "confinement_stiffness",
+        "force_drift_confine", "dilation_radius", "write_overlays",
+    ]
 
 
 def test_seed_changes_propagated_maps(small_frames):

@@ -8,6 +8,7 @@ from scipy import ndimage
 from flowseg import (
     BlockSpec,
     InputError,
+    KeypointParams,
     LangevinParams,
     PipelineConfig,
     SceneSpec,
@@ -59,7 +60,7 @@ def test_opposite_blocks_quantize_to_opposite_bins():
         background_seed=5,
     )
     scene = generate_scene(spec)
-    seg = segment_flow(scene.flows[0], 0.4, 8)
+    seg = segment_flow(scene.flows[0], KeypointParams(0.4, 8))
     assert [g.bin for g in seg.groups] == [0, 4]
     # every moving pixel is a member: no pixel falls in another bin
     assert sum(g.size for g in seg.groups) == np.count_nonzero(scene.masks[0])
