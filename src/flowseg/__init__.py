@@ -58,6 +58,7 @@ from .synth import (
     ar1_stationary_variance,
     bench_compare,
     generate_scene,
+    iter_scene,
     noise_texture,
     ou_statistics,
     preset_scene,
@@ -97,6 +98,7 @@ __all__ = [
     "generate_scene",
     "group_keypoints",
     "iou",
+    "iter_scene",
     "maps_identical",
     "noise_texture",
     "ou_statistics",

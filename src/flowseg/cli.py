@@ -26,9 +26,12 @@ so a failed run leaves ``--out`` as it was. ``--out`` holds one run: the
 deleted once its files are moved in, and other files are left alone. An
 ``--out`` that names a file is an input error before any frame is read.
 
-``synth`` writes each ground-truth mask ``gt_*.pgm`` with block numbers
-(0 is background, so a scene holds at most 255 blocks). ``eval`` counts
-every non-zero pixel as ground truth, so 0/255 masks score the same.
+``synth`` writes each frame and its ground-truth mask ``gt_*.pgm`` as the
+scene yields them, so memory holds one frame whatever the length; masks
+hold block numbers (0 is background, so a scene holds at most 255
+blocks). Only ``synth --write-flow`` builds ground-truth flows, one pair
+at a time; ``bench`` reads none. ``eval`` counts every non-zero pixel as
+ground truth, so 0/255 masks score the same.
 
 ``bench`` is the paper's window-size trade-off sweep: larger windows run
 dense flow on fewer frames (faster) but propagate the groups further from
@@ -72,7 +75,9 @@ from .flow import _block_mean
 from .io import Frame, read_frame, write_flow_file, write_frame, write_ppm
 from .pipeline import PHASE_SKIPPED, PipelineConfig, run_windows
 from .pipeline import segment_video  # noqa: F401  (perfbench traces these names)
-from .synth import SceneSpec, ar1_stationary_variance, generate_scene, ou_statistics
+from .synth import (
+    SceneFlows, SceneSpec, ar1_stationary_variance, generate_scene, iter_scene, ou_statistics,
+)
 from .dynamics import LangevinParams
 
 log = logging.getLogger("flowseg")
@@ -248,8 +253,12 @@ def _write_window(out_dir: Path, frames: list[Frame], maps, cfg: PipelineConfig,
     masks = rasterize_maps([seg_map for _, seg_map in maps], cfg.dilation_radius)
     overlays = [None] * len(maps)
     if cfg.write_overlays:
-        small = np.rint(_block_mean(np.stack([f.data for f in frames]), cfg.flow.downscale))
-        overlays = render_overlays([Frame(f) for f in small.astype(np.uint8)], masks)
+        # one frame at a time: a stack of the window's float means would be its largest temporary
+        gray = []
+        for frame in frames:
+            mean = _block_mean(frame.data[None], cfg.flow.downscale)[0]
+            gray.append(Frame(np.rint(mean, out=mean).astype(np.uint8)))
+        overlays = render_overlays(gray, masks)
     for (frame_index, seg_map), mask, rgb in zip(maps, masks, overlays):
         write_frame(Frame(mask.labels.astype(np.uint8)), out_dir / f"mask_{frame_index:06d}.pgm")
         if rgb is not None:
@@ -300,28 +309,28 @@ def cmd_synth(args) -> int:
         spec = synth.preset_scene(args.preset)
     if args.frames is not None:
         spec = replace(spec, frame_count=args.frames)
-    scene = generate_scene(spec)
 
     out_dir = Path(args.out)
     frames_dir = out_dir / "frames"
     gt_dir = out_dir / "gt"
     frames_dir.mkdir(parents=True, exist_ok=True)
     gt_dir.mkdir(parents=True, exist_ok=True)
-    for i, frame in enumerate(scene.frames, start=1):
+    clipped = 0
+    for i, (frame, mask, events) in enumerate(iter_scene(spec), start=1):
         write_frame(frame, frames_dir / f"frame_{i:06d}.pgm")
-    for i, mask in enumerate(scene.masks, start=1):
         write_frame(Frame(mask), gt_dir / f"gt_{i:06d}.pgm")
+        clipped += len(events)
     if args.write_flow:
         flow_dir = out_dir / "flow"
         flow_dir.mkdir(parents=True, exist_ok=True)
-        for i, flow in enumerate(scene.flows, start=1):
+        for i, flow in enumerate(SceneFlows(spec), start=1):
             write_flow_file(flow, flow_dir / f"flow_{i:06d}.flo")
     (out_dir / "manifest.txt").write_text(
         format_config(spec.to_dict(), header="flowseg synth scene manifest")
     )
-    print(f"wrote {len(scene.frames)} frame(s) + ground truth to {out_dir}")
-    if scene.truncated:
-        print(f"{len(scene.truncated)} block placement(s) clipped at frame boundary")
+    print(f"wrote {spec.frame_count} frame(s) + ground truth to {out_dir}")
+    if clipped:
+        print(f"{clipped} block placement(s) clipped at frame boundary")
     return EXIT_OK
 
 

@@ -8,7 +8,8 @@ are word shifts, ORs and ANDs. Zeros shifted in at word and slot edges,
 and the AND with each group's crop, stand for the background past the
 crop, which is what the full-frame morphology reads there. Their masks
 share one label buffer, so a window holds the memory of its |W| - 1 maps,
-no more than a run that streams one window at a time keeps anyway.
+no more than a run that streams one window at a time keeps anyway; its
+index temporaries live in per-thread buffers that grow and never shrink.
 ``render_overlays`` blends a window's frames from one label table.
 
 The headline metric is ground-truth coverage: the labeled fraction of the
@@ -18,6 +19,7 @@ as a diagnostic; acceptance numbers use coverage only.
 """
 
 import csv
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -32,6 +34,23 @@ _STACK_VOXELS = 1 << 22  # pixels per crop stack; more groups take more stacks
 _FULL_WORD = ~np.uint64(0)  # a packed row word with all 64 columns set
 _GOLDEN = 0.61803398875
 OVERLAY_ALPHA = 0.5
+# The calling thread's grow-only member buffers (see ``_grown``).
+_local = threading.local()
+
+
+def _grown(name: str, n: int, dtype) -> np.ndarray:
+    """The first ``n`` items of the calling thread's 1-D buffer ``name``.
+    The buffer grows (by at least a quarter, so a slowly rising need
+    reallocates rarely) when ``n`` exceeds it and never shrinks, so a
+    window's member-sized temporaries reuse the memory of the windows
+    before it; each name has one user at a time. A ``take``
+    into one passes ``mode="clip"`` (its indices are in range), since the
+    default mode writes through a fresh copy of ``out``."""
+    buffers = _local.__dict__.setdefault("buffers", {})
+    buf = buffers.get(name)
+    if buf is None or buf.size < n:
+        buf = buffers[name] = np.empty(max(n, 0 if buf is None else buf.size + buf.size // 4), dtype)
+    return buf[:n]
 
 
 @dataclass(eq=False)
@@ -136,8 +155,11 @@ def rasterize_maps(maps, dilation_radius: int = DEFAULT_DILATION_RADIUS) -> list
     offset by ``height * width`` per map, so the output holds the memory
     of ``len(maps)`` maps: |W| - 1 for a window. Members are read from the
     maps' groups, whose ``x``/``y`` are concatenated once per call; only a
-    group that contests a pixel has its ``Group.centroid`` computed.
-    Raises InputError when the maps differ in size.
+    group that contests a pixel has its ``Group.centroid`` computed. The
+    member- and pixel-sized index arrays live in the calling thread's
+    grow-only buffers (``_grown``), so a run of windows reuses their
+    memory; the masks returned are new. Raises InputError when the maps
+    differ in size.
     """
     if dilation_radius < 0:
         raise InputError("dilation_radius must be >= 0")
@@ -164,11 +186,21 @@ def rasterize_maps(maps, dilation_radius: int = DEFAULT_DILATION_RADIUS) -> list
     counts = np.array([g.size for g in groups])
     ids = np.array([g.id for g in groups], dtype=np.int32)
 
-    member = np.repeat(np.arange(n_groups), counts)
     starts = np.concatenate(([0], np.cumsum(counts)))
-    rows, cols = pixel_coords(
-        np.concatenate([g.x for g in groups]), np.concatenate([g.y for g in groups]), w, h
-    )
+    n_members = int(starts[-1])
+    # each member's group: 1 at every group's first member after the first, summed
+    member = _grown("member", n_members, np.intp)
+    member[:] = 0
+    member[starts[1:-1]] = 1
+    np.cumsum(member, out=member)
+    # pixel_coords of the concatenated members, through the thread's buffers
+    coords = _grown("coords", n_members, np.float64)
+    rows, cols = _grown("rows", n_members, np.int64), _grown("cols", n_members, np.int64)
+    for dst, axis, limit in ((rows, "y", h), (cols, "x", w)):
+        np.concatenate([getattr(g, axis) for g in groups], out=coords)
+        np.rint(coords, out=coords)
+        np.copyto(dst, coords, casting="unsafe")
+        np.clip(dst, 0, limit - 1, out=dst)
     margin = dilation_radius + 2 if dilation_radius > 0 else 0
     top = np.maximum(np.minimum.reduceat(rows, starts[:-1]) - margin, 0)
     left = np.maximum(np.minimum.reduceat(cols, starts[:-1]) - margin, 0)
@@ -192,7 +224,16 @@ def rasterize_maps(maps, dilation_radius: int = DEFAULT_DILATION_RADIUS) -> list
         m = slice(starts[first], starts[end])
         grp = member[m]
         painted = np.zeros((end - first) * slot_h * words * 64, dtype=bool)
-        painted[((grp - first) * slot_h + rows[m] - top[grp]) * (words * 64) + cols[m] - left[grp]] = True
+        # each member's bit in the stack, built in place
+        bit = np.subtract(grp, first, out=_grown("bit", grp.size, grp.dtype))
+        corner = _grown("corner", grp.size, top.dtype)
+        bit *= slot_h
+        bit += rows[m]
+        bit -= np.take(top, grp, out=corner, mode="clip")
+        bit *= words * 64
+        bit += cols[m]
+        bit -= np.take(left, grp, out=corner, mode="clip")
+        painted[bit] = True
         stack = np.packbits(painted, bitorder="little").view("<u8").reshape(-1, slot_h, words)
         del painted
         if dilation_radius > 0:
@@ -208,13 +249,24 @@ def rasterize_maps(maps, dilation_radius: int = DEFAULT_DILATION_RADIUS) -> list
             core[:, [0, -1]] = 0
             stack = _dilate_words(core, np.ones((3, 3), dtype=bool))
         at = np.flatnonzero(np.unpackbits(stack.view(np.uint8), axis=-1, count=slot_w, bitorder="little"))
-        row, col = np.divmod(at, slot_w)
+        row, col = np.divmod(at, slot_w, out=(None, at))  # at becomes the column
         row += first * slot_h
-        pix.append(row_origin[row] + col)
+        col += np.take(row_origin, row, out=_grown("origin", row.size, row_origin.dtype), mode="clip")
+        pix.append(col)
         rows_of.append(row)
-    pix, rows_of = np.concatenate(pix), np.concatenate(rows_of)
-    labels[pix] = np.repeat(ids, slot_h)[rows_of]
-    once = np.bincount(pix, minlength=labels.size)[pix] == 1
+    total = sum(p.size for p in pix)
+    pix = np.concatenate(pix, out=_grown("pix", total, pix[0].dtype))
+    rows_of = np.concatenate(rows_of, out=_grown("rows_of", total, rows_of[0].dtype))
+    painted_by = _grown("painted_by", total, np.int32)
+    # A group paints a pixel at most once. Painting each entry's slot row
+    # into the labels leaves one row per pixel, whichever wins; an entry
+    # that did not win marks its pixel -1 (no slot row), so the pixels
+    # painted once are those left unmarked. Labels stay 0 off ``pix``.
+    labels[pix] = rows_of
+    lost = np.take(labels, pix, out=painted_by, mode="clip") != rows_of
+    labels[pix[lost]] = -1
+    once = np.take(labels, pix, out=painted_by, mode="clip") != -1
+    labels[pix] = np.take(np.repeat(ids, slot_h), rows_of, out=painted_by, mode="clip")
     if not once.all():
         pix, owner = pix[~once], rows_of[~once] // slot_h
         contested = np.unique(owner)
@@ -420,7 +472,9 @@ def render_overlays(frames, masks) -> list[np.ndarray]:
     masks (found by binary search in the sorted ids), after a first row
     that passes the gray through. A label's row holds the rounded float
     blend of its color, which does not depend on the other labels, so one
-    table built for a window gives each frame the bits of its own.
+    table built for a window gives each frame the bits of its own. The
+    lookups run frame by frame through one index buffer, so temporary
+    memory is one frame's, not the window's.
     """
     frames, masks = list(frames), list(masks)
     if len(frames) != len(masks):
@@ -435,20 +489,23 @@ def render_overlays(frames, masks) -> list[np.ndarray]:
     shapes = {(mask.width, mask.height) for mask in masks}
     if len(shapes) > 1:
         raise InputError(f"masks of one batch differ in size: {sorted(shapes)}")
-    labels = np.stack([mask.labels for mask in masks])
-    fg = labels != 0
-    labeled = labels[fg]
-    ids = np.unique(labeled)
+    ids = np.unique(np.concatenate([mask.labels[mask.labels != 0] for mask in masks]))
     colors = np.array([label_color(int(i)) for i in ids], dtype=np.float64).reshape(-1, 1, 3)
     levels = np.arange(256)[:, None]
     table = np.empty((ids.size + 1, 256, 3), dtype=np.uint8)
     table[0] = levels
     table[1:] = np.clip(np.rint((1.0 - OVERLAY_ALPHA) * levels + OVERLAY_ALPHA * colors), 0, 255)
-    rows = np.zeros(labels.shape, dtype=np.intp)
-    rows[fg] = np.searchsorted(ids, labeled) + 1
-    rows <<= 8
-    rows |= np.stack([frame.data for frame in frames])
-    return list(table.reshape(-1, 3).take(rows, axis=0))
+    table = table.reshape(-1, 3)
+    rows = np.empty(masks[0].labels.shape, dtype=np.intp)  # one frame's table rows at a time
+    out = []
+    for frame, mask in zip(frames, masks):
+        fg = mask.labels != 0
+        rows[...] = 0
+        rows[fg] = np.searchsorted(ids, mask.labels[fg]) + 1
+        rows <<= 8
+        rows |= frame.data
+        out.append(table.take(rows, axis=0))
+    return out
 
 
 def render_overlay(frame: Frame, mask: LabelMask) -> np.ndarray:

@@ -13,11 +13,15 @@ Only the ``downscale`` factor is a setting.
    onto the first and a windowed 2x2 normal-equation solve (classic
    Lucas-Kanade least squares over a square window) yields an incremental
    update; a few warp/solve iterations run per level and the flow is
-   upsampled (x2) between levels. Each level's iterations write into one
-   set of buffers allocated when the level starts (see ``_refine``). The
-   warp is a bilinear gather from an edge-padded copy of the level, which
-   replaces index clamping, and the gradients are written in place; both
-   give the same bits as ``scipy.ndimage.map_coordinates(order=1,
+   upsampled (x2) between levels. Every level-sized array of a call that
+   does not go into the returned ``FlowField`` (the pyramid, the upsampled
+   fields, the iterations' buffers, the median's and the texture test's
+   temporaries) is a buffer the calling thread keeps and reuses across
+   calls, one set per frame size (see ``_buffer``): a frame of another
+   size drops the set and makes a new one, and threads never share one.
+   The warp is a bilinear gather from an edge-padded copy of the level,
+   which replaces index clamping, and the gradients are written in place;
+   both give the same bits as ``scipy.ndimage.map_coordinates(order=1,
    mode="nearest")`` and ``np.gradient`` (see ``_Gather`` and
    ``_gradient``). The upsampling gives the same bits as
    ``map_coordinates`` at the fine grid's coordinates halved, from a few
@@ -27,8 +31,8 @@ Only the ``downscale`` factor is a setting.
    edges. The median is an exact partition over the window stack, taken a
    fixed number of rows at a time so temporary memory stays bounded; it
    partitions order-preserving int32 keys of the float32 field, which
-   select the same element as the floats do, through views and buffers
-   built once per call (see ``_median``).
+   select the same element as the floats do, through views of the
+   thread's buffers (see ``_median``).
 5. At the finest level the structure tensor's smaller eigenvalue decides
    per-pixel validity: flat or single-gradient neighborhoods (aperture
    cases) are marked invalid and their flow is zeroed.
@@ -41,6 +45,7 @@ only ever consumes flow statistics over dense textured regions); it makes
 no claims near occlusions or for large rotations.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +72,32 @@ _MEDIAN_SIZE = 7
 _MEDIAN_CHUNK_ROWS = 16
 
 
+# The calling thread's buffers: ``buffers`` maps (name, shape, dtype) to an
+# array, made for frames whose base level is ``shape``.
+_local = threading.local()
+
+
+def _use_frame_size(shape: tuple) -> None:
+    """Drop the calling thread's buffers unless they were made for a base
+    level of ``shape``, so a thread holds the buffers of one frame size."""
+    if getattr(_local, "shape", None) != shape:
+        _local.shape = shape
+        _local.buffers = {}
+
+
+def _buffer(name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """The calling thread's buffer ``name`` of ``shape`` and ``dtype``,
+    made on first use and returned as it was left by every later call. Each name has one user at a time: a
+    function that takes one overwrites it, and whatever it returns in one
+    is valid until its next call on that shape in that thread."""
+    buffers = _local.__dict__.setdefault("buffers", {})
+    key = (name, shape, np.dtype(dtype))
+    found = buffers.get(key)
+    if found is None:
+        found = buffers[key] = np.empty(shape, dtype)
+    return found
+
+
 @dataclass(frozen=True)
 class FlowParams:
     downscale: int = 2
@@ -76,10 +107,12 @@ class FlowParams:
             raise InputError("downscale must be an integer >= 1")
 
 
-def _edge_pad(a: np.ndarray, before: int, after: int) -> np.ndarray:
-    """``np.pad(a, (before, after), mode="edge")`` of a 2-D ``a``, by slice assignment."""
+def _edge_pad(a: np.ndarray, before: int, after: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.pad(a, (before, after), mode="edge")`` of a 2-D ``a``, by slice
+    assignment, into ``out`` if given."""
     h, w = a.shape
-    out = np.empty((h + before + after, w + before + after), a.dtype)
+    if out is None:
+        out = np.empty((h + before + after, w + before + after), a.dtype)
     out[before : before + h, before : before + w] = a
     out[:before, before : before + w] = a[0]
     out[before + h :, before : before + w] = a[-1]
@@ -88,32 +121,38 @@ def _edge_pad(a: np.ndarray, before: int, after: int) -> np.ndarray:
     return out
 
 
-def _block_mean(img: np.ndarray, factor: int) -> np.ndarray:
+def _block_mean(img: np.ndarray, factor: int, out: np.ndarray | None = None) -> np.ndarray:
     """Mean of each ``factor`` x ``factor`` block of the 8-bit ``img`` (one
-    frame, or a stack of frames along leading axes), as float64; the last
-    two sides are multiples of ``factor``. Each frame of a stack gets the
-    bits it gets alone: the strided slices and the sum are elementwise.
+    frame, or a stack of frames along leading axes), as float64, written
+    into ``out`` if given; the last two sides are multiples of ``factor``.
+    Each frame of a stack gets the bits it gets alone: the strided slices
+    and the sum are elementwise.
 
-    The ``factor**2`` strided slices are summed in an unsigned type that
-    holds ``255 * factor**2``, so every block sum is exact, and divided by
-    ``factor**2`` in float64. That gives the same bits as the float64
-    ``img.reshape(...).mean(axis=(1, 3))``, which sums exactly in another
-    order and divides by the same count.
+    The ``factor**2`` strided slices are summed in float64, which holds
+    every sum of 8-bit values exactly, and divided by ``factor**2``. That
+    gives the same bits as the float64 ``img.reshape(...).mean(axis=(1,
+    3))``, which sums exactly in another order and divides by the same
+    count.
     """
-    if factor == 1:
-        return img.astype(np.float64)
+    if out is None:
+        *lead, h, w = img.shape
+        out = np.empty((*lead, h // factor, w // factor))
     first, *rest = (img[..., i::factor, j::factor] for i in range(factor) for j in range(factor))
-    total = first.astype(np.min_scalar_type(255 * factor * factor))
-    for part in rest:
-        total += part
-    return total / (factor * factor)
+    np.copyto(out, first)
+    if factor > 1:
+        for part in rest:
+            out += part
+        out /= factor * factor
+    return out
 
 
-def _decimate(img: np.ndarray) -> np.ndarray:
-    return ndimage.gaussian_filter(img, 1.0, mode="nearest")[::2, ::2]
+def _decimate(img: np.ndarray, output: np.ndarray | None = None) -> np.ndarray:
+    """Every second row and column of ``img`` smoothed by a unit Gaussian,
+    a view of ``output`` (``img``'s shape) if given."""
+    return ndimage.gaussian_filter(img, 1.0, mode="nearest", output=output)[::2, ::2]
 
 
-def _upsample(field: np.ndarray, shape: tuple) -> np.ndarray:
+def _upsample(field: np.ndarray, shape: tuple, out: np.ndarray | None = None) -> np.ndarray:
     """Bilinear x2 upsampling of ``field`` onto the finer level of
     ``shape``, whose sides are ``2 * field``'s sides or one less.
 
@@ -135,24 +174,31 @@ def _upsample(field: np.ndarray, shape: tuple) -> np.ndarray:
     skipped and the unit weights not applied: the even-even slice is
     ``0.0 + corner``, the two mixed slices sum two halved corners, and
     only the odd-odd slice sums all four. (An infinite ``field`` value
-    would break this, since ``inf * 0`` is NaN.)
+    would break this, since ``inf * 0`` is NaN.) The sums are written
+    into ``out`` if given, the halved corners into a thread buffer.
     """
-    padded = _edge_pad(field, 0, 1)
-    out = np.empty(shape)
+    hc, wc = field.shape
+    padded = _edge_pad(field, 0, 1, out=_buffer("upsample.padded", (hc + 1, wc + 1)))
+    halved = _buffer("upsample.halved", (hc, wc))
+    if out is None:
+        out = np.empty(shape)
     for a in (0, 1):
         for b in (0, 1):
             dst = out[a::2, b::2]
             h, w = dst.shape
-            total = 0.0
+            first = True
             for dr in range(a + 1):
                 for dc in range(b + 1):
                     term = padded[dr : dr + h, dc : dc + w]
-                    if a:
-                        term = term * 0.5
-                    if b:
-                        term = term * 0.5
-                    total = total + term
-            dst[...] = total
+                    if a or b:
+                        term = np.multiply(term, 0.5, out=halved[:h, :w])
+                    if a and b:
+                        term *= 0.5
+                    if first:
+                        np.add(0.0, term, out=dst)
+                        first = False
+                    else:
+                        dst += term
     return out
 
 
@@ -179,7 +225,8 @@ def _gradient(f: np.ndarray, gy: np.ndarray, gx: np.ndarray) -> None:
 
 class _Gather:
     """Bilinear samples of ``img`` at points given as arrays of ``shape``,
-    written into buffers allocated once.
+    written into the calling thread's buffers for ``shape``, so one
+    ``_Gather`` per shape is in use at a time.
 
     ``gather(rows, cols, out)`` writes the same bits as
     ``ndimage.map_coordinates(img, [rows, cols], order=1, mode="nearest")``
@@ -204,15 +251,15 @@ class _Gather:
     """
 
     def __init__(self, img: np.ndarray, shape: tuple):
-        self._size = img.shape
-        flat = _edge_pad(img, 1, 1).ravel()
-        stride = img.shape[1] + 2
-        self._corners = [flat[offset:] for offset in (0, 1, stride, stride + 1)]
-        self._floor = np.empty((2, *shape))
+        h, w = self._size = img.shape
+        padded = _buffer("gather.img", (h + 2, w + 2), img.dtype)
+        flat = _edge_pad(img, 1, 1, out=padded).ravel()
+        self._corners = [flat[offset:] for offset in (0, 1, w + 2, w + 3)]
+        self._floor = _buffer("gather.floor", (2, *shape))
         # Row weights w0, w1, then column weights w0, w1.
-        self._weights = np.empty((4, *shape))
-        self._index = np.empty(shape, dtype=np.intp)
-        self._term = np.empty(shape)
+        self._weights = _buffer("gather.weights", (4, *shape))
+        self._index = _buffer("gather.index", shape, np.intp)
+        self._term = _buffer("gather.term", shape)
 
     def _axis(self, coord, n, floor, weights):
         np.floor(coord, out=floor)
@@ -242,24 +289,30 @@ class _Gather:
                 np.add(0.0, term, out=out)
 
 
-def _window_sum(stack: np.ndarray, radius: int) -> np.ndarray:
+def _window_sum(stack: np.ndarray, radius: int, output: np.ndarray | None = None) -> np.ndarray:
     """Square-window sums of each image of ``stack`` (``(k, rows, cols)``),
-    borders replicated. These are the two ``uniform_filter1d`` passes that
-    ``uniform_filter(stack, size=(1, s, s))`` runs, the second in place, so
-    they equal one call per image; the means are scaled to sums in place,
-    with the same bits as a scaled copy."""
+    borders replicated, written into ``output`` if given (which may be
+    ``stack`` itself). These are the two ``uniform_filter1d`` passes that
+    ``uniform_filter(stack, size=(1, s, s))`` runs, the second in place,
+    so they equal one call per image; each pass copies a line out before
+    writing it, so either may run in place. The means are scaled to sums
+    in place, with the same bits as a scaled copy."""
     size = 2 * radius + 1
-    sums = ndimage.uniform_filter1d(stack, size, axis=1, mode="nearest")
+    sums = ndimage.uniform_filter1d(stack, size, axis=1, output=output, mode="nearest")
     ndimage.uniform_filter1d(sums, size, axis=2, output=sums, mode="nearest")
     sums *= size * size
     return sums
 
 
-def _refine(a, b, u, v, radius: int, iterations: int, grid: np.ndarray):
+def _refine(a, b, u, v, radius: int, iterations: int, grid):
     """Run ``iterations`` warp/solve steps on one pyramid level and return
-    the refined ``(u, v)``; the inputs are not modified.
+    the refined ``(u, v)``; the inputs are not modified. ``grid`` holds
+    the level's row and column indices, as arrays that broadcast to its
+    shape. The result is a thread buffer of this shape, valid until the
+    next call on it.
 
-    Every iteration writes into buffers allocated once here, through
+    Every iteration writes into the calling thread's buffers for this
+    level's shape, which persist across calls, through
     ``out=`` ufuncs in the order of the plain expressions ``0.5 * (a +
     bw)``, ``bw - a``, ``ix * iy``, ``sxx * syy - sxy * sxy``, ``(sxy * syt
     - syy * sxt) / det`` and so on, so each value has the bits those
@@ -269,11 +322,13 @@ def _refine(a, b, u, v, radius: int, iterations: int, grid: np.ndarray):
     """
     shape = a.shape
     gather = _Gather(b, shape)
-    u = np.array(u, dtype=np.float64)
-    v = np.array(v, dtype=np.float64)
-    rows, cols, bw, mean, it, ix, iy, det, update, term = np.empty((10, *shape))
-    products = np.empty((5, *shape))
-    flat = np.empty(shape, dtype=bool)
+    fields = _buffer("refine.uv", (2, *shape))
+    np.copyto(fields[0], u)
+    np.copyto(fields[1], v)
+    u, v = fields
+    rows, cols, bw, mean, it, ix, iy, det, update, term = _buffer("planes", (10, *shape))
+    products = _buffer("products", (5, *shape))
+    flat = _buffer("refine.flat", shape, bool)
     for _ in range(iterations):
         np.add(grid[0], v, out=rows)
         np.add(grid[1], u, out=cols)
@@ -284,7 +339,7 @@ def _refine(a, b, u, v, radius: int, iterations: int, grid: np.ndarray):
         np.subtract(bw, a, out=it)
         for slot, (p, q) in zip(products, ((ix, ix), (ix, iy), (iy, iy), (ix, it), (iy, it))):
             np.multiply(p, q, out=slot)
-        sxx, sxy, syy, sxt, syt = _window_sum(products, radius)
+        sxx, sxy, syy, sxt, syt = _window_sum(products, radius, output=products)
         np.multiply(sxx, syy, out=det)
         np.multiply(sxy, sxy, out=term)
         det -= term
@@ -331,38 +386,66 @@ def _median(field: np.ndarray) -> np.ndarray:
     never produces NaN because ``_refine`` divides only where ``det`` is
     above ``_DET_EPS``.
 
-    Views and buffers are built once per call. Each band of rows copies
-    its 7-row column strips into one ``(rows, cols + 6, 7)`` buffer, where
-    a pixel's 49 keys are one contiguous run, so a strided view copies
-    them out whole into the stack that is partitioned. They come out
-    column by column, not row by row, which no rank statistic can see.
+    The keys, their edge-padded copy and the band buffers are the calling
+    thread's buffers for this shape, kept across calls; only the result is
+    new. Each band of rows copies its 7-row column strips into one
+    ``(rows, cols + 6, 7)`` buffer, where a pixel's 49 keys are one
+    contiguous run, so a strided view copies them out whole into the stack
+    that is partitioned. They come out column by column, not row by row,
+    which no rank statistic can see.
     """
     r = _MEDIAN_SIZE // 2
     mid = _MEDIAN_SIZE * _MEDIAN_SIZE // 2
-    bits = np.asarray(field, dtype=np.float32).view(np.int32)
-    keys = bits ^ ((bits >> 31) & 0x7FFFFFFF)
-    height, width = keys.shape
-    columns = sliding_window_view(_edge_pad(keys, r, r), _MEDIAN_SIZE, axis=0)
+    height, width = field.shape
+    out = np.empty((height, width), np.float32)
+    np.copyto(out, field)
+    bits = out.view(np.int32)
+    keys = _buffer("median.keys", (height, width), np.int32)
+    np.right_shift(bits, 31, out=keys)
+    keys &= 0x7FFFFFFF
+    keys ^= bits
+    padded = _buffer("median.padded", (height + 2 * r, width + 2 * r), np.int32)
+    columns = sliding_window_view(_edge_pad(keys, r, r, out=padded), _MEDIAN_SIZE, axis=0)
     band = min(_MEDIAN_CHUNK_ROWS, height)
-    strips = np.empty((band, width + 2 * r, _MEDIAN_SIZE), np.int32)
+    strips = _buffer("median.strips", (band, width + 2 * r, _MEDIAN_SIZE), np.int32)
     windows = as_strided(strips, (band, width, 2 * mid + 1), strips.strides, writeable=False)
-    stack = np.empty(windows.shape, np.int32)
-    out = np.empty_like(keys)
+    stack = _buffer("median.stack", windows.shape, np.int32)
     for top in range(0, height, band):
         rows = min(band, height - top)
         np.copyto(strips[:rows], columns[top : top + rows])
         np.copyto(stack[:rows], windows[:rows])
         stack[:rows].partition(mid, axis=-1)
-        out[top : top + rows] = stack[:rows, :, mid]
-    out ^= (out >> 31) & 0x7FFFFFFF
-    return out.view(np.float32)
+        bits[top : top + rows] = stack[:rows, :, mid]
+    np.right_shift(bits, 31, out=keys)
+    keys &= 0x7FFFFFFF
+    bits ^= keys
+    return out
 
 
 def _textured(img: np.ndarray, radius: int) -> np.ndarray:
-    iy, ix = np.gradient(img)
-    sxx, sxy, syy = _window_sum(np.stack([ix * ix, ix * iy, iy * iy]), radius)
-    disc = np.sqrt(np.maximum((sxx - syy) ** 2 + 4.0 * sxy * sxy, 0.0))
-    lam_min = 0.5 * (sxx + syy - disc)
+    """Where the window-averaged weaker eigenvalue of ``img``'s structure
+    tensor reaches ``TEXTURE_EIGEN_FLOOR``. The temporaries are the
+    calling thread's ``_refine`` buffers of this shape, written through
+    ``out=`` in the order of the plain expressions ``iy, ix =
+    np.gradient(img)``, ``disc = sqrt(maximum((sxx - syy)**2 + 4.0 * sxy
+    * sxy, 0.0))`` and ``0.5 * (sxx + syy - disc)``, so each value has
+    their bits (``x**2`` is ``x * x``)."""
+    iy, ix, disc, lam_min = _buffer("planes", (10, *img.shape))[:4]
+    products = _buffer("products", (5, *img.shape))[:3]
+    _gradient(img, iy, ix)
+    for slot, (p, q) in zip(products, ((ix, ix), (ix, iy), (iy, iy))):
+        np.multiply(p, q, out=slot)
+    sxx, sxy, syy = _window_sum(products, radius, output=products)
+    np.subtract(sxx, syy, out=disc)
+    disc *= disc
+    np.multiply(4.0, sxy, out=lam_min)
+    lam_min *= sxy
+    disc += lam_min
+    np.maximum(disc, 0.0, out=disc)
+    np.sqrt(disc, out=disc)
+    np.add(sxx, syy, out=lam_min)
+    lam_min -= disc
+    lam_min *= 0.5
     window_px = (2 * radius + 1) ** 2
     return lam_min >= TEXTURE_EIGEN_FLOOR * window_px
 
@@ -380,30 +463,36 @@ def compute_dense_flow(a: Frame, b: Frame, params: FlowParams = FlowParams()) ->
     d = params.downscale
     if a.width % d or a.height % d:
         raise InputError(f"frame dimensions must be divisible by downscale={d}")
-    base_a = _block_mean(a.data, d)
-    base_b = _block_mean(b.data, d)
-    if min(base_a.shape) < MIN_LEVEL_SIZE:
+    base = (a.height // d, a.width // d)
+    if min(base) < MIN_LEVEL_SIZE:
         raise InputError(
             f"frame smaller than minimum pyramid size ({MIN_LEVEL_SIZE} px after downscale)"
         )
+    _use_frame_size(base)
 
-    pyr_a, pyr_b = [base_a], [base_b]
+    pyr_a = [_block_mean(a.data, d, out=_buffer("level.a", base))]
+    pyr_b = [_block_mean(b.data, d, out=_buffer("level.b", base))]
     while len(pyr_a) < PYRAMID_LEVELS and min(pyr_a[-1].shape) // 2 >= MIN_LEVEL_SIZE:
-        pyr_a.append(_decimate(pyr_a[-1]))
-        pyr_b.append(_decimate(pyr_b[-1]))
+        shape = pyr_a[-1].shape
+        pyr_a.append(_decimate(pyr_a[-1], output=_buffer("smoothed.a", shape)))
+        pyr_b.append(_decimate(pyr_b[-1], output=_buffer("smoothed.b", shape)))
 
-    u = np.zeros_like(pyr_a[-1])
-    v = np.zeros_like(pyr_a[-1])
+    u = v = None
     for level in range(len(pyr_a) - 1, -1, -1):
-        # (row, column) index of every pixel of this level, shared by
-        # every warp on it.
-        grid = np.indices(pyr_a[level].shape, dtype=np.float64)
-        if level < len(pyr_a) - 1:
-            u = _upsample(u, pyr_a[level].shape) * 2.0
-            v = _upsample(v, pyr_a[level].shape) * 2.0
-        u, v = _refine(pyr_a[level], pyr_b[level], u, v, WINDOW_RADIUS, ITERATIONS, grid)
+        shape = pyr_a[level].shape
+        # (row, column) index of every pixel of this level, as a column and
+        # a row that broadcast to it, shared by every warp on it.
+        grid = np.arange(shape[0], dtype=np.float64)[:, None], np.arange(shape[1], dtype=np.float64)
+        start = _buffer("start", (2, *shape))
+        if u is None:
+            start.fill(0.0)
+        else:
+            _upsample(u, shape, out=start[0])
+            _upsample(v, shape, out=start[1])
+            start *= 2.0
+        u, v = _refine(pyr_a[level], pyr_b[level], start[0], start[1], WINDOW_RADIUS, ITERATIONS, grid)
 
     u = _median(u)
     v = _median(v)
-    valid = _textured(base_a, WINDOW_RADIUS)
+    valid = _textured(pyr_a[0], WINDOW_RADIUS)
     return FlowField(u=u, v=v, valid=valid)

@@ -8,11 +8,19 @@ velocity are background for ground-truth purposes (nothing moves above
 the magnitude threshold). With sensor noise of level s, a frame is
 clip(rint(frame + s * z), 0, 255) for standard normal draws z seeded per
 frame; the ground-truth flows are float32, as every FlowField is.
+
+``iter_scene`` yields a scene frame by frame, so a caller that writes each
+frame as it comes holds one frame at a time; ``generate_scene`` collects
+it. A scene's ground-truth flows are built when read: ``SceneData.flows``
+is a read-only sequence that makes pair t's ``FlowField`` from the spec
+each time that item is read, and keeps none of them.
 """
 
 import csv
 import logging
+import operator
 import statistics
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 
@@ -109,13 +117,65 @@ class SceneSpec:
         return out
 
 
+def _placements(spec: SceneSpec, t: int):
+    """Where each block of ``spec`` sits in frame ``t``, in block order:
+    ``(number, block, (x0, y0), (xs, ys, xe, ye))``. The block is pasted
+    with its top-left at (x0, y0) = round(rect + velocity * t) and shows
+    over rows ys:ye and columns xs:xe, its rect clipped to the frame; that
+    span is empty (xs >= xe or ys >= ye) once the block has left."""
+    for number, blk in enumerate(spec.blocks, start=1):
+        x0 = int(round(blk.rect[0] + blk.velocity[0] * t))
+        y0 = int(round(blk.rect[1] + blk.velocity[1] * t))
+        xs, ys = max(x0, 0), max(y0, 0)
+        xe, ye = min(x0 + blk.rect[2], spec.width), min(y0 + blk.rect[3], spec.height)
+        yield number, blk, (x0, y0), (xs, ys, xe, ye)
+
+
+def _moving(blk: BlockSpec) -> bool:
+    return blk.velocity[0] != 0 or blk.velocity[1] != 0
+
+
+class SceneFlows(Sequence):
+    """The ground-truth flows of a scene, one per consecutive frame pair,
+    as a read-only sequence. Reading item t builds the float32 flow of
+    frame pair (t, t + 1) afresh: each moving block's velocity where it
+    shows in frame t, a later block over an earlier one, and 0 elsewhere.
+    The sequence keeps none of them."""
+
+    def __init__(self, spec: SceneSpec):
+        self.spec = spec
+
+    def __len__(self) -> int:
+        return self.spec.frame_count - 1
+
+    def __getitem__(self, t) -> FlowField:
+        t, n = operator.index(t), len(self)
+        if not -n <= t < n:
+            raise IndexError(f"flow index {t} out of range for {n} frame pair(s)")
+        spec = self.spec
+        # u and v share one zeroed buffer: a flow that a caller drops frees one block
+        u, v = np.zeros((2, spec.height, spec.width), dtype=np.float32)
+        for _, blk, _, (xs, ys, xe, ye) in _placements(spec, t % n):
+            if xs < xe and ys < ye and _moving(blk):
+                u[ys:ye, xs:xe] = blk.velocity[0]
+                v[ys:ye, xs:xe] = blk.velocity[1]
+        return FlowField(u=u, v=v)
+
+
 @dataclass
 class SceneData:
+    """A scene's frames, ground-truth masks and clipped placements; its
+    ground-truth flows are built when read (see ``SceneFlows``)."""
+
     spec: SceneSpec
     frames: list[Frame]
     masks: list[np.ndarray]  # uint8, 0 background, block number elsewhere
-    flows: list[FlowField]  # ground-truth flow per consecutive frame pair
     truncated: list[tuple[int, int]]  # (frame number, block number) clipped events
+
+    @property
+    def flows(self) -> SceneFlows:
+        """Ground-truth flow per consecutive frame pair, built on read."""
+        return SceneFlows(self.spec)
 
 
 def noise_texture(height: int, width: int, seed: int) -> np.ndarray:
@@ -131,44 +191,34 @@ def noise_texture(height: int, width: int, seed: int) -> np.ndarray:
     return np.rint(img, out=img).astype(np.uint8)
 
 
-def generate_scene(spec: SceneSpec) -> SceneData:
-    """The frames, ground-truth masks and float32 ground-truth flows of
-    ``spec``. Each block is pasted at round(rect + velocity * t) over the
-    background; with ``noise_level`` s > 0 frame t is then
+def iter_scene(spec: SceneSpec) -> Iterator[tuple[Frame, np.ndarray, list[tuple[int, int]]]]:
+    """Each frame of ``spec`` in order, as ``(frame, mask, clipped)``. Each
+    block is pasted at round(rect + velocity * t) over the background; the
+    mask holds each moving block's number where it shows, and ``clipped``
+    lists ``(frame number, block number)`` for each block the frame edge
+    clips in this frame. With ``noise_level`` s > 0 frame t is then
     clip(rint(frame + s * z), 0, 255), z standard normal draws from the
-    generator seeded (background_seed, 7919, t)."""
+    generator seeded (background_seed, 7919, t). Once the last frame is
+    out, a warning counts the clipped placements, if any."""
     background = noise_texture(spec.height, spec.width, spec.background_seed)
     textures = [
         noise_texture(blk.rect[3], blk.rect[2], blk.texture_seed) for blk in spec.blocks
     ]
-
-    frames: list[Frame] = []
-    masks: list[np.ndarray] = []
-    flows: list[FlowField] = []  # pair (t, t + 1): each moving block's velocity where it sits in frame t
-    truncated: list[tuple[int, int]] = []
     noise = np.empty((spec.height, spec.width)) if spec.noise_level > 0 else None
+    clipped_count = 0
 
     for t in range(spec.frame_count):
         img = background.copy()
         mask = np.zeros((spec.height, spec.width), dtype=np.uint8)
-        # u and v share one zeroed buffer: a flow that a caller drops frees one block among the frames kept
-        u, v = np.zeros((2, spec.height, spec.width), dtype=np.float32)
-        for number, (blk, tex) in enumerate(zip(spec.blocks, textures), start=1):
-            x0 = int(round(blk.rect[0] + blk.velocity[0] * t))
-            y0 = int(round(blk.rect[1] + blk.velocity[1] * t))
-            bw, bh = blk.rect[2], blk.rect[3]
-            xs, ys = max(x0, 0), max(y0, 0)
-            xe, ye = min(x0 + bw, spec.width), min(y0 + bh, spec.height)
+        clipped = []
+        for number, blk, (x0, y0), (xs, ys, xe, ye) in _placements(spec, t):
+            if (xe - xs, ye - ys) != (blk.rect[2], blk.rect[3]):
+                clipped.append((t + 1, number))
             if xs >= xe or ys >= ye:
-                truncated.append((t + 1, number))
                 continue
-            if (xe - xs, ye - ys) != (bw, bh):
-                truncated.append((t + 1, number))
-            img[ys:ye, xs:xe] = tex[ys - y0 : ye - y0, xs - x0 : xe - x0]
-            if blk.velocity[0] != 0 or blk.velocity[1] != 0:
+            img[ys:ye, xs:xe] = textures[number - 1][ys - y0 : ye - y0, xs - x0 : xe - x0]
+            if _moving(blk):
                 mask[ys:ye, xs:xe] = number
-                u[ys:ye, xs:xe] = blk.velocity[0]
-                v[ys:ye, xs:xe] = blk.velocity[1]
         if noise is not None:
             # the bytes of rng.normal(0.0, s, shape), which draws 0.0 + s * z from this stream
             np.random.default_rng((spec.background_seed, 7919, t)).standard_normal(out=noise)
@@ -176,14 +226,22 @@ def generate_scene(spec: SceneSpec) -> SceneData:
             noise += img
             np.rint(noise, out=noise)
             img = np.clip(noise, 0, 255, out=noise).astype(np.uint8)
-        frames.append(Frame(img))
-        masks.append(mask)
-        if t + 1 < spec.frame_count:
-            flows.append(FlowField(u=u, v=v))
+        clipped_count += len(clipped)
+        yield Frame(img), mask, clipped
 
-    if truncated:
-        log.warning("%d block placement(s) clipped at the frame boundary", len(truncated))
-    return SceneData(spec=spec, frames=frames, masks=masks, flows=flows, truncated=truncated)
+    if clipped_count:
+        log.warning("%d block placement(s) clipped at the frame boundary", clipped_count)
+
+
+def generate_scene(spec: SceneSpec) -> SceneData:
+    """The frames and ground-truth masks of ``spec`` (see ``iter_scene``),
+    collected; its float32 ground-truth flows are built when read."""
+    frames, masks, truncated = [], [], []
+    for frame, mask, clipped in iter_scene(spec):
+        frames.append(frame)
+        masks.append(mask)
+        truncated.extend(clipped)
+    return SceneData(spec=spec, frames=frames, masks=masks, truncated=truncated)
 
 
 PRESETS = {

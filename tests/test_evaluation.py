@@ -465,6 +465,24 @@ def test_rasterize_maps_on_scene_windows_equals_full_frame_reference(one_way_sce
                     assert np.array_equal(mask.labels, reference_rasterize(m, radius))
 
 
+def test_rasterize_maps_reuses_no_memory_it_returns(one_way_scene):
+    # rasterize_maps keeps member-sized working buffers per thread that
+    # grow and never shrink; masks it returned stay as they were, and a
+    # smaller batch after a larger one gives the masks of a fresh call
+    data = generate_scene(crowd_spec(frames=20))
+    windows = segment_video(data.frames, PipelineConfig(window_size=10, seed=1)).window_maps
+    small = segment_video(one_way_scene.frames[:4], PipelineConfig(window_size=4, seed=1)).window_maps
+    batches = [[m for _, m in maps] for maps in (*windows, *small)]
+    expected = [[reference_rasterize(m, 3) for m in batch] for batch in batches]
+    kept = []
+    for batch, want in zip(batches, expected):
+        masks = rasterize_maps(batch, 3)
+        assert all(np.array_equal(mask.labels, w) for mask, w in zip(masks, want))
+        kept.append(masks)
+    for masks, want in zip(kept, expected):
+        assert all(np.array_equal(mask.labels, w) for mask, w in zip(masks, want))
+
+
 # --- the coverage metric -------------------------------------------------------
 
 

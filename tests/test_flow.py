@@ -172,23 +172,32 @@ def test_flow_unchanged_by_partition_median(downscale, monkeypatch):
 # routes to the same bits; each test below compares bit patterns with one.
 
 
-def reference_upsample(field, shape):
-    return ndimage.map_coordinates(field, np.indices(shape) / 2.0, order=1, mode="nearest")
+def into(out, result):
+    """``result``, copied into ``out`` when a caller passes one, as flow's
+    buffer-writing helpers do."""
+    if out is None:
+        return result
+    out[...] = result
+    return out
 
 
-def reference_block_mean(img, factor):
+def reference_upsample(field, shape, out=None):
+    return into(out, ndimage.map_coordinates(field, np.indices(shape) / 2.0, order=1, mode="nearest"))
+
+
+def reference_block_mean(img, factor, out=None):
     img = img.astype(np.float64)
     if factor == 1:
-        return img
+        return into(out, img)
     h, w = img.shape
-    return img.reshape(h // factor, factor, w // factor, factor).mean(axis=(1, 3))
+    return into(out, img.reshape(h // factor, factor, w // factor, factor).mean(axis=(1, 3)))
 
 
-def reference_window_sum(stack, radius):
+def reference_window_sum(stack, radius, output=None):
     size = 2 * radius + 1
-    return np.stack(
+    return into(output, np.stack(
         [ndimage.uniform_filter(img, size=size, mode="nearest") * (size * size) for img in stack]
-    )
+    ))
 
 
 def reference_median(field):
@@ -422,3 +431,103 @@ def test_flow_unchanged_by_refine_workspace(downscale, shape, monkeypatch):
         assert np.array_equal(fast.u.view(np.int32), reference.u.view(np.int32)), name
         assert np.array_equal(fast.v.view(np.int32), reference.v.view(np.int32)), name
         assert np.array_equal(fast.valid, reference.valid), name
+
+
+# Flow keeps its working buffers per thread and reuses them across calls;
+# only the returned FlowField is new. These check what that must not change.
+
+
+def run_in_fresh_thread(fn):
+    """``fn()`` on a new thread, whose flow buffers start empty."""
+    import threading
+
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn()))
+    thread.start()
+    thread.join()
+    return result[0]
+
+
+def flow_bits(flow):
+    return flow.u.tobytes(), flow.v.tobytes(), flow.valid.tobytes()
+
+
+def size_pairs():
+    small = generate_scene(replace(preset_scene("two-way", 2), width=64, height=48,
+                                   blocks=(BlockSpec((8, 8, 24, 20), (2.0, 1.0), 11),))).frames
+    return {"64x48": small, "320x240": flow_pairs()["two-way-noisy"]}
+
+
+def test_returned_flow_is_not_changed_by_later_calls():
+    pairs = flow_pairs()
+    first = compute_dense_flow(*pairs["one-way"])
+    kept = flow_bits(first)
+    second = compute_dense_flow(*pairs["two-way-noisy"])
+    assert flow_bits(first) == kept
+    for a in (first.u, first.v, first.valid):
+        for b in (second.u, second.v, second.valid):
+            assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("downscale", [1, 2])
+def test_alternating_frame_sizes_give_the_bits_of_fresh_calls(downscale):
+    params = FlowParams(downscale=downscale)
+    pairs = size_pairs()
+    fresh = {name: run_in_fresh_thread(lambda p=pair: flow_bits(compute_dense_flow(*p, params)))
+             for name, pair in pairs.items()}
+    for name in ("64x48", "320x240", "64x48", "320x240"):
+        assert flow_bits(compute_dense_flow(*pairs[name], params)) == fresh[name], name
+
+
+def test_threads_at_once_give_the_serial_bits():
+    # More threads than cores, switching often, each on a pair of its own
+    # (two frame sizes among them): every result has the serial bits.
+    import sys
+    import threading
+
+    pairs = {**flow_pairs(), **size_pairs()}
+    names = ["one-way", "two-way-noisy", "64x48", "two-way"]
+    serial = {name: flow_bits(compute_dense_flow(*pairs[name])) for name in names}
+    start = threading.Barrier(len(names))
+    results = {name: [] for name in names}
+
+    def work(name):
+        start.wait()
+        for _ in range(3):
+            results[name].append(flow_bits(compute_dense_flow(*pairs[name])))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(name,)) for name in names]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for name in names:
+        assert results[name] == [serial[name]] * 3, name
+
+
+def test_a_thread_holds_one_frame_sizes_buffers():
+    pairs = size_pairs()
+
+    def held():
+        buffers = flow_module._local.buffers
+        return sorted((name, shape, str(dtype)) for name, shape, dtype in buffers), \
+            sum(b.nbytes for b in buffers.values())
+
+    def one_size():
+        compute_dense_flow(*pairs["64x48"])
+        return held()
+
+    def alternating():
+        for name in ("64x48", "320x240", "64x48"):
+            compute_dense_flow(*pairs[name])
+        return held()
+
+    keys, nbytes = run_in_fresh_thread(one_size)
+    assert keys and all(shape[-1] <= 64 for _, shape, _ in keys)
+    assert run_in_fresh_thread(alternating) == (keys, nbytes)

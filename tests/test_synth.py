@@ -363,3 +363,61 @@ def test_bench_mixed_sizes_names_frame_before_any_flow(monkeypatch):
     with pytest.raises(InputError, match=r"^inconsistent frame dimensions: frame 9 is \(64, 62\), "
                                          r"frame 1 is \(64, 64\)$"):
         bench_compare(frames, masks, PipelineConfig(window_size=3), window_sizes=(3,), repeats=1)
+
+
+# --- flows built on read -----------------------------------------------------------
+
+
+def test_scene_builds_no_flow_until_one_is_read(monkeypatch):
+    import flowseg.synth
+
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return FlowField(*args, **kwargs)
+
+    monkeypatch.setattr(flowseg.synth, "FlowField", counted)
+    spec = REFERENCE_SCENES["two-way"]
+    scene = generate_scene(spec)
+    assert built == []
+    assert len(scene.flows) == spec.frame_count - 1
+    assert built == []
+    scene.flows[3]
+    assert len(built) == 1
+    assert sum(1 for _ in scene.flows) == spec.frame_count - 1
+    assert len(built) == spec.frame_count
+
+
+def test_scene_flows_take_negative_indices_and_stop_at_the_end():
+    spec = REFERENCE_SCENES["clipped-and-still"]
+    _, _, flows, _ = reference_scene(spec)
+    scene = generate_scene(spec)
+    n = spec.frame_count - 1
+    for t in (-1, -n, n - 1, 0):
+        assert scene.flows[t].u.tobytes() == flows[t].u.tobytes()
+        assert scene.flows[t].v.tobytes() == flows[t].v.tobytes()
+    for t in (n, n + 5, -n - 1):
+        with pytest.raises(IndexError):
+            scene.flows[t]
+    assert len(list(scene.flows)) == n
+
+
+def test_one_frame_scene_has_no_flows():
+    scene = generate_scene(one_block_spec(frames=1))
+    assert len(scene.flows) == 0 and list(scene.flows) == []
+    with pytest.raises(IndexError):
+        scene.flows[0]
+
+
+@pytest.mark.parametrize("name", ["clipped-and-still", "two-way-noise-6"])
+def test_iter_scene_yields_each_frame_with_its_clipped_blocks(name):
+    from flowseg import iter_scene
+
+    spec = REFERENCE_SCENES[name]
+    frames, masks, _, truncated = reference_scene(spec)
+    items = list(iter_scene(spec))
+    assert [f.data.tobytes() for f, _, _ in items] == [f.tobytes() for f in frames]
+    assert [m.tobytes() for _, m, _ in items] == [m.tobytes() for m in masks]
+    assert [e for _, _, clipped in items for e in clipped] == truncated
+    assert all(t == i for i, (_, _, clipped) in enumerate(items, start=1) for t, _ in clipped)
