@@ -31,7 +31,9 @@ scene yields them, so memory holds one frame whatever the length; masks
 hold block numbers (0 is background, so a scene holds at most 255
 blocks). Only ``synth --write-flow`` builds ground-truth flows, one pair
 at a time; ``bench`` reads none. ``eval`` counts every non-zero pixel as
-ground truth, so 0/255 masks score the same.
+ground truth, so 0/255 masks score the same. It reads a run's windows
+from its manifest (``window_size`` frames each from ``first_frame``) and
+has no ``--window-size``; with no manifest, no frame is in a window.
 
 ``bench`` is the paper's window-size trade-off sweep: larger windows run
 dense flow on fewer frames (faster) but propagate the groups further from
@@ -273,25 +275,27 @@ def _write_window(out_dir: Path, frames: list[Frame], maps, cfg: PipelineConfig,
 
 def cmd_eval(args) -> int:
     pred_dir = Path(args.pred)
-    window_size, first_frame = args.window_size, 1
+    window_size, first_frame = None, 1
     manifest_path = pred_dir / "manifest.txt"
     if manifest_path.exists():
         try:
             manifest = parse_config_file(manifest_path)
             first_frame = manifest.get_int("first_frame", 1)
-            if window_size is None:
-                window_size = manifest.get_int("window_size", None)
+            window_size = manifest.get_int("window_size", None)
+            _at_least_one(window_size=window_size)
         except ConfigError as exc:
             raise ConfigError(f"run manifest {manifest_path}: {exc}") from None
-    if window_size is not None and window_size < 1:
-        raise ConfigError(f"window size must be >= 1, got {window_size}")
 
     preds = _read_masks_dir(pred_dir)
     if not preds:
         raise InputError(f"no prediction masks in {pred_dir}")
     gts = _read_ground_truth(Path(args.gt), sorted(preds))
 
-    report = score_frames(sorted(preds.items()), gts, window_size, first_frame)
+    # Fallback: a run on disk has no per-window record, so its windows are cut
+    # again from its manifest; with none, or before first_frame, a frame is in window 0.
+    window = {n: (n - first_frame) // window_size + 1 if window_size and n >= first_frame else 0
+              for n in preds}
+    report = score_frames(((n, window[n], mask) for n, mask in sorted(preds.items())), gts)
     if args.out:
         report.write_csv(args.out)
     print(f"frames scored: {len(report.rows)}")
@@ -418,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--out", help="accuracy CSV path")
-    p.add_argument("--window-size", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="generate a synthetic scene with ground truth")

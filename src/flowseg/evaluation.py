@@ -351,10 +351,14 @@ def resample_nearest(mask: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 @dataclass(frozen=True)
 class AccuracyRow:
     frame_index: int
-    window_index: int
+    window_index: int  # 0: the frame belongs to no window
     accuracy: float
     iou: float
-    is_window_start: bool
+    step: int | None  # maps since the window's seed map (0); None outside a window
+
+    @property
+    def is_window_start(self) -> bool:
+        return self.step == 0
 
 
 @dataclass
@@ -386,44 +390,28 @@ class AccuracyReport:
 
 
 def score_frames(
-    labelled: Iterable[tuple[int, np.ndarray]],
-    ground_truth: Mapping[int, np.ndarray],
-    window_size: int | None = None,
-    first_frame: int = 1,
+    labelled: Iterable[tuple[int, int, np.ndarray]], ground_truth: Mapping[int, np.ndarray]
 ) -> AccuracyReport:
-    """Score (frame_index, labels) pairs against per-frame ground truth.
-
-    Window 1 spans frames first_frame .. first_frame + window_size - 1, and
-    so on. Without a window size, or before first_frame, a frame gets
-    window 0 and counts toward no window mean. Ground truth is resampled
-    (nearest) to each mask's resolution when the dimensions differ. The
-    first emitted frame of each window (the one after its first frame) is
-    flagged. Raises InputError for a window size below 1.
-    """
-    if window_size is not None and window_size < 1:
-        raise InputError(f"window_size must be >= 1, got {window_size}")
+    """Score (frame_index, window_number, labels) items against per-frame
+    ground truth. The caller gives each map its window, numbered from 1;
+    window 0 is none, and counts toward no window mean. A map's step is its
+    position among its window's maps, so the window's seed map is step 0
+    and flagged as its start. Ground truth is resampled (nearest) to each
+    mask's resolution when the dimensions differ."""
     rows = []
     per_window: dict[int, list[float]] = {}
-    for frame_index, labels in labelled:
+    for frame_index, window, labels in labelled:
         if frame_index not in ground_truth:
             raise MetricError(f"missing ground truth for frame {frame_index}")
         gt = np.asarray(ground_truth[frame_index])
         if gt.shape != labels.shape:
             gt = resample_nearest(gt, labels.shape)
-        offset = frame_index - first_frame
-        window = offset // window_size + 1 if window_size and offset >= 0 else 0
-        acc = accuracy(labels, gt)
-        rows.append(
-            AccuracyRow(
-                frame_index=frame_index,
-                window_index=window,
-                accuracy=acc,
-                iou=iou(labels, gt),
-                is_window_start=window > 0 and offset % window_size == 1,
-            )
-        )
+        acc, step = accuracy(labels, gt), None
         if window:
-            per_window.setdefault(window, []).append(acc)
+            scores = per_window.setdefault(window, [])
+            step = len(scores)
+            scores.append(acc)
+        rows.append(AccuracyRow(frame_index, window, acc, iou(labels, gt), step))
     if not rows:
         raise MetricError("no maps to score")
     return AccuracyReport(
@@ -439,16 +427,16 @@ def report(
     dilation_radius: int = DEFAULT_DILATION_RADIUS,
 ) -> AccuracyReport:
     """Rasterize every emitted map of ``run``, one window at a time, and
-    score it (see ``score_frames``)."""
+    score it in its window of ``run.window_maps``, numbered from 1, whose
+    seed map is step 0 (see ``score_frames``)."""
     labelled = (
-        (frame_index, mask.labels)
-        for window in run.window_maps
+        (frame_index, number, mask.labels)
+        for number, window in enumerate(run.window_maps, 1)
         for (frame_index, _), mask in zip(
             window, rasterize_maps([seg_map for _, seg_map in window], dilation_radius)
         )
     )
-    first, last = run.windows[0]
-    return score_frames(labelled, ground_truth, last - first + 1, first)
+    return score_frames(labelled, ground_truth)
 
 
 def label_color(label_id: int) -> tuple[int, int, int]:

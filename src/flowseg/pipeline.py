@@ -16,7 +16,9 @@ most ``jobs`` windows in flight. Every fault of the source, a frame of
 another size included, is an ``InputError``. ``segment_video`` collects
 its windows into a ``RunResult``, ``stream_windows`` yields their maps,
 and ``flowseg segment`` writes each window's files as it arrives. Each
-takes a window's bounds from its first frame number and its length.
+takes a window's bounds from its first frame number and its length, and
+scoring (``evaluation.report``) takes each map's window from the
+``RunResult`` it reads, not from window_size.
 Per-phase timings are logged at DEBUG.
 
 Timings hold one row per frame. The flow row times the window's flow call

@@ -28,7 +28,7 @@ from flowseg import (
     write_frame,
 )
 from flowseg.cli import main
-from flowseg.config import parse_config_text
+from flowseg.config import parse_config_file, parse_config_text
 
 SCENE_SPEC = """
 width = 64
@@ -758,14 +758,33 @@ def test_out_of_range_setting_is_a_config_error_before_any_read(
 
 
 def test_eval_perfect_match(tmp_path, scene_dir, capsys):
-    code = main(["eval", "--pred", str(scene_dir / "gt"), "--gt", str(scene_dir / "gt"),
-                 "--out", str(tmp_path / "report.csv"), "--window-size", "4"])
-    assert code == 0
+    argv = ["eval", "--pred", str(scene_dir / "gt"), "--gt", str(scene_dir / "gt"),
+            "--out", str(tmp_path / "report.csv")]
+    assert main(argv) == 0
     out = capsys.readouterr().out
     assert "mean accuracy: 1.0000" in out
     lines = (tmp_path / "report.csv").read_text().splitlines()
     assert lines[0] == "frame_index,window_index,accuracy,iou,is_window_start"
     assert len(lines) == 13
+    # windows come from the run's manifest: eval has no --window-size
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--window-size", "4"])
+    assert exc.value.code == 2
+
+
+def test_eval_scores_a_run_as_report_does(tmp_path):
+    # the library's report of a run and eval of the files segment writes
+    # for it give the same CSV bytes
+    assert main(["synth", "--preset", "two-way", "--frames", "12", "--out", str(tmp_path / "scene")]) == 0
+    code, out = run_segment(tmp_path, tmp_path / "scene")
+    assert code == 0
+    assert main(["eval", "--pred", str(out), "--gt", str(tmp_path / "scene" / "gt"),
+                 "--out", str(tmp_path / "eval.csv")]) == 0
+    frames, gt = ([read_frame(p) for p in sorted((tmp_path / "scene" / kind).glob("*.pgm"))]
+                  for kind in ("frames", "gt"))
+    run = segment_video(frames, PipelineConfig.from_config(parse_config_file(out / "manifest.txt")))
+    report(run, {n: mask.data for n, mask in enumerate(gt, start=1)}).write_csv(tmp_path / "report.csv")
+    assert (tmp_path / "report.csv").read_bytes() == (tmp_path / "eval.csv").read_bytes()
 
 
 def test_eval_pipeline_output_scores_high(tmp_path, scene_dir, capsys):
@@ -818,12 +837,22 @@ def test_eval_rejects_an_unparseable_manifest(tmp_path, scene_dir, capsys):
 
 
 @pytest.mark.parametrize("window_size", ["-3", "0"])
-def test_eval_rejects_window_size_below_one(tmp_path, scene_dir, capsys, window_size):
-    code = main(["eval", "--pred", str(scene_dir / "gt"), "--gt", str(scene_dir / "gt"),
-                 "--window-size", window_size])
-    assert code == 2
+def test_eval_rejects_window_size_below_one(tmp_path, scene_dir, capsys, monkeypatch, window_size):
+    # a manifest window size below 1 is a config error that names the
+    # manifest, found before any mask is read
+    def no_read(*args, **kwargs):
+        raise AssertionError("read a mask although the manifest is out of range")
+
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    for p in (scene_dir / "gt").glob("*.pgm"):
+        (pred / p.name).write_bytes(p.read_bytes())
+    manifest = pred / "manifest.txt"
+    manifest.write_text(f"window_size = {window_size}\nfirst_frame = 1\n")
+    monkeypatch.setattr(flowseg.cli, "read_frame", no_read)
+    assert main(["eval", "--pred", str(pred), "--gt", str(scene_dir / "gt")]) == 2
     captured = capsys.readouterr()
-    assert "window size" in captured.err
+    assert str(manifest) in captured.err and "window_size must be >= 1" in captured.err
     assert "window -1" not in captured.out
 
 
@@ -871,7 +900,7 @@ def test_eval_half_coverage(tmp_path, capsys):
     report = tmp_path / "report.csv"
     assert main(["eval", "--pred", str(pred_dir), "--gt", str(gt_dir), "--out", str(report)]) == 0
     assert capsys.readouterr().out == "frames scored: 2\nmean accuracy: 0.5000\n"
-    # without a manifest or --window-size no frame belongs to a window
+    # without a manifest no frame belongs to a window
     assert report.read_text().splitlines()[1:] == [
         "1,0,0.500000,0.500000,0", "2,0,0.500000,0.500000,0"
     ]
@@ -1009,11 +1038,10 @@ def test_bench_window_below_3_is_a_config_error_before_any_flow(
         "ou-check --tolerance -1",
         "ou-check --tolerance nan",
         "synth --preset one-way --frames 0 --out {tmp}/out",
-        "eval --pred {tmp}/pred --gt {tmp}/pred --window-size 0",
     ],
     ids=["bench-repeats", "bench-scene-frames", "bench-scene-frames-below-2w", "ou-check-steps",
          "ou-check-particles", "ou-check-gamma", "ou-check-xid", "ou-check-tolerance",
-         "ou-check-tolerance-nan", "synth-frames", "eval-window-size"],
+         "ou-check-tolerance-nan", "synth-frames"],
 )
 def test_out_of_range_flag_is_a_config_error_before_any_work(tmp_path, monkeypatch, capsys, argv):
     def no_work(*args, **kwargs):
@@ -1021,8 +1049,6 @@ def test_out_of_range_flag_is_a_config_error_before_any_work(tmp_path, monkeypat
 
     for name in ("generate_scene", "ou_statistics", "read_frame"):
         monkeypatch.setattr(flowseg.cli, name, no_work)
-    (tmp_path / "pred").mkdir()
-    (tmp_path / "pred" / "mask_000001.pgm").write_bytes(b"")
     assert main(argv.format(tmp=tmp_path).split()) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not (tmp_path / "out").exists()

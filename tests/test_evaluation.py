@@ -18,6 +18,7 @@ from flowseg import (
     accuracy,
     generate_scene,
     iou,
+    preset_scene,
     rasterize,
     rasterize_maps,
     render_overlay,
@@ -25,7 +26,7 @@ from flowseg import (
     report,
     segment_video,
 )
-from flowseg import evaluation
+from flowseg import evaluation, pipeline
 from flowseg.evaluation import (
     OVERLAY_ALPHA,
     disc_element,
@@ -592,6 +593,7 @@ def test_report_all_perfect():
     assert all(r.accuracy == 1.0 for r in rep.rows)
     assert [r.is_window_start for r in rep.rows] == [True, False, True, False]
     assert [r.window_index for r in rep.rows] == [1, 1, 2, 2]
+    assert [r.step for r in rep.rows] == [0, 1, 0, 1]
 
 
 def test_report_alternating_half():
@@ -613,6 +615,31 @@ def test_report_missing_frame_named():
     maps = [(2, seg_map([group_at([(1, 1)])], frame_index=2))]
     with pytest.raises(MetricError, match="frame 2"):
         report(run_result_for(maps, window=3), {}, dilation_radius=0)
+    # a run with no windows has nothing to score
+    empty = RunResult(window_maps=[], timings=[], windows=[], skipped_frames=[])
+    with pytest.raises(MetricError, match="no maps to score"):
+        report(empty, {}, dilation_radius=0)
+
+
+def uneven_windows(source, w, first_frame):
+    """Cut windows of 4, 5 and 4 frames, whatever ``w`` is."""
+    frames = list(source)
+    for number, (start, end) in enumerate(((0, 4), (4, 9), (9, 13)), 1):
+        yield number, first_frame + start, frames[start:end]
+
+
+def test_report_windows_come_from_the_run(monkeypatch):
+    # every map is scored in the window the run cut, with its own seed
+    # flag and step, not in the layout of the first window's length
+    monkeypatch.setattr(pipeline, "_windows", uneven_windows)
+    scene = generate_scene(preset_scene("two-way", frame_count=13))
+    run = segment_video(scene.frames, PipelineConfig(window_size=4, seed=1))
+    rep = report(run, dict(enumerate(scene.masks, start=1)))
+    assert [r.frame_index for r in rep.rows] == [2, 3, 4, 6, 7, 8, 9, 11, 12, 13]
+    assert [r.window_index for r in rep.rows] == [1, 1, 1, 2, 2, 2, 2, 3, 3, 3]
+    assert [r.frame_index for r in rep.rows if r.is_window_start] == [2, 6, 11]
+    assert [r.step for r in rep.rows] == [0, 1, 2, 0, 1, 2, 3, 0, 1, 2]
+    assert sorted(rep.window_means) == [1, 2, 3]
 
 
 def test_report_csv_roundtrip(tmp_path):
@@ -628,16 +655,26 @@ def test_report_csv_roundtrip(tmp_path):
     assert lines[1].startswith("2,1,1.000000,1.000000,1")
 
 
-@pytest.mark.parametrize("window_size", [-3, 0])
-def test_score_frames_rejects_window_size_below_one(window_size):
+@pytest.mark.parametrize(
+    "windows, steps",
+    [
+        ([0, 2, 2, 5, 5, 5], [None, 0, 1, 0, 1, 2]),
+        ([1, 2, 1, 0, 2, 1], [0, 0, 1, None, 1, 2]),
+    ],
+    ids=["runs", "interleaved"],
+)
+def test_score_frames_takes_windows_from_the_caller(windows, steps):
+    # windows of any length, numbered as the caller numbers them, their maps
+    # in any order; a map's step counts its window's maps before it. Window 0
+    # is no window: no step, no seed flag, no window mean
     mask = np.zeros((8, 8), np.uint8)
     mask[2:4, 2:4] = 1
-    labelled = [(2, mask), (3, mask)]
-    with pytest.raises(InputError, match="window_size"):
-        score_frames(labelled, {2: mask, 3: mask}, window_size=window_size)
-    # None still means no windows: every frame gets window 0.
-    rows = score_frames(labelled, {2: mask, 3: mask}, window_size=None).rows
-    assert [r.window_index for r in rows] == [0, 0]
+    labelled = [(frame, window, mask) for frame, window in enumerate(windows, start=1)]
+    rep = score_frames(labelled, {frame: mask for frame in range(1, 7)})
+    assert [r.window_index for r in rep.rows] == windows
+    assert [r.step for r in rep.rows] == steps
+    assert [r.is_window_start for r in rep.rows] == [step == 0 for step in steps]
+    assert rep.window_means == {w: 1.0 for w in windows if w}
 
 
 # --- overlays --------------------------------------------------------------------
