@@ -13,6 +13,12 @@ config error, found before any frame is read. So is a flag out of range
 --gamma`` outside (0, 2), or a ``--xid`` or ``--tolerance`` that is not a
 finite number >= 0), found before any work.
 
+``main`` may be called in-process: it builds its parser once per
+process, and each call's ``-v`` count sets the ``flowseg`` logger's level
+(WARNING, then INFO, then DEBUG) for that call. The root logger's level
+and handlers are the caller's; ``main`` adds a handler only to a root
+logger that has none.
+
 The seed of ``segment`` and ``bench`` is ``--seed`` if given, else the
 config's ``seed`` key, else 0; ``ou-check`` takes ``--seed`` or 0.
 
@@ -25,6 +31,10 @@ so a failed run leaves ``--out`` as it was. ``--out`` holds one run: the
 ``mask_*.pgm`` and ``overlay_*.ppm`` files that the run did not write are
 deleted once its files are moved in, and other files are left alone. An
 ``--out`` that names a file is an input error before any frame is read.
+The run's ``manifest.txt`` re-runs it as ``--config``, so an ``--in`` or
+``--out`` path that a manifest cannot hold as written (a line break, a
+``#`` after whitespace, or whitespace at either end) is a config error
+before any frame is read; a ``#`` elsewhere, as in ``runs/a#b``, is fine.
 
 ``synth`` writes each frame and its ground-truth mask ``gt_*.pgm`` as the
 scene yields them, so memory holds one frame whatever the length; masks
@@ -57,6 +67,7 @@ of the three force families (with none, particles move ballistically):
 
 import argparse
 import csv
+import functools
 import logging
 import re
 import sys
@@ -73,7 +84,6 @@ from .config import format_config, parse_config_file
 from .errors import ConfigError, InputError, MetricError
 from .evaluation import rasterize_maps, render_overlays, score_frames
 from .evaluation import rasterize, render_overlay  # noqa: F401  (perfbench traces these names)
-from .flow import _block_mean
 from .io import Frame, read_frame, write_flow_file, write_frame, write_ppm
 from .pipeline import PHASE_SKIPPED, PipelineConfig, run_windows
 from .pipeline import segment_video  # noqa: F401  (perfbench traces these names)
@@ -247,6 +257,30 @@ def cmd_segment(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
+def _rounded_means(d: int) -> np.ndarray:
+    """``rint(s / d**2)`` as bytes for every sum ``s`` of ``d**2`` 8-bit
+    pixels, 0..255 * d**2: the rounded block mean, with the bits of the
+    float64 block mean the flow takes (an exact sum divided by d**2)."""
+    n = d * d
+    table = np.rint(np.arange(255 * n + 1) / n).astype(np.uint8)
+    table.flags.writeable = False
+    return table
+
+
+def _overlay_base(frame: Frame, d: int) -> Frame:
+    """The 8-bit frame an overlay is drawn on: the rounded mean of each
+    ``d`` x ``d`` block of ``frame``, whose sides are multiples of ``d``.
+    The block's pixels are summed as integers, in uint16 while 255 * d**2
+    fits, and rounded through ``_rounded_means``."""
+    dtype = np.uint16 if 255 * d * d <= np.iinfo(np.uint16).max else np.uint32
+    first, *rest = (frame.data[i::d, j::d] for i in range(d) for j in range(d))
+    total = first.astype(dtype)
+    for part in rest:
+        total += part
+    return Frame(_rounded_means(d).take(total))
+
+
 def _write_window(out_dir: Path, frames: list[Frame], maps, cfg: PipelineConfig, groups_fh):
     """Write each map's mask, its overlay on the frame at its position in ``frames``, and its groups."""
     for frame_index, seg_map in maps:
@@ -255,12 +289,7 @@ def _write_window(out_dir: Path, frames: list[Frame], maps, cfg: PipelineConfig,
     masks = rasterize_maps([seg_map for _, seg_map in maps], cfg.dilation_radius)
     overlays = [None] * len(maps)
     if cfg.write_overlays:
-        # one frame at a time: a stack of the window's float means would be its largest temporary
-        gray = []
-        for frame in frames:
-            mean = _block_mean(frame.data[None], cfg.flow.downscale)[0]
-            gray.append(Frame(np.rint(mean, out=mean).astype(np.uint8)))
-        overlays = render_overlays(gray, masks)
+        overlays = render_overlays([_overlay_base(frame, cfg.flow.downscale) for frame in frames], masks)
     for (frame_index, seg_map), mask, rgb in zip(maps, masks, overlays):
         write_frame(Frame(mask.labels.astype(np.uint8)), out_dir / f"mask_{frame_index:06d}.pgm")
         if rgb is not None:
@@ -402,7 +431,11 @@ def cmd_ou_check(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``flowseg`` parser, built once per process and shared by every
+    caller, so none may change it; ``main`` runs the ``cmd_*`` function
+    named by the subcommand, looked up on each call."""
     parser = argparse.ArgumentParser(
         prog="flowseg",
         description="Windowed segmentation of dominant linear motion flows in video.",
@@ -416,13 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="output", help="output directory")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1, help="window-level parallelism")
-    p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("eval", help="score prediction masks against ground truth")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--out", help="accuracy CSV path")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="generate a synthetic scene with ground truth")
     group = p.add_mutually_exclusive_group(required=True)
@@ -431,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--frames", type=int, default=None, help="override the preset's or spec's frame count")
     p.add_argument("--write-flow", action="store_true", help="also write ground-truth .flo files")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser(
         "bench",
@@ -449,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", help="CSV output path")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("ou-check", help="verify the stochastic update's stationary variance")
     p.add_argument("--gamma", type=float, default=0.8)
@@ -458,16 +487,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--particles", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=0.05)
-    p.set_defaults(func=cmd_ou_check)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    level = logging.WARNING - 10 * min(args.verbose, 2)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    # -v sets the flowseg logger's level on every call; the root logger's
+    # level and handlers are the caller's, and get a handler only if none
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(logging.WARNING - 10 * min(args.verbose, 2))
+    command = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
-        return args.func(args)
+        return command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,15 +1,19 @@
 """Flat ``key = value`` configuration dialect.
 
-One assignment per line, ``#`` starts a comment, blank lines are ignored.
+One assignment per line, blank lines are ignored. A ``#`` at the start
+of a line or after whitespace starts a comment; any other ``#`` is part
+of the value, so a path such as ``runs/a#b`` reads back as written.
 The same dialect serves pipeline configs, scene specs, and run manifests.
 """
 
 import math
+import re
 from pathlib import Path
 
 from .errors import ConfigError
 
 _MISSING = object()
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 _TRUE = {"true", "yes", "on", "1"}
 _FALSE = {"false", "no", "off", "0"}
@@ -104,11 +108,16 @@ class ConfigDict:
             raise ConfigError(f"unknown key '{key}'", self.line_of(key))
 
 
+def _strip_comment(line: str) -> str:
+    """``line`` before its comment, without surrounding whitespace."""
+    return _COMMENT.split(line, 1)[0].strip()
+
+
 def parse_config_text(text: str) -> ConfigDict:
     values: dict[str, str] = {}
     lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
+        stripped = _strip_comment(raw)
         if not stripped:
             continue
         if "=" not in stripped:
@@ -130,7 +139,9 @@ def parse_config_file(path) -> ConfigDict:
 
 
 def format_config(values: dict, header: str | None = None) -> str:
-    """Render values back into the dialect (used for manifests)."""
+    """Render values back into the dialect (used for manifests). A value
+    that would not parse back as written (one holding a line break or
+    `` #``, or with leading or trailing whitespace) is a ConfigError."""
     out = []
     if header:
         out.extend(f"# {line}" for line in header.splitlines())
@@ -139,5 +150,9 @@ def format_config(values: dict, header: str | None = None) -> str:
             value = "true" if value else "false"
         elif isinstance(value, (tuple, list)):
             value = ", ".join(str(v) for v in value)
-        out.append(f"{key} = {value}")
+        value = str(value)
+        line = f"{key} = {value}"
+        if value != value.strip() or line.splitlines() != [line] or _strip_comment(line) != line.strip():
+            raise ConfigError(f"key '{key}': {value!r} cannot be written as a config value")
+        out.append(line)
     return "\n".join(out) + "\n"

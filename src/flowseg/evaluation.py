@@ -10,7 +10,9 @@ crop, which is what the full-frame morphology reads there. Their masks
 share one label buffer, so a window holds the memory of its |W| - 1 maps,
 no more than a run that streams one window at a time keeps anyway; its
 index temporaries live in per-thread buffers that grow and never shrink.
-``render_overlays`` blends a window's frames from one label table.
+``render_overlays`` blends a window's frames from one label table: the
+cached table of the 256 byte labels when every label lies in 0..255, as
+in ``segment``'s masks, else a table of the window's labels.
 
 The headline metric is ground-truth coverage: the labeled fraction of the
 ground-truth region, |segmented AND gt| / |gt|. It is one-sided (adding
@@ -19,6 +21,7 @@ as a diagnostic; acceptance numbers use coverage only.
 """
 
 import csv
+import functools
 import threading
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -449,6 +452,28 @@ def label_color(label_id: int) -> tuple[int, int, int]:
     return rgb
 
 
+def _overlay_table(ids) -> np.ndarray:
+    """Row ``(k << 8) | gray`` holds the overlay RGB of a pixel of that
+    gray under the ``k``-th label of ``ids`` (from 1), and row ``gray``
+    the gray passed through. A label's rows, the rounded float blend of
+    its ``label_color``, depend on its id alone."""
+    colors = np.array([label_color(int(i)) for i in ids], dtype=np.float64).reshape(-1, 1, 3)
+    levels = np.arange(256)[:, None]
+    table = np.empty((len(ids) + 1, 256, 3), dtype=np.uint8)
+    table[0] = levels
+    table[1:] = np.clip(np.rint((1.0 - OVERLAY_ALPHA) * levels + OVERLAY_ALPHA * colors), 0, 255)
+    return table.reshape(-1, 3)
+
+
+@functools.cache
+def _byte_table() -> np.ndarray:
+    """The read-only ``_overlay_table`` of the byte labels 1..255, built
+    once per process, in which a label's rows start at ``label << 8``."""
+    table = _overlay_table(range(1, 256))
+    table.flags.writeable = False
+    return table
+
+
 def render_overlays(frames, masks) -> list[np.ndarray]:
     """Blend each label's ``label_color`` at opacity ``OVERLAY_ALPHA`` over
     each grayscale frame of ``frames`` under the mask of ``masks`` at its
@@ -456,12 +481,17 @@ def render_overlays(frames, masks) -> list[np.ndarray]:
     size (a window's).
 
     Frames are 8-bit, so every pixel is one lookup in a table with one
-    column per gray level and one row per label present in any of the
-    masks (found by binary search in the sorted ids), after a first row
-    that passes the gray through. A label's row holds the rounded float
-    blend of its color, which does not depend on the other labels, so one
-    table built for a window gives each frame the bits of its own. The
-    lookups run frame by frame through one index buffer, so temporary
+    column per gray level and one row per label, after a first row that
+    passes the gray through. A label's row holds the rounded float blend
+    of its color, which does not depend on the other labels, so every
+    table gives each frame the bits of its own. When every label of the
+    window lies in 0..255 (always so for ``segment``, whose P5 masks hold
+    bytes), the table is the cached one of all 256 byte labels and a
+    pixel's row is ``(label << 8) | gray``. Any other label set (negative
+    ids, ids above 255) gets a table built for the window, with one row
+    per label present in any of the masks, found by binary search in the
+    sorted ids, so the largest ids cost no more memory than small ones.
+    The lookups run frame by frame through one index buffer, so temporary
     memory is one frame's, not the window's.
     """
     frames, masks = list(frames), list(masks)
@@ -477,20 +507,23 @@ def render_overlays(frames, masks) -> list[np.ndarray]:
     shapes = {(mask.width, mask.height) for mask in masks}
     if len(shapes) > 1:
         raise InputError(f"masks of one batch differ in size: {sorted(shapes)}")
-    ids = np.unique(np.concatenate([mask.labels[mask.labels != 0] for mask in masks]))
-    colors = np.array([label_color(int(i)) for i in ids], dtype=np.float64).reshape(-1, 1, 3)
-    levels = np.arange(256)[:, None]
-    table = np.empty((ids.size + 1, 256, 3), dtype=np.uint8)
-    table[0] = levels
-    table[1:] = np.clip(np.rint((1.0 - OVERLAY_ALPHA) * levels + OVERLAY_ALPHA * colors), 0, 255)
-    table = table.reshape(-1, 3)
+    # viewed unsigned, a negative id is above 255 too
+    byte_labels = all(mask.labels.view(np.uint32).max() <= 255 for mask in masks)
+    if byte_labels:
+        table = _byte_table()
+    else:
+        ids = np.unique(np.concatenate([mask.labels[mask.labels != 0] for mask in masks]))
+        table = _overlay_table(ids)
     rows = np.empty(masks[0].labels.shape, dtype=np.intp)  # one frame's table rows at a time
     out = []
     for frame, mask in zip(frames, masks):
-        fg = mask.labels != 0
-        rows[...] = 0
-        rows[fg] = np.searchsorted(ids, mask.labels[fg]) + 1
-        rows <<= 8
+        if byte_labels:
+            np.left_shift(mask.labels, 8, out=rows)
+        else:
+            fg = mask.labels != 0
+            rows[...] = 0
+            rows[fg] = np.searchsorted(ids, mask.labels[fg]) + 1
+            rows <<= 8
         rows |= frame.data
         out.append(table.take(rows, axis=0))
     return out

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import logging
 import re
 import threading
 import tracemalloc
@@ -229,6 +230,39 @@ def test_segment_rerun_from_manifest(tmp_path, scene_dir):
         assert (rerun_out / mask.name).read_bytes() == mask.read_bytes()
 
 
+def test_segment_reruns_from_its_manifest_under_a_path_with_a_hash(tmp_path, scene_dir):
+    # "#" starts a comment only at a line's start or after whitespace
+    base = tmp_path / "a#b"
+    frames = base / "frames"
+    frames.mkdir(parents=True)
+    for path in (scene_dir / "frames").iterdir():
+        (frames / path.name).write_bytes(path.read_bytes())
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text(PIPELINE_CONFIG)
+    out = base / "run"
+    assert main(["segment", "--in", str(frames), "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = parse_config_file(out / "manifest.txt")
+    assert (manifest.get_str("input_dir"), manifest.get_str("output_dir")) == (str(frames), str(out))
+    masks = {p.name: p.read_bytes() for p in out.glob("mask_*.pgm")}
+    assert len(masks) == 9
+    assert main(["segment", "--config", str(out / "manifest.txt")]) == 0
+    assert {p.name: p.read_bytes() for p in out.glob("mask_*.pgm")} == masks
+
+
+@pytest.mark.parametrize("out_name", ["b #c", "b\t#c", "trail ", "line\nbreak"])
+def test_segment_out_path_a_manifest_cannot_hold_is_a_config_error_before_any_read(
+    tmp_path, scene_dir, monkeypatch, capsys, out_name
+):
+    def no_call(*args, **kwargs):
+        raise AssertionError("called although the manifest cannot be written")
+
+    monkeypatch.setattr(flowseg.cli, "read_frame", no_call)
+    code, out = run_segment(tmp_path, scene_dir, out_name=out_name)
+    assert code == 2
+    assert "output_dir" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_segment_deterministic_outputs(tmp_path, scene_dir):
     _, out_a = run_segment(tmp_path, scene_dir, "run_a")
     _, out_b = run_segment(tmp_path, scene_dir, "run_b", extra=("--jobs", "2"))
@@ -241,6 +275,27 @@ def test_segment_deterministic_outputs(tmp_path, scene_dir):
         if name == "manifest.txt":  # embeds the output path
             continue
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_overlay_base_matches_the_rounded_float_block_mean_on_every_block_sum(d):
+    # block b of a 1-row strip of d x d blocks sums to b, for b in 0..255 * d**2
+    n = d * d
+    q, r = np.divmod(np.arange(255 * n + 1), n)
+    blocks = q[:, None, None] + (np.arange(n).reshape(d, d) < r[:, None, None])
+    img = blocks.astype(np.uint8).transpose(1, 0, 2).reshape(d, -1)
+    assert flowseg.flow._block_mean(img, d).ravel().tolist() == (np.arange(255 * n + 1) / n).tolist()
+    base = flowseg.cli._overlay_base(Frame(img), d).data
+    assert base.dtype == np.uint8 and base.shape == (1, 255 * n + 1)
+    assert base.tobytes() == np.rint(flowseg.flow._block_mean(img, d)).astype(np.uint8).tobytes()
+
+
+@pytest.mark.parametrize("d", [16, 17])
+def test_overlay_base_sums_in_a_type_that_holds_the_block(d):
+    # 255 * 16**2 fits uint16, 255 * 17**2 does not
+    img = np.random.default_rng(d).integers(200, 256, (2 * d, 3 * d), dtype=np.uint8)
+    base = flowseg.cli._overlay_base(Frame(img), d).data
+    assert base.tobytes() == np.rint(flowseg.flow._block_mean(img, d)).astype(np.uint8).tobytes()
 
 
 @pytest.mark.parametrize("radius", [0, 3])
@@ -270,8 +325,9 @@ def test_segment_window_batches_equal_one_map_calls(tmp_path, scene_dir, monkeyp
                         lambda maps, r: [window_call([m], r)[0] for m in maps])
     monkeypatch.setattr(flowseg.cli, "render_overlays", lambda frames, masks: [
         flowseg.evaluation.render_overlays([f], [m])[0] for f, m in zip(frames, masks)])
-    monkeypatch.setattr(flowseg.cli, "_block_mean", lambda stack, factor: np.stack(
-        [flowseg.flow._block_mean(img, factor) for img in stack]))
+    # and the overlay bases as the rounded float64 block mean the flow takes
+    monkeypatch.setattr(flowseg.cli, "_overlay_base", lambda frame, d: Frame(
+        np.rint(flowseg.flow._block_mean(frame.data, d)).astype(np.uint8)))
     single = segment(tmp_path / "single")
 
     names = sorted(p.name for p in batched.iterdir() if p.suffix in (".pgm", ".ppm", ".jsonl"))
@@ -904,6 +960,42 @@ def test_eval_half_coverage(tmp_path, capsys):
     assert report.read_text().splitlines()[1:] == [
         "1,0,0.500000,0.500000,0", "2,0,0.500000,0.500000,0"
     ]
+
+
+def test_main_parses_with_one_parser_per_process(tmp_path, scene_dir, monkeypatch, capsys):
+    assert flowseg.cli.build_parser() is flowseg.cli.build_parser()
+    bad = tmp_path / "w2.cfg"
+    bad.write_text("window_size = 2\n")
+    argv = ["segment", "--in", str(scene_dir / "frames"), "--config", str(bad), "--out", str(tmp_path / "w2")]
+    assert main(argv) == 2
+    code, out = run_segment(tmp_path, scene_dir)
+    assert code == 0
+    assert len(list(out.glob("mask_*.pgm"))) == 9
+    # the subcommand's function is looked up per call, so a patched one runs
+    monkeypatch.setattr(flowseg.cli, "cmd_ou_check", lambda args: 7)
+    assert main(["ou-check"]) == 7
+
+
+def test_verbose_applies_to_each_in_process_call(tmp_path, scene_dir, caplog):
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text(PIPELINE_CONFIG)
+
+    def timing_lines(*flags, out):
+        caplog.clear()
+        argv = [*flags, "segment", "--in", str(scene_dir / "frames"), "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
+        return [r for r in caplog.records
+                if r.name == "flowseg.pipeline" and r.levelno == logging.DEBUG and r.getMessage().endswith(" ms")]
+
+    flowseg_logger, root = logging.getLogger("flowseg"), logging.getLogger()
+    level, root_level, root_handlers = flowseg_logger.level, root.level, list(root.handlers)
+    try:
+        assert timing_lines(out=tmp_path / "a") == []
+        assert len(timing_lines("-v", "-v", out=tmp_path / "b")) == 12  # one per frame
+        assert timing_lines(out=tmp_path / "c") == []
+        assert (root.level, root.handlers) == (root_level, root_handlers)  # the caller's to set
+    finally:
+        flowseg_logger.setLevel(level)
 
 
 def test_ou_check_passes_at_defaults(capsys):

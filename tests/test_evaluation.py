@@ -758,10 +758,29 @@ def test_render_overlays_equal_one_frame_calls():
                         [masks[0], LabelMask(np.zeros((h, w + 1), np.int32))])
 
 
+def test_a_label_above_255_gives_the_whole_window_its_own_table(monkeypatch):
+    rng = np.random.default_rng(12)
+    h, w = 24, 33
+    frames = [Frame(rng.integers(0, 256, (h, w), dtype=np.uint8)) for _ in range(3)]
+    masks = [LabelMask(np.where(rng.random((h, w)) < 0.5, 0, rng.choice(ids, (h, w))))
+             for ids in ([3, 7], [7, 256], [5, 255])]
+    evaluation._byte_table()  # built once per process, before the calls counted
+    tables = []
+    overlay_table = evaluation._overlay_table
+    monkeypatch.setattr(evaluation, "_overlay_table", lambda ids: tables.append(list(ids)) or overlay_table(ids))
+    out = render_overlays(frames, masks)
+    assert tables == [[3, 5, 7, 255, 256]]  # one table, of the window's labels
+    singles = [render_overlay(frame, mask) for frame, mask in zip(frames, masks)]
+    assert tables == [[3, 5, 7, 255, 256], [7, 256]]  # byte-label frames take the cached table
+    for frame, mask, rgb, single in zip(frames, masks, out, singles):
+        assert rgb.tobytes() == single.tobytes() == reference_overlay(frame, mask).tobytes()
+
+
 @pytest.mark.parametrize(
     "ids",
-    [[-7, -1, 3], [256, 300, 4096, 70_000], [1, 2**31 - 1], [-(2**31), -5, 255, 2**31 - 1]],
-    ids=["negative", "above-255", "largest", "mixed"],
+    [[1, 2, 127, 128, 255], [-7, -1, 3], [256, 300, 4096, 70_000], [1, 2**31 - 1],
+     [-(2**31), -5, 255, 2**31 - 1]],
+    ids=["bytes", "negative", "above-255", "largest", "mixed"],
 )
 def test_overlay_table_matches_reference_on_every_gray_level(ids):
     # Every gray level under every label, and once as background.

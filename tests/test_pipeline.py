@@ -353,6 +353,22 @@ def test_manifest_roundtrip():
     assert back.keypoint == cfg.keypoint
 
 
+def test_config_comment_starts_at_line_start_or_after_whitespace():
+    parsed = parse_config_text("# a comment\na = x#y\nb = x #y\nc = x\t#y\nd = #y\n")
+    assert [parsed.get_str(k) for k in "abcd"] == ["x#y", "x", "x", ""]
+
+
+@pytest.mark.parametrize("value", ["a#b", "", "a=b", "runs/a#b/frames"])
+def test_format_config_values_parse_back(value):
+    assert parse_config_text(format_config({"k": value}, header="a # header")).get_str("k") == value
+
+
+@pytest.mark.parametrize("value", ["a #b", "a\t#b", "#b", " a", "a ", "a\nb", "a\rb", "a\u2028b"])
+def test_format_config_rejects_a_value_that_would_not_parse_back(value):
+    with pytest.raises(ConfigError, match="'k'"):
+        format_config({"k": value})
+
+
 def test_config_keys_are_the_stage_settings_in_field_order():
     # the keypoint section's keys carry no prefix, so manifests keep their keys and order
     assert list(PipelineConfig(window_size=4).to_dict()) == [
