@@ -84,6 +84,7 @@ from .config import format_config, parse_config_file
 from .errors import ConfigError, InputError, MetricError
 from .evaluation import rasterize_maps, render_overlays, score_frames
 from .evaluation import rasterize, render_overlay  # noqa: F401  (perfbench traces these names)
+from .flow import block_sums
 from .io import Frame, read_frame, write_flow_file, write_frame, write_ppm
 from .pipeline import PHASE_SKIPPED, PipelineConfig, run_windows
 from .pipeline import segment_video  # noqa: F401  (perfbench traces these names)
@@ -227,7 +228,6 @@ def cmd_segment(args) -> int:
         staging = Path(staging_dir)
         (staging / "manifest.txt").write_text(manifest)
         windows = masks = 0  # windows are numbered from 1: the last number is the count
-        end = first_number  # number of the first frame after the last window
         with (
             open(staging / "groups.jsonl", "w") as groups_fh,
             open(staging / "timings.csv", "w", newline="") as timings_fh,
@@ -238,7 +238,7 @@ def cmd_segment(args) -> int:
             for windows, first, window_frames, maps, window_timings in results:
                 _write_window(staging, window_frames[1:], maps, cfg, groups_fh)
                 masks += len(maps)
-                end = first + len(window_frames)
+                end = first + len(window_frames)  # the first frame after the last window
                 timings.writerows([t.frame_index, t.phase, f"{t.milliseconds:.3f}"] for t in window_timings)
             skipped = range(end, first_number + count)
             timings.writerows([frame, PHASE_SKIPPED, "0.000"] for frame in skipped)
@@ -271,14 +271,9 @@ def _rounded_means(d: int) -> np.ndarray:
 def _overlay_base(frame: Frame, d: int) -> Frame:
     """The 8-bit frame an overlay is drawn on: the rounded mean of each
     ``d`` x ``d`` block of ``frame``, whose sides are multiples of ``d``.
-    The block's pixels are summed as integers, in uint16 while 255 * d**2
-    fits, and rounded through ``_rounded_means``."""
-    dtype = np.uint16 if 255 * d * d <= np.iinfo(np.uint16).max else np.uint32
-    first, *rest = (frame.data[i::d, j::d] for i in range(d) for j in range(d))
-    total = first.astype(dtype)
-    for part in rest:
-        total += part
-    return Frame(_rounded_means(d).take(total))
+    Its block sums are flow's (``block_sums``, the sums the pyramid base
+    divides by d**2), rounded through ``_rounded_means``."""
+    return Frame(_rounded_means(d).take(block_sums(frame.data, d)))
 
 
 def _write_window(out_dir: Path, frames: list[Frame], maps, cfg: PipelineConfig, groups_fh):

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises one."""
+
+import operator
 
 
 class FlowSegError(Exception):
@@ -19,6 +21,16 @@ class ConfigError(FlowSegError):
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
+
+
+def require_integers(**values) -> None:
+    """Raise InputError naming the first of ``values`` that is no integer
+    to ``operator.index``, which refuses a float such as 2.0."""
+    for name, value in values.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise InputError(f"{name} must be an integer, got {value!r}") from None
 
 
 class MetricError(FlowSegError):

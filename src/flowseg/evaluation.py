@@ -10,9 +10,9 @@ crop, which is what the full-frame morphology reads there. Their masks
 share one label buffer, so a window holds the memory of its |W| - 1 maps,
 no more than a run that streams one window at a time keeps anyway; its
 index temporaries live in per-thread buffers that grow and never shrink.
-``render_overlays`` blends a window's frames from one label table: the
-cached table of the 256 byte labels when every label lies in 0..255, as
-in ``segment``'s masks, else a table of the window's labels.
+``render_overlays`` blends a window's frames through one label table,
+cached per process, of the 256 byte labels: labels outside 0..255, which
+no P5 mask of ``segment`` holds, are an InputError.
 
 The headline metric is ground-truth coverage: the labeled fraction of the
 ground-truth region, |segmented AND gt| / |gt|. It is one-sided (adding
@@ -28,7 +28,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import InputError, MetricError
+from .errors import InputError, MetricError, require_integers
 from .io import Frame
 from .keypoints import SegmentationMap
 from .pipeline import DEFAULT_DILATION_RADIUS, RunResult
@@ -46,13 +46,14 @@ def _grown(name: str, n: int, dtype) -> np.ndarray:
     The buffer grows (by at least a quarter, so a slowly rising need
     reallocates rarely) when ``n`` exceeds it and never shrinks, so a
     window's member-sized temporaries reuse the memory of the windows
-    before it; each name has one user at a time. A ``take``
-    into one passes ``mode="clip"`` (its indices are in range), since the
-    default mode writes through a fresh copy of ``out``."""
+    before it; each name and dtype has its own buffer and one user at a
+    time. A ``take`` into one passes ``mode="clip"`` (its indices are in
+    range), since the default mode writes through a fresh copy of ``out``."""
     buffers = _local.__dict__.setdefault("buffers", {})
-    buf = buffers.get(name)
+    key = (name, np.dtype(dtype))
+    buf = buffers.get(key)
     if buf is None or buf.size < n:
-        buf = buffers[name] = np.empty(max(n, 0 if buf is None else buf.size + buf.size // 4), dtype)
+        buf = buffers[key] = np.empty(max(n, 0 if buf is None else buf.size + buf.size // 4), dtype)
     return buf[:n]
 
 
@@ -164,6 +165,7 @@ def rasterize_maps(maps, dilation_radius: int = DEFAULT_DILATION_RADIUS) -> list
     memory; the masks returned are new. Raises InputError when the maps
     differ in size.
     """
+    require_integers(dilation_radius=dilation_radius)
     if dilation_radius < 0:
         raise InputError("dilation_radius must be >= 0")
     maps = list(maps)
@@ -452,24 +454,18 @@ def label_color(label_id: int) -> tuple[int, int, int]:
     return rgb
 
 
-def _overlay_table(ids) -> np.ndarray:
-    """Row ``(k << 8) | gray`` holds the overlay RGB of a pixel of that
-    gray under the ``k``-th label of ``ids`` (from 1), and row ``gray``
-    the gray passed through. A label's rows, the rounded float blend of
-    its ``label_color``, depend on its id alone."""
-    colors = np.array([label_color(int(i)) for i in ids], dtype=np.float64).reshape(-1, 1, 3)
-    levels = np.arange(256)[:, None]
-    table = np.empty((len(ids) + 1, 256, 3), dtype=np.uint8)
-    table[0] = levels
-    table[1:] = np.clip(np.rint((1.0 - OVERLAY_ALPHA) * levels + OVERLAY_ALPHA * colors), 0, 255)
-    return table.reshape(-1, 3)
-
-
 @functools.cache
 def _byte_table() -> np.ndarray:
-    """The read-only ``_overlay_table`` of the byte labels 1..255, built
-    once per process, in which a label's rows start at ``label << 8``."""
-    table = _overlay_table(range(1, 256))
+    """Row ``(label << 8) | gray`` holds the overlay RGB of a pixel of that
+    gray under the byte ``label``: the gray passed through for label 0,
+    else the rounded float blend of ``label_color(label)``, which depends
+    on the id alone. Built once per process, read-only."""
+    colors = np.array([label_color(i) for i in range(1, 256)], dtype=np.float64).reshape(-1, 1, 3)
+    levels = np.arange(256)[:, None]
+    table = np.empty((256, 256, 3), dtype=np.uint8)
+    table[0] = levels
+    table[1:] = np.clip(np.rint((1.0 - OVERLAY_ALPHA) * levels + OVERLAY_ALPHA * colors), 0, 255)
+    table = table.reshape(-1, 3)
     table.flags.writeable = False
     return table
 
@@ -478,21 +474,12 @@ def render_overlays(frames, masks) -> list[np.ndarray]:
     """Blend each label's ``label_color`` at opacity ``OVERLAY_ALPHA`` over
     each grayscale frame of ``frames`` under the mask of ``masks`` at its
     position; background passes through. Frames and masks all have one
-    size (a window's).
+    size (a window's), and every label lies in 0..255, as in the P5 masks
+    ``segment`` writes: any other label is an InputError that names it.
 
-    Frames are 8-bit, so every pixel is one lookup in a table with one
-    column per gray level and one row per label, after a first row that
-    passes the gray through. A label's row holds the rounded float blend
-    of its color, which does not depend on the other labels, so every
-    table gives each frame the bits of its own. When every label of the
-    window lies in 0..255 (always so for ``segment``, whose P5 masks hold
-    bytes), the table is the cached one of all 256 byte labels and a
-    pixel's row is ``(label << 8) | gray``. Any other label set (negative
-    ids, ids above 255) gets a table built for the window, with one row
-    per label present in any of the masks, found by binary search in the
-    sorted ids, so the largest ids cost no more memory than small ones.
-    The lookups run frame by frame through one index buffer, so temporary
-    memory is one frame's, not the window's.
+    Frames are 8-bit, so every pixel is one lookup, of row ``(label << 8)
+    | gray``, in ``_byte_table()``. The lookups run frame by frame through
+    one index buffer, so temporary memory is one frame's, not the window's.
     """
     frames, masks = list(frames), list(masks)
     if len(frames) != len(masks):
@@ -502,28 +489,19 @@ def render_overlays(frames, masks) -> list[np.ndarray]:
             raise InputError(
                 f"frame {frame.width}x{frame.height} does not match mask {mask.width}x{mask.height}"
             )
+        unsigned = mask.labels.view(np.uint32)  # a negative label is above 255 too
+        if unsigned.max() > 255:
+            raise InputError(f"label {mask.labels[unsigned > 255][0]} is outside 0..255")
     if not frames:
         return []
     shapes = {(mask.width, mask.height) for mask in masks}
     if len(shapes) > 1:
         raise InputError(f"masks of one batch differ in size: {sorted(shapes)}")
-    # viewed unsigned, a negative id is above 255 too
-    byte_labels = all(mask.labels.view(np.uint32).max() <= 255 for mask in masks)
-    if byte_labels:
-        table = _byte_table()
-    else:
-        ids = np.unique(np.concatenate([mask.labels[mask.labels != 0] for mask in masks]))
-        table = _overlay_table(ids)
+    table = _byte_table()
     rows = np.empty(masks[0].labels.shape, dtype=np.intp)  # one frame's table rows at a time
     out = []
     for frame, mask in zip(frames, masks):
-        if byte_labels:
-            np.left_shift(mask.labels, 8, out=rows)
-        else:
-            fg = mask.labels != 0
-            rows[...] = 0
-            rows[fg] = np.searchsorted(ids, mask.labels[fg]) + 1
-            rows <<= 8
+        np.left_shift(mask.labels, 8, out=rows)
         rows |= frame.data
         out.append(table.take(rows, axis=0))
     return out

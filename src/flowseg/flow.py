@@ -5,7 +5,8 @@ shape: 3 pyramid levels, a 9x9 least-squares window (radius 4, which
 keeps motion boundaries tight) and 4 warp/solve iterations per level.
 Only the ``downscale`` factor is a setting.
 
-1. Both frames are reduced by the integer ``downscale`` factor (block mean),
+1. Both frames are reduced by the integer ``downscale`` factor d to block
+   means, exact integer ``block_sums`` (the overlay writer's too) over d**2,
    so all downstream processing runs at that resolution.
 2. A Gaussian pyramid is built per frame; levels whose short side would
    fall below 8 px are dropped.
@@ -52,7 +53,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy import ndimage
 
-from .errors import InputError
+from .errors import InputError, require_integers
 from .io import FlowField, Frame
 
 MIN_LEVEL_SIZE = 8
@@ -103,6 +104,7 @@ class FlowParams:
     downscale: int = 2
 
     def __post_init__(self):
+        require_integers(downscale=self.downscale)
         if self.downscale < 1:
             raise InputError("downscale must be an integer >= 1")
 
@@ -121,29 +123,35 @@ def _edge_pad(a: np.ndarray, before: int, after: int, out: np.ndarray | None = N
     return out
 
 
-def _block_mean(img: np.ndarray, factor: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Mean of each ``factor`` x ``factor`` block of the 8-bit ``img`` (one
-    frame, or a stack of frames along leading axes), as float64, written
-    into ``out`` if given; the last two sides are multiples of ``factor``.
-    Each frame of a stack gets the bits it gets alone: the strided slices
-    and the sum are elementwise.
+def _sum_dtype(d: int):
+    """The unsigned type that holds every sum of d**2 8-bit values."""
+    return np.uint16 if 255 * d * d <= np.iinfo(np.uint16).max else np.uint32
 
-    The ``factor**2`` strided slices are summed in float64, which holds
-    every sum of 8-bit values exactly, and divided by ``factor**2``. That
-    gives the same bits as the float64 ``img.reshape(...).mean(axis=(1,
-    3))``, which sums exactly in another order and divides by the same
-    count.
-    """
+
+def block_sums(img: np.ndarray, d: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum of each ``d`` x ``d`` block of the 8-bit ``img`` (a frame, or
+    frames along leading axes, each summed as alone), whose last two sides
+    are multiples of ``d``, into ``out`` if given. The d**2 strided slices
+    are summed exactly as integers: in uint16 while 255 * d**2 fits (d <=
+    16), else in uint32."""
+    first, *rest = (img[..., i::d, j::d] for i in range(d) for j in range(d))
     if out is None:
-        *lead, h, w = img.shape
-        out = np.empty((*lead, h // factor, w // factor))
-    first, *rest = (img[..., i::factor, j::factor] for i in range(factor) for j in range(factor))
+        out = np.empty(first.shape, _sum_dtype(d))
     np.copyto(out, first)
-    if factor > 1:
-        for part in rest:
-            out += part
-        out /= factor * factor
+    for part in rest:
+        out += part
     return out
+
+
+def _block_mean(img: np.ndarray, factor: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Mean of each ``factor`` x ``factor`` block of ``img`` (as in
+    ``block_sums``), written into ``out`` if given: the exact integer sums,
+    in a thread buffer, divided by ``factor**2`` in float64. That gives the
+    bits of the float64 ``img.reshape(...).mean(axis=(1, 3))``, which sums
+    exactly in another order and divides by the same count."""
+    shape = img[..., ::factor, ::factor].shape
+    sums = block_sums(img, factor, out=_buffer("block_sums", shape, _sum_dtype(factor)))
+    return np.divide(sums, factor * factor, out=out)
 
 
 def _decimate(img: np.ndarray, output: np.ndarray | None = None) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .errors import InputError
+from .errors import InputError, require_integers
 from .io import FlowField
 
 TWO_PI = 2.0 * np.pi
@@ -48,6 +48,7 @@ class KeypointParams:
     min_group_size: int = DEFAULT_MIN_GROUP_SIZE
 
     def __post_init__(self):
+        require_integers(bin_count=self.bin_count, min_group_size=self.min_group_size)
         if not 2 <= self.bin_count <= MAX_BIN_COUNT:
             raise InputError(f"bin_count must be in 2..{MAX_BIN_COUNT}")
         if not self.magnitude_threshold >= 0:  # NaN fails too

@@ -7,7 +7,8 @@ a segmentation map, group forces are estimated from it, and one
 ``propagate_map`` call covers the remaining window_size - 2 frames by
 stochastic propagation instead of further flow computation, yielding
 window_size - 1 maps per window. Leftover frames that do not fill a whole
-window are skipped (and reported).
+window are skipped (and reported); a source that ends before its first
+whole window is an ``InputError`` on every path.
 
 ``run_windows`` is the one run path. It yields each window's number, first
 frame number, frames, maps and timings in order, reading the source only
@@ -41,7 +42,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .config import ConfigDict
 from .dynamics import LangevinParams, NoiseSource, estimate_group_forces, propagate_map
-from .errors import ConfigError, InputError, SourceError
+from .errors import ConfigError, InputError, SourceError, require_integers
 from .flow import FlowParams, compute_dense_flow
 from .io import Frame
 from .keypoints import KeypointParams, SegmentationMap, segment_flow
@@ -82,6 +83,7 @@ class PipelineConfig:
     write_overlays: bool = True
 
     def __post_init__(self):
+        require_integers(window_size=self.window_size, seed=self.seed, dilation_radius=self.dilation_radius)
         if self.window_size < 3:
             raise InputError("window_size must be >= 3 (2 seed frames + 1 propagated)")
         if self.dilation_radius < 0:
@@ -195,7 +197,8 @@ def _windows(
     window of ``source``, whose first frame is number ``first_frame``.
 
     Every frame, leftovers included, must have the first frame's size; an
-    InputError names both by their numbers. A failing source raises
+    InputError names both by their numbers. A source that ends before its
+    first whole window is an InputError, and a failing source raises
     SourceError naming the last window yielded.
     """
     it = iter(source)
@@ -220,6 +223,8 @@ def _windows(
             yield number, start, buffered
             start += w
             buffered = []
+    if not number:
+        raise InputError(f"need at least window_size={w} frames, got {len(buffered)}")
     if buffered:
         log.info(
             "skipping %d leftover frame(s) %s (pad the input to a multiple of %d)",
@@ -239,8 +244,11 @@ def run_windows(
     for. Otherwise windows run on a thread pool, at most ``jobs`` in flight
     beyond the one being yielded; closing the generator cancels the queued
     ones and waits for the running ones. Either way, a source that fails
-    (an InputError: SourceError, or a frame of another size) raises after
-    every window cut before it has been yielded."""
+    (an InputError: SourceError, a frame of another size, or too few
+    frames) raises after every window cut before it has been yielded.
+    ``jobs`` below 1 is an InputError."""
+    if jobs < 1:
+        raise InputError(f"jobs must be >= 1, got {jobs}")
     windows = _windows(source, cfg.window_size, first_frame)
     if jobs == 1:
         for number, first, frames in windows:
@@ -275,18 +283,12 @@ def run_windows(
 def segment_video(frames: Sequence[Frame], cfg: PipelineConfig, jobs: int = 1) -> RunResult:
     """Run the windowed pipeline over an in-memory frame sequence and
     collect every window's maps and timings."""
-    total = len(frames)
-    w = cfg.window_size
-    if total < w:
-        raise InputError(f"need at least window_size={w} frames, got {total}")
     result = RunResult(window_maps=[], timings=[], windows=[], skipped_frames=[])
-    last = 0
     for _, first, window_frames, maps, timings in run_windows(frames, cfg, jobs):
-        last = first + len(window_frames) - 1
         result.window_maps.append(maps)
         result.timings.extend(timings)
-        result.windows.append((first, last))
-    result.skipped_frames = list(range(last + 1, total + 1))
+        result.windows.append((first, first + len(window_frames) - 1))
+    result.skipped_frames = list(range(result.windows[-1][1] + 1, len(frames) + 1))
     result.timings.extend(PhaseTiming(frame, PHASE_SKIPPED, 0.0) for frame in result.skipped_frames)
     return result
 

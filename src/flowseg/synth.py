@@ -29,7 +29,7 @@ from scipy import ndimage
 
 from .config import ConfigDict
 from .dynamics import LangevinParams, NoiseSource, _step_arrays
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, require_integers
 from .evaluation import report
 from .flow import compute_dense_flow
 from .io import FlowField, Frame
@@ -56,6 +56,8 @@ class SceneSpec:
     noise_level: float = 0.0
 
     def __post_init__(self):
+        require_integers(width=self.width, height=self.height, frame_count=self.frame_count,
+                         background_seed=self.background_seed)
         if self.width < 8 or self.height < 8:
             raise InputError("scene must be at least 8x8")
         if self.frame_count < 1:
@@ -76,6 +78,7 @@ class SceneSpec:
                 raise InputError(f"block {i + 1}: rect {blk.rect} outside frame at t=0")
             if not all(np.isfinite(blk.velocity)):
                 raise InputError(f"block {i + 1}: non-finite velocity")
+            require_integers(**{f"block {i + 1} texture_seed": blk.texture_seed})
             if blk.texture_seed < 0:
                 raise InputError(f"block {i + 1}: texture seed {blk.texture_seed} must be >= 0")
 

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 import warnings
 
@@ -484,6 +485,54 @@ def test_rasterize_maps_reuses_no_memory_it_returns(one_way_scene):
         assert all(np.array_equal(mask.labels, w) for mask, w in zip(masks, want))
 
 
+def in_fresh_thread(fn):
+    """``fn()`` run in a new thread, one with no buffers; what it raises
+    is raised here."""
+    out = []
+
+    def run():
+        try:
+            out.append(fn())
+        except BaseException as exc:  # handed to the calling thread, which raises it
+            out.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    if isinstance(out[0], BaseException):
+        raise out[0]
+    return out[0]
+
+
+def test_a_float_radius_leaves_a_thread_rasterizing_as_a_fresh_one():
+    # A float radius is an InputError, and the int call after it in that
+    # thread gives the masks of a thread that made no float call.
+    maps = window_batch(200, 60, 3)
+
+    def float_then_int():
+        with pytest.raises(InputError, match="dilation_radius"):
+            rasterize_maps(maps, 3.0)
+        return rasterize_maps(maps, 3)
+
+    clean = in_fresh_thread(lambda: rasterize_maps(maps, 3))
+    after = in_fresh_thread(float_then_int)
+    assert len(after) == len(clean) == len(maps)
+    for a, c in zip(after, clean):
+        assert np.array_equal(a.labels, c.labels)
+
+
+def test_a_thread_buffer_has_the_dtype_asked_for():
+    # a buffer made for one dtype is never handed back for another
+    def float_then_int():
+        evaluation._grown("corner", 8, np.float64)[:] = 0.5
+        return evaluation._grown("corner", 4, np.int64), evaluation._grown("corner", 8, np.float64)
+
+    ints, floats = in_fresh_thread(float_then_int)
+    assert ints.dtype == np.int64 and ints.shape == (4,)
+    assert floats.dtype == np.float64 and (floats == 0.5).all()
+
+
 # --- the coverage metric -------------------------------------------------------
 
 
@@ -741,7 +790,7 @@ def test_render_overlays_equal_one_frame_calls():
     h, w = 30, 41
     frames = [Frame(rng.integers(0, 256, (h, w), dtype=np.uint8)) for _ in range(5)]
     masks = [LabelMask(np.zeros((h, w), np.int32))]  # an empty mask among labeled ones
-    for ids in ([3, 7], [7, 9, 300], [-2, 2**31 - 1], [5]):
+    for ids in ([3, 7], [7, 9, 200], [2, 255], [5]):
         masks.append(LabelMask(np.where(rng.random((h, w)) < 0.5, 0, rng.choice(ids, (h, w)))))
     out = render_overlays(frames, masks)
     assert len(out) == len(frames)
@@ -758,36 +807,34 @@ def test_render_overlays_equal_one_frame_calls():
                         [masks[0], LabelMask(np.zeros((h, w + 1), np.int32))])
 
 
-def test_a_label_above_255_gives_the_whole_window_its_own_table(monkeypatch):
+@pytest.mark.parametrize("label", [256, -1, 2**31 - 1])
+def test_a_label_outside_0_255_is_an_input_error_that_names_it(label):
     rng = np.random.default_rng(12)
     h, w = 24, 33
     frames = [Frame(rng.integers(0, 256, (h, w), dtype=np.uint8)) for _ in range(3)]
     masks = [LabelMask(np.where(rng.random((h, w)) < 0.5, 0, rng.choice(ids, (h, w))))
-             for ids in ([3, 7], [7, 256], [5, 255])]
-    evaluation._byte_table()  # built once per process, before the calls counted
-    tables = []
-    overlay_table = evaluation._overlay_table
-    monkeypatch.setattr(evaluation, "_overlay_table", lambda ids: tables.append(list(ids)) or overlay_table(ids))
-    out = render_overlays(frames, masks)
-    assert tables == [[3, 5, 7, 255, 256]]  # one table, of the window's labels
-    singles = [render_overlay(frame, mask) for frame, mask in zip(frames, masks)]
-    assert tables == [[3, 5, 7, 255, 256], [7, 256]]  # byte-label frames take the cached table
-    for frame, mask, rgb, single in zip(frames, masks, out, singles):
-        assert rgb.tobytes() == single.tobytes() == reference_overlay(frame, mask).tobytes()
+             for ids in ([3, 7], [7, label], [5, 255])]
+    with pytest.raises(InputError, match=rf"label {label} is outside 0\.\.255"):
+        render_overlays(frames, masks)
+    with pytest.raises(InputError, match=rf"label {label} is outside 0\.\.255"):
+        render_overlay(frames[1], masks[1])
+    assert render_overlay(frames[2], masks[2]).tobytes() == reference_overlay(frames[2], masks[2]).tobytes()
 
 
 @pytest.mark.parametrize(
     "ids",
     [[1, 2, 127, 128, 255], [-7, -1, 3], [256, 300, 4096, 70_000], [1, 2**31 - 1],
-     [-(2**31), -5, 255, 2**31 - 1]],
-    ids=["bytes", "negative", "above-255", "largest", "mixed"],
+     [-(2**31), -5, 255, 2**31 - 1], list(range(1, 256))],
+    ids=["bytes", "negative", "above-255", "largest", "mixed", "every-byte"],
 )
 def test_overlay_table_matches_reference_on_every_gray_level(ids):
-    # Every gray level under every label, and once as background.
+    # Every gray level under every byte label of ids, and once as
+    # background; a label outside 0..255 is an InputError that names it.
+    byte_ids = [label_id for label_id in ids if 0 <= label_id <= 255]
     levels = np.arange(256, dtype=np.uint8)
-    frame = Frame(np.tile(levels, (len(ids) + 1, 1)))
+    frame = Frame(np.tile(levels, (len(byte_ids) + 1, 1)))
     labels = np.zeros(frame.data.shape, np.int32)
-    for row, label_id in enumerate(ids):
+    for row, label_id in enumerate(byte_ids):
         labels[row] = label_id
     mask = LabelMask(labels)
     out = render_overlay(frame, mask)
@@ -795,16 +842,7 @@ def test_overlay_table_matches_reference_on_every_gray_level(ids):
     assert out.dtype == ref.dtype == np.uint8 and out.shape == ref.shape
     assert out.tobytes() == ref.tobytes()
     assert np.array_equal(out[-1], np.repeat(levels[:, None], 3, axis=1))
-
-
-def test_overlay_table_has_one_row_per_label_present():
-    # A table indexed by id would need gigabytes for the largest id.
-    frame = Frame(np.arange(64 * 64, dtype=np.uint32).reshape(64, 64) % 251)
-    mask = LabelMask(np.where(np.arange(64)[None, :] < 32, 2**31 - 1, 1).repeat(64, axis=0))
-    tracemalloc.start()
-    try:
-        render_overlay(frame, mask)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    for label_id in set(ids) - set(byte_ids):
+        labels[0] = label_id
+        with pytest.raises(InputError, match=rf"label {label_id} is outside"):
+            render_overlay(frame, LabelMask(labels))

@@ -224,9 +224,9 @@ def test_upsample_matches_map_coordinates(shape, kind):
     assert same_bits(flow_module._upsample(field, shape), reference_upsample(field, shape))
 
 
-@pytest.mark.parametrize("factor", [1, 2, 3, 4])
+@pytest.mark.parametrize("factor", [1, 2, 3, 4, 5])
 def test_block_mean_matches_reshape_mean(factor):
-    img = np.random.default_rng(factor).integers(0, 256, size=(24, 36)).astype(np.uint8)
+    img = np.random.default_rng(factor).integers(0, 256, size=(120, 180)).astype(np.uint8)
     assert same_bits(flow_module._block_mean(img, factor), reference_block_mean(img, factor))
 
 
@@ -236,6 +236,19 @@ def test_block_mean_sums_without_overflow_at_downscale_17():
     for img in (np.full((34, 51), 255, np.uint8),
                 np.random.default_rng(17).integers(0, 256, size=(34, 51)).astype(np.uint8)):
         assert same_bits(flow_module._block_mean(img, 17), reference_block_mean(img, 17))
+
+
+@pytest.mark.parametrize("d, dtype", [(1, np.uint16), (2, np.uint16), (16, np.uint16), (17, np.uint32)])
+def test_block_sums_are_exact_in_the_narrowest_type_that_holds_them(d, dtype):
+    # 255 * 16**2 fits uint16, 255 * 17**2 does not; the all-255 frame has the largest sums
+    for img in (np.full((2 * d, 3 * d), 255, np.uint8),
+                np.random.default_rng(d).integers(0, 256, (2, 2 * d, 3 * d), dtype=np.uint8)):
+        sums = flow_module.block_sums(img, d)
+        assert sums.dtype == dtype
+        expected = img.reshape(*img.shape[:-2], 2, d, 3, d).sum(axis=(-3, -1), dtype=np.int64)
+        assert np.array_equal(sums, expected)
+        for frame, alone in zip(img.reshape(-1, 2 * d, 3 * d), sums.reshape(-1, 2, 3)):
+            assert np.array_equal(flow_module.block_sums(frame, d), alone)
 
 
 @pytest.mark.parametrize("radius", [1, 4])

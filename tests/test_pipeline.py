@@ -214,7 +214,64 @@ def test_streaming_logs_phase_timings(small_frames, caplog):
 
 
 def test_streaming_empty_source():
-    assert list(stream_windows(iter([]), small_config())) == []
+    with pytest.raises(InputError, match="need at least window_size=4 frames, got 0"):
+        list(stream_windows(iter([]), small_config()))
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_a_source_shorter_than_one_window_is_an_input_error_on_every_path(small_frames, jobs):
+    cfg = small_config(window_size=4)
+    message = "need at least window_size=4 frames, got 3"
+    with pytest.raises(InputError, match=message):
+        segment_video(small_frames[:3], cfg, jobs=jobs)
+    with pytest.raises(InputError, match=message):
+        list(flowseg.pipeline.run_windows(iter(small_frames[:3]), cfg, jobs))
+    with pytest.raises(InputError, match=message):
+        list(stream_windows(iter(small_frames[:3]), cfg))
+    # one whole window and leftovers is no error
+    assert segment_video(small_frames[:7], cfg, jobs=jobs).skipped_frames == [5, 6, 7]
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_run_windows_rejects_jobs_below_one(small_frames, jobs):
+    with pytest.raises(InputError, match=f"jobs must be >= 1, got {jobs}"):
+        list(flowseg.pipeline.run_windows(iter(small_frames[:8]), small_config(), jobs))
+    with pytest.raises(InputError, match="jobs must be >= 1"):
+        segment_video(small_frames[:8], small_config(), jobs=jobs)
+
+
+BLOCK = BlockSpec(rect=(6, 20, 16, 24), velocity=(2.0, 0.0), texture_seed=2)
+FLOAT_SETTINGS = {  # id: (the setting named in the error, a call that gives it a float)
+    "FlowParams.downscale": ("downscale", lambda: FlowParams(downscale=2.0)),
+    "KeypointParams.bin_count": ("bin_count", lambda: KeypointParams(bin_count=8.0)),
+    "KeypointParams.min_group_size": ("min_group_size", lambda: KeypointParams(min_group_size=10.0)),
+    "PipelineConfig.window_size": ("window_size", lambda: PipelineConfig(window_size=4.0)),
+    "PipelineConfig.seed": ("seed", lambda: PipelineConfig(window_size=4, seed=1.5)),
+    "PipelineConfig.dilation_radius":
+        ("dilation_radius", lambda: PipelineConfig(window_size=4, dilation_radius=3.0)),
+    "rasterize_maps.dilation_radius": ("dilation_radius", lambda: flowseg.evaluation.rasterize_maps([], 3.0)),
+    "SceneSpec.width": ("width", lambda: SceneSpec(64.0, 64, 4, (BLOCK,))),
+    "SceneSpec.height": ("height", lambda: SceneSpec(64, 64.0, 4, (BLOCK,))),
+    "SceneSpec.frame_count": ("frame_count", lambda: SceneSpec(64, 64, 4.0, (BLOCK,))),
+    "SceneSpec.background_seed": ("background_seed", lambda: SceneSpec(64, 64, 4, (BLOCK,), 1.0)),
+    "BlockSpec.texture_seed": ("block 1 texture_seed", lambda: SceneSpec(
+        64, 64, 4, (BlockSpec((6, 20, 16, 24), (2.0, 0.0), 2.0),))),
+}
+
+
+@pytest.mark.parametrize("name, build", FLOAT_SETTINGS.values(), ids=FLOAT_SETTINGS)
+def test_an_integer_setting_given_a_float_is_an_input_error(name, build):
+    with pytest.raises(InputError, match=f"{name} must be an integer, got "):
+        build()
+
+
+def test_a_float_integer_setting_is_a_config_error_from_a_config():
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        PipelineConfig.from_config(parse_config_text("window_size = 4\n"), seed_override=1.5)
+    with pytest.raises(ConfigError, match="window_size must be an integer"):
+        PipelineConfig.from_config(parse_config_text(""), window_size=4.0)
+    # integers of any integer type still construct
+    assert PipelineConfig(window_size=np.int64(4), seed=np.int32(2)).window_size == 4
 
 
 def test_streaming_source_failure_mid_window(small_frames):
@@ -270,12 +327,13 @@ def test_jobs_do_not_change_results(small_frames):
 def test_batch_streaming_and_jobs_agree(small_frames, total, window, seed):
     cfg = small_config(window_size=window, seed=seed)
     frames = small_frames[:total]
-    streamed = [m for _, maps in stream_windows(iter(frames), cfg) for m in maps]
-    if total < window:
-        assert streamed == []
-        with pytest.raises(InputError):
-            segment_video(frames, cfg)
+    if total < window:  # every path refuses a source shorter than one window
+        for run in (lambda: list(stream_windows(iter(frames), cfg)), lambda: segment_video(frames, cfg),
+                    lambda: segment_video(frames, cfg, jobs=3)):
+            with pytest.raises(InputError, match="need at least"):
+                run()
         return
+    streamed = [m for _, maps in stream_windows(iter(frames), cfg) for m in maps]
     batch = segment_video(frames, cfg).maps
     threaded = segment_video(frames, cfg, jobs=3).maps
     assert len(batch) == len(streamed) == len(threaded) == (total // window) * (window - 1)
