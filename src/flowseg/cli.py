@@ -20,7 +20,8 @@ and handlers are the caller's; ``main`` adds a handler only to a root
 logger that has none.
 
 The seed of ``segment`` and ``bench`` is ``--seed`` if given, else the
-config's ``seed`` key, else 0; ``ou-check`` takes ``--seed`` or 0.
+config's ``seed`` key, else 0; ``ou-check`` takes ``--seed`` or 0. A seed
+outside 0..2**64 - 1 is a config error, found before any frame is read.
 
 ``segment`` streams through ``pipeline.run_windows`` (at most ``--jobs``
 windows in flight, 1 by default) and writes each window's files as it
@@ -80,7 +81,7 @@ from typing import Iterator
 import numpy as np
 
 from . import synth
-from .config import format_config, parse_config_file
+from .config import format_config, parse_config_file, parse_config_text
 from .errors import ConfigError, InputError, MetricError
 from .evaluation import rasterize_maps, render_overlays, score_frames
 from .evaluation import rasterize, render_overlay  # noqa: F401  (perfbench traces these names)
@@ -91,7 +92,7 @@ from .pipeline import segment_video  # noqa: F401  (perfbench traces these names
 from .synth import (
     SceneFlows, SceneSpec, ar1_stationary_variance, generate_scene, iter_scene, ou_statistics,
 )
-from .dynamics import LangevinParams
+from .dynamics import LangevinParams, require_seed
 
 log = logging.getLogger("flowseg")
 
@@ -203,12 +204,14 @@ def _load_pipeline_config(
 def cmd_segment(args) -> int:
     cfg, run_keys = _load_pipeline_config(args.config, args.seed)
 
-    in_dir = Path(args.input or run_keys["input_dir"] or "")
-    out_dir = Path(args.output or run_keys["output_dir"] or "")
-    if not str(in_dir):
+    # Path("") is the working directory, so the names are checked as strings
+    in_dir = args.input or run_keys["input_dir"]
+    out_dir = args.output or run_keys["output_dir"]
+    if not in_dir:
         raise ConfigError("no input directory (use --in or an input_dir config key)")
-    if not str(out_dir):
+    if not out_dir:
         raise ConfigError("no output directory (use --out or an output_dir config key)")
+    in_dir, out_dir = Path(in_dir), Path(out_dir)
     _at_least_one(jobs=args.jobs)
     if out_dir.exists() and not out_dir.is_dir():
         raise InputError(f"output path is not a directory: {out_dir}")
@@ -236,7 +239,7 @@ def cmd_segment(args) -> int:
             timings = csv.writer(timings_fh)
             timings.writerow(["frame_index", "phase", "milliseconds"])
             for windows, first, window_frames, maps, window_timings in results:
-                _write_window(staging, window_frames[1:], maps, cfg, groups_fh)
+                _write_window(staging, first, window_frames, maps, cfg, groups_fh)
                 masks += len(maps)
                 end = first + len(window_frames)  # the first frame after the last window
                 timings.writerows([t.frame_index, t.phase, f"{t.milliseconds:.3f}"] for t in window_timings)
@@ -276,15 +279,17 @@ def _overlay_base(frame: Frame, d: int) -> Frame:
     return Frame(_rounded_means(d).take(block_sums(frame.data, d)))
 
 
-def _write_window(out_dir: Path, frames: list[Frame], maps, cfg: PipelineConfig, groups_fh):
-    """Write each map's mask, its overlay on the frame at its position in ``frames``, and its groups."""
+def _write_window(out_dir: Path, first: int, frames: list[Frame], maps, cfg: PipelineConfig, groups_fh):
+    """Write each map's mask, its groups, and its overlay on its frame, the
+    one of its number among ``frames``, the window's frames from ``first``."""
     for frame_index, seg_map in maps:
         if any(g.id > 255 for g in seg_map.groups):
             raise InputError(f"frame {frame_index}: more than 255 groups cannot be stored in a P5 mask")
     masks = rasterize_maps([seg_map for _, seg_map in maps], cfg.dilation_radius)
     overlays = [None] * len(maps)
     if cfg.write_overlays:
-        overlays = render_overlays([_overlay_base(frame, cfg.flow.downscale) for frame in frames], masks)
+        bases = [_overlay_base(frames[frame_index - first], cfg.flow.downscale) for frame_index, _ in maps]
+        overlays = render_overlays(bases, masks)
     for (frame_index, seg_map), mask, rgb in zip(maps, masks, overlays):
         write_frame(Frame(mask.labels.astype(np.uint8)), out_dir / f"mask_{frame_index:06d}.pgm")
         if rgb is not None:
@@ -369,7 +374,7 @@ def cmd_bench(args) -> int:
     if args.config:
         cfg = replace(_load_pipeline_config(args.config, args.seed, window_size=w)[0], window_size=w)
     else:
-        cfg = PipelineConfig(window_size=w, seed=args.seed or 0)
+        cfg = PipelineConfig.from_config(parse_config_text(""), seed_override=args.seed, window_size=w)
 
     if args.frames:
         if not args.gt:
@@ -401,6 +406,7 @@ def cmd_ou_check(args) -> int:
     if not (args.tolerance >= 0 and np.isfinite(args.tolerance)):
         raise ConfigError(f"tolerance must be a finite number >= 0, got {args.tolerance}")
     try:
+        require_seed(args.seed)
         params = LangevinParams(
             gamma_x=args.gamma, gamma_y=args.gamma,
             xi_d_x=args.xid, xi_d_y=args.xid, confinement_stiffness=0.0,

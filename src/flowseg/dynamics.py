@@ -34,7 +34,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, require_integers
 from .keypoints import Group, SegmentationMap, split_groups
 
 DEFAULT_GAMMA = 0.8
@@ -86,23 +86,32 @@ class GroupForces:
                 raise InputError(f"{name} must be finite")
 
 
+def require_seed(seed) -> int:
+    """``seed`` as an int; an InputError unless it is an integer in 0..2**64 - 1."""
+    require_integers(seed=seed)
+    if not 0 <= int(seed) <= _U64:
+        raise InputError(f"seed {seed} is outside 0..2**64 - 1")
+    return int(seed)
+
+
 class NoiseSource:
     """Deterministic standard-normal source addressed by (stream, step).
 
     Each (stream, step) pair owns a disjoint counter block of a Philox
-    generator keyed by the 64-bit seed, so identical seeds reproduce
-    identical draws and distinct windows/steps never share randomness.
+    generator keyed by the seed (a ``uint64``, so 0..2**64 - 1), so distinct
+    seeds draw distinct noise, identical seeds reproduce identical draws,
+    and distinct windows/steps never share randomness.
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = int(seed) & _U64
+        self.seed = require_seed(seed)
         self.stream = int(stream)
 
     def normals(self, step: int, count: int) -> np.ndarray:
         """The first ``count`` draw pairs of the (stream, step) block."""
         bitgen = np.random.Philox(
             counter=[0, 0, self.stream & _U64, int(step) & _U64],
-            key=[self.seed, 0],
+            key=np.array([self.seed, 0], dtype=np.uint64),
         )
         return np.random.Generator(bitgen).standard_normal((count, 2))
 

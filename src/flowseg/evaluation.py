@@ -9,7 +9,8 @@ and the AND with each group's crop, stand for the background past the
 crop, which is what the full-frame morphology reads there. Their masks
 share one label buffer, so a window holds the memory of its |W| - 1 maps,
 no more than a run that streams one window at a time keeps anyway; its
-index temporaries live in per-thread buffers that grow and never shrink.
+index temporaries are views of the per-thread buffers of ``flow.scratch``,
+under names of their own, which grow and never shrink.
 ``render_overlays`` blends a window's frames through one label table,
 cached per process, of the 256 byte labels: labels outside 0..255, which
 no P5 mask of ``segment`` holds, are an InputError.
@@ -22,13 +23,13 @@ as a diagnostic; acceptance numbers use coverage only.
 
 import csv
 import functools
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import InputError, MetricError, require_integers
+from .flow import scratch
 from .io import Frame
 from .keypoints import SegmentationMap
 from .pipeline import DEFAULT_DILATION_RADIUS, RunResult
@@ -37,24 +38,6 @@ _STACK_VOXELS = 1 << 22  # pixels per crop stack; more groups take more stacks
 _FULL_WORD = ~np.uint64(0)  # a packed row word with all 64 columns set
 _GOLDEN = 0.61803398875
 OVERLAY_ALPHA = 0.5
-# The calling thread's grow-only member buffers (see ``_grown``).
-_local = threading.local()
-
-
-def _grown(name: str, n: int, dtype) -> np.ndarray:
-    """The first ``n`` items of the calling thread's 1-D buffer ``name``.
-    The buffer grows (by at least a quarter, so a slowly rising need
-    reallocates rarely) when ``n`` exceeds it and never shrinks, so a
-    window's member-sized temporaries reuse the memory of the windows
-    before it; each name and dtype has its own buffer and one user at a
-    time. A ``take`` into one passes ``mode="clip"`` (its indices are in
-    range), since the default mode writes through a fresh copy of ``out``."""
-    buffers = _local.__dict__.setdefault("buffers", {})
-    key = (name, np.dtype(dtype))
-    buf = buffers.get(key)
-    if buf is None or buf.size < n:
-        buf = buffers[key] = np.empty(max(n, 0 if buf is None else buf.size + buf.size // 4), dtype)
-    return buf[:n]
 
 
 @dataclass(eq=False)
@@ -160,12 +143,13 @@ def rasterize_maps(maps, dilation_radius: int = DEFAULT_DILATION_RADIUS) -> list
     of ``len(maps)`` maps: |W| - 1 for a window. Members are read from the
     maps' groups, whose ``x``/``y`` are concatenated once per call; only a
     group that contests a pixel has its ``Group.centroid`` computed. The
-    member- and pixel-sized index arrays live in the calling thread's
-    grow-only buffers (``_grown``), so a run of windows reuses their
-    memory; the masks returned are new. Raises InputError when the maps
-    differ in size.
+    member- and pixel-sized index arrays are views of the calling
+    thread's ``flow.scratch``, whose buffers grow and never shrink, so a
+    run of windows reuses their memory; the masks returned are new.
+    Raises InputError when the maps differ in size.
     """
     require_integers(dilation_radius=dilation_radius)
+    dilation_radius = int(dilation_radius)  # a numpy integer radius as a Python int
     if dilation_radius < 0:
         raise InputError("dilation_radius must be >= 0")
     maps = list(maps)
@@ -194,13 +178,14 @@ def rasterize_maps(maps, dilation_radius: int = DEFAULT_DILATION_RADIUS) -> list
     starts = np.concatenate(([0], np.cumsum(counts)))
     n_members = int(starts[-1])
     # each member's group: 1 at every group's first member after the first, summed
-    member = _grown("member", n_members, np.intp)
+    member = scratch("rasterize.member", n_members, np.intp)
     member[:] = 0
     member[starts[1:-1]] = 1
     np.cumsum(member, out=member)
     # pixel_coords of the concatenated members, through the thread's buffers
-    coords = _grown("coords", n_members, np.float64)
-    rows, cols = _grown("rows", n_members, np.int64), _grown("cols", n_members, np.int64)
+    coords = scratch("rasterize.coords", n_members, np.float64)
+    rows = scratch("rasterize.rows", n_members, np.int64)
+    cols = scratch("rasterize.cols", n_members, np.int64)
     for dst, axis, limit in ((rows, "y", h), (cols, "x", w)):
         np.concatenate([getattr(g, axis) for g in groups], out=coords)
         np.rint(coords, out=coords)
@@ -230,8 +215,8 @@ def rasterize_maps(maps, dilation_radius: int = DEFAULT_DILATION_RADIUS) -> list
         grp = member[m]
         painted = np.zeros((end - first) * slot_h * words * 64, dtype=bool)
         # each member's bit in the stack, built in place
-        bit = np.subtract(grp, first, out=_grown("bit", grp.size, grp.dtype))
-        corner = _grown("corner", grp.size, top.dtype)
+        bit = np.subtract(grp, first, out=scratch("rasterize.bit", grp.size, grp.dtype))
+        corner = scratch("rasterize.corner", grp.size, top.dtype)
         bit *= slot_h
         bit += rows[m]
         bit -= np.take(top, grp, out=corner, mode="clip")
@@ -256,13 +241,14 @@ def rasterize_maps(maps, dilation_radius: int = DEFAULT_DILATION_RADIUS) -> list
         at = np.flatnonzero(np.unpackbits(stack.view(np.uint8), axis=-1, count=slot_w, bitorder="little"))
         row, col = np.divmod(at, slot_w, out=(None, at))  # at becomes the column
         row += first * slot_h
-        col += np.take(row_origin, row, out=_grown("origin", row.size, row_origin.dtype), mode="clip")
+        origin = scratch("rasterize.origin", row.size, row_origin.dtype)
+        col += np.take(row_origin, row, out=origin, mode="clip")
         pix.append(col)
         rows_of.append(row)
     total = sum(p.size for p in pix)
-    pix = np.concatenate(pix, out=_grown("pix", total, pix[0].dtype))
-    rows_of = np.concatenate(rows_of, out=_grown("rows_of", total, rows_of[0].dtype))
-    painted_by = _grown("painted_by", total, np.int32)
+    pix = np.concatenate(pix, out=scratch("rasterize.pix", total, pix[0].dtype))
+    rows_of = np.concatenate(rows_of, out=scratch("rasterize.rows_of", total, rows_of[0].dtype))
+    painted_by = scratch("rasterize.painted_by", total, np.int32)
     # A group paints a pixel at most once. Painting each entry's slot row
     # into the labels leaves one row per pixel, whichever wins; an entry
     # that did not win marks its pixel -1 (no slot row), so the pixels

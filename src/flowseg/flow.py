@@ -17,9 +17,9 @@ Only the ``downscale`` factor is a setting.
    upsampled (x2) between levels. Every level-sized array of a call that
    does not go into the returned ``FlowField`` (the pyramid, the upsampled
    fields, the iterations' buffers, the median's and the texture test's
-   temporaries) is a buffer the calling thread keeps and reuses across
-   calls, one set per frame size (see ``_buffer``): a frame of another
-   size drops the set and makes a new one, and threads never share one.
+   temporaries) is a view of a buffer the calling thread keeps and reuses
+   across calls and levels (see ``scratch``): a buffer grows to a thread's
+   largest need and never shrinks, and threads never share one.
    The warp is a bilinear gather from an edge-padded copy of the level,
    which replaces index clamping, and the gradients are written in place;
    both give the same bits as ``scipy.ndimage.map_coordinates(order=1,
@@ -46,6 +46,7 @@ only ever consumes flow statistics over dense textured regions); it makes
 no claims near occlusions or for large rotations.
 """
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -73,30 +74,25 @@ _MEDIAN_SIZE = 7
 _MEDIAN_CHUNK_ROWS = 16
 
 
-# The calling thread's buffers: ``buffers`` maps (name, shape, dtype) to an
-# array, made for frames whose base level is ``shape``.
+# The calling thread's scratch buffers (see ``scratch``).
 _local = threading.local()
 
 
-def _use_frame_size(shape: tuple) -> None:
-    """Drop the calling thread's buffers unless they were made for a base
-    level of ``shape``, so a thread holds the buffers of one frame size."""
-    if getattr(_local, "shape", None) != shape:
-        _local.shape = shape
-        _local.buffers = {}
-
-
-def _buffer(name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-    """The calling thread's buffer ``name`` of ``shape`` and ``dtype``,
-    made on first use and returned as it was left by every later call. Each name has one user at a time: a
-    function that takes one overwrites it, and whatever it returns in one
-    is valid until its next call on that shape in that thread."""
+def scratch(name: str, shape, dtype=np.float64) -> np.ndarray:
+    """The calling thread's buffer ``name`` of ``dtype``, its front viewed
+    as an array of ``shape`` (an int or a tuple). A larger need replaces
+    the buffer with one at least a quarter larger and none shrinks it, so
+    a thread keeps its largest need. Arrays alive at once take different
+    names: a view is valid until the next call for its name in its thread.
+    A ``take`` into one passes ``mode="clip"`` (with indices in range),
+    since the default mode writes through a fresh copy of ``out``."""
     buffers = _local.__dict__.setdefault("buffers", {})
-    key = (name, shape, np.dtype(dtype))
-    found = buffers.get(key)
-    if found is None:
-        found = buffers[key] = np.empty(shape, dtype)
-    return found
+    key = (name, np.dtype(dtype))
+    n = math.prod(shape) if isinstance(shape, tuple) else shape
+    buf = buffers.get(key)
+    if buf is None or buf.size < n:
+        buf = buffers[key] = np.empty(max(n, 0 if buf is None else buf.size + buf.size // 4), dtype)
+    return buf[:n].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -109,12 +105,10 @@ class FlowParams:
             raise InputError("downscale must be an integer >= 1")
 
 
-def _edge_pad(a: np.ndarray, before: int, after: int, out: np.ndarray | None = None) -> np.ndarray:
+def _edge_pad(a: np.ndarray, before: int, after: int, out: np.ndarray) -> np.ndarray:
     """``np.pad(a, (before, after), mode="edge")`` of a 2-D ``a``, by slice
-    assignment, into ``out`` if given."""
+    assignment, into ``out``."""
     h, w = a.shape
-    if out is None:
-        out = np.empty((h + before + after, w + before + after), a.dtype)
     out[before : before + h, before : before + w] = a
     out[:before, before : before + w] = a[0]
     out[before + h :, before : before + w] = a[-1]
@@ -146,11 +140,11 @@ def block_sums(img: np.ndarray, d: int, out: np.ndarray | None = None) -> np.nda
 def _block_mean(img: np.ndarray, factor: int, out: np.ndarray | None = None) -> np.ndarray:
     """Mean of each ``factor`` x ``factor`` block of ``img`` (as in
     ``block_sums``), written into ``out`` if given: the exact integer sums,
-    in a thread buffer, divided by ``factor**2`` in float64. That gives the
-    bits of the float64 ``img.reshape(...).mean(axis=(1, 3))``, which sums
-    exactly in another order and divides by the same count."""
+    in the thread's ``scratch``, divided by ``factor**2`` in float64. That
+    gives the bits of the float64 ``img.reshape(...).mean(axis=(1, 3))``,
+    which sums exactly in another order and divides by the same count."""
     shape = img[..., ::factor, ::factor].shape
-    sums = block_sums(img, factor, out=_buffer("block_sums", shape, _sum_dtype(factor)))
+    sums = block_sums(img, factor, out=scratch("block_sums", shape, _sum_dtype(factor)))
     return np.divide(sums, factor * factor, out=out)
 
 
@@ -183,11 +177,11 @@ def _upsample(field: np.ndarray, shape: tuple, out: np.ndarray | None = None) ->
     ``0.0 + corner``, the two mixed slices sum two halved corners, and
     only the odd-odd slice sums all four. (An infinite ``field`` value
     would break this, since ``inf * 0`` is NaN.) The sums are written
-    into ``out`` if given, the halved corners into a thread buffer.
+    into ``out`` if given, the halved corners into the thread's ``scratch``.
     """
     hc, wc = field.shape
-    padded = _edge_pad(field, 0, 1, out=_buffer("upsample.padded", (hc + 1, wc + 1)))
-    halved = _buffer("upsample.halved", (hc, wc))
+    padded = _edge_pad(field, 0, 1, out=scratch("upsample.padded", (hc + 1, wc + 1)))
+    halved = scratch("upsample.halved", (hc, wc))
     if out is None:
         out = np.empty(shape)
     for a in (0, 1):
@@ -233,8 +227,8 @@ def _gradient(f: np.ndarray, gy: np.ndarray, gx: np.ndarray) -> None:
 
 class _Gather:
     """Bilinear samples of ``img`` at points given as arrays of ``shape``,
-    written into the calling thread's buffers for ``shape``, so one
-    ``_Gather`` per shape is in use at a time.
+    written into the calling thread's ``scratch``, so one ``_Gather`` per
+    thread is in use at a time.
 
     ``gather(rows, cols, out)`` writes the same bits as
     ``ndimage.map_coordinates(img, [rows, cols], order=1, mode="nearest")``
@@ -260,14 +254,14 @@ class _Gather:
 
     def __init__(self, img: np.ndarray, shape: tuple):
         h, w = self._size = img.shape
-        padded = _buffer("gather.img", (h + 2, w + 2), img.dtype)
+        padded = scratch("gather.img", (h + 2, w + 2), img.dtype)
         flat = _edge_pad(img, 1, 1, out=padded).ravel()
         self._corners = [flat[offset:] for offset in (0, 1, w + 2, w + 3)]
-        self._floor = _buffer("gather.floor", (2, *shape))
+        self._floor = scratch("gather.floor", (2, *shape))
         # Row weights w0, w1, then column weights w0, w1.
-        self._weights = _buffer("gather.weights", (4, *shape))
-        self._index = _buffer("gather.index", shape, np.intp)
-        self._term = _buffer("gather.term", shape)
+        self._weights = scratch("gather.weights", (4, *shape))
+        self._index = scratch("gather.index", shape, np.intp)
+        self._term = scratch("gather.term", shape)
 
     def _axis(self, coord, n, floor, weights):
         np.floor(coord, out=floor)
@@ -316,11 +310,11 @@ def _refine(a, b, u, v, radius: int, iterations: int, grid):
     """Run ``iterations`` warp/solve steps on one pyramid level and return
     the refined ``(u, v)``; the inputs are not modified. ``grid`` holds
     the level's row and column indices, as arrays that broadcast to its
-    shape. The result is a thread buffer of this shape, valid until the
-    next call on it.
+    shape. The result is a view of the thread's ``scratch``, valid until
+    its next ``_refine`` call.
 
-    Every iteration writes into the calling thread's buffers for this
-    level's shape, which persist across calls, through
+    Every iteration writes into the calling thread's ``scratch``, which
+    persists across calls and levels, through
     ``out=`` ufuncs in the order of the plain expressions ``0.5 * (a +
     bw)``, ``bw - a``, ``ix * iy``, ``sxx * syy - sxy * sxy``, ``(sxy * syt
     - syy * sxt) / det`` and so on, so each value has the bits those
@@ -330,13 +324,13 @@ def _refine(a, b, u, v, radius: int, iterations: int, grid):
     """
     shape = a.shape
     gather = _Gather(b, shape)
-    fields = _buffer("refine.uv", (2, *shape))
+    fields = scratch("refine.uv", (2, *shape))
     np.copyto(fields[0], u)
     np.copyto(fields[1], v)
     u, v = fields
-    rows, cols, bw, mean, it, ix, iy, det, update, term = _buffer("planes", (10, *shape))
-    products = _buffer("products", (5, *shape))
-    flat = _buffer("refine.flat", shape, bool)
+    rows, cols, bw, mean, it, ix, iy, det, update, term = scratch("planes", (10, *shape))
+    products = scratch("products", (5, *shape))
+    flat = scratch("refine.flat", shape, bool)
     for _ in range(iterations):
         np.add(grid[0], v, out=rows)
         np.add(grid[1], u, out=cols)
@@ -394,8 +388,8 @@ def _median(field: np.ndarray) -> np.ndarray:
     never produces NaN because ``_refine`` divides only where ``det`` is
     above ``_DET_EPS``.
 
-    The keys, their edge-padded copy and the band buffers are the calling
-    thread's buffers for this shape, kept across calls; only the result is
+    The keys, their edge-padded copy and the band buffers are views of the
+    calling thread's ``scratch``, kept across calls; only the result is
     new. Each band of rows copies its 7-row column strips into one
     ``(rows, cols + 6, 7)`` buffer, where a pixel's 49 keys are one
     contiguous run, so a strided view copies them out whole into the stack
@@ -408,16 +402,16 @@ def _median(field: np.ndarray) -> np.ndarray:
     out = np.empty((height, width), np.float32)
     np.copyto(out, field)
     bits = out.view(np.int32)
-    keys = _buffer("median.keys", (height, width), np.int32)
+    keys = scratch("median.keys", (height, width), np.int32)
     np.right_shift(bits, 31, out=keys)
     keys &= 0x7FFFFFFF
     keys ^= bits
-    padded = _buffer("median.padded", (height + 2 * r, width + 2 * r), np.int32)
+    padded = scratch("median.padded", (height + 2 * r, width + 2 * r), np.int32)
     columns = sliding_window_view(_edge_pad(keys, r, r, out=padded), _MEDIAN_SIZE, axis=0)
     band = min(_MEDIAN_CHUNK_ROWS, height)
-    strips = _buffer("median.strips", (band, width + 2 * r, _MEDIAN_SIZE), np.int32)
+    strips = scratch("median.strips", (band, width + 2 * r, _MEDIAN_SIZE), np.int32)
     windows = as_strided(strips, (band, width, 2 * mid + 1), strips.strides, writeable=False)
-    stack = _buffer("median.stack", windows.shape, np.int32)
+    stack = scratch("median.stack", windows.shape, np.int32)
     for top in range(0, height, band):
         rows = min(band, height - top)
         np.copyto(strips[:rows], columns[top : top + rows])
@@ -432,14 +426,14 @@ def _median(field: np.ndarray) -> np.ndarray:
 
 def _textured(img: np.ndarray, radius: int) -> np.ndarray:
     """Where the window-averaged weaker eigenvalue of ``img``'s structure
-    tensor reaches ``TEXTURE_EIGEN_FLOOR``. The temporaries are the
-    calling thread's ``_refine`` buffers of this shape, written through
-    ``out=`` in the order of the plain expressions ``iy, ix =
+    tensor reaches ``TEXTURE_EIGEN_FLOOR``. The temporaries are the fronts
+    of the calling thread's ``_refine`` buffers (``scratch``), written
+    through ``out=`` in the order of the plain expressions ``iy, ix =
     np.gradient(img)``, ``disc = sqrt(maximum((sxx - syy)**2 + 4.0 * sxy
     * sxy, 0.0))`` and ``0.5 * (sxx + syy - disc)``, so each value has
     their bits (``x**2`` is ``x * x``)."""
-    iy, ix, disc, lam_min = _buffer("planes", (10, *img.shape))[:4]
-    products = _buffer("products", (5, *img.shape))[:3]
+    iy, ix, disc, lam_min = scratch("planes", (4, *img.shape))
+    products = scratch("products", (3, *img.shape))
     _gradient(img, iy, ix)
     for slot, (p, q) in zip(products, ((ix, ix), (ix, iy), (iy, iy))):
         np.multiply(p, q, out=slot)
@@ -476,14 +470,14 @@ def compute_dense_flow(a: Frame, b: Frame, params: FlowParams = FlowParams()) ->
         raise InputError(
             f"frame smaller than minimum pyramid size ({MIN_LEVEL_SIZE} px after downscale)"
         )
-    _use_frame_size(base)
 
-    pyr_a = [_block_mean(a.data, d, out=_buffer("level.a", base))]
-    pyr_b = [_block_mean(b.data, d, out=_buffer("level.b", base))]
+    pyr_a = [_block_mean(a.data, d, out=scratch("level.a", base))]
+    pyr_b = [_block_mean(b.data, d, out=scratch("level.b", base))]
     while len(pyr_a) < PYRAMID_LEVELS and min(pyr_a[-1].shape) // 2 >= MIN_LEVEL_SIZE:
-        shape = pyr_a[-1].shape
-        pyr_a.append(_decimate(pyr_a[-1], output=_buffer("smoothed.a", shape)))
-        pyr_b.append(_decimate(pyr_b[-1], output=_buffer("smoothed.b", shape)))
+        # a level is read while the next is written: each has its own name
+        shape, level = pyr_a[-1].shape, len(pyr_a)
+        pyr_a.append(_decimate(pyr_a[-1], output=scratch(f"smoothed.a{level}", shape)))
+        pyr_b.append(_decimate(pyr_b[-1], output=scratch(f"smoothed.b{level}", shape)))
 
     u = v = None
     for level in range(len(pyr_a) - 1, -1, -1):
@@ -491,7 +485,7 @@ def compute_dense_flow(a: Frame, b: Frame, params: FlowParams = FlowParams()) ->
         # (row, column) index of every pixel of this level, as a column and
         # a row that broadcast to it, shared by every warp on it.
         grid = np.arange(shape[0], dtype=np.float64)[:, None], np.arange(shape[1], dtype=np.float64)
-        start = _buffer("start", (2, *shape))
+        start = scratch("start", (2, *shape))
         if u is None:
             start.fill(0.0)
         else:

@@ -41,7 +41,7 @@ from time import perf_counter
 from typing import Iterable, Iterator, Sequence
 
 from .config import ConfigDict
-from .dynamics import LangevinParams, NoiseSource, estimate_group_forces, propagate_map
+from .dynamics import LangevinParams, NoiseSource, estimate_group_forces, propagate_map, require_seed
 from .errors import ConfigError, InputError, SourceError, require_integers
 from .flow import FlowParams, compute_dense_flow
 from .io import Frame
@@ -84,6 +84,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         require_integers(window_size=self.window_size, seed=self.seed, dilation_radius=self.dilation_radius)
+        require_seed(self.seed)
         if self.window_size < 3:
             raise InputError("window_size must be >= 3 (2 seed frames + 1 propagated)")
         if self.dilation_radius < 0:

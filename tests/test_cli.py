@@ -1197,3 +1197,63 @@ def test_bench_mixed_sizes_names_frames_by_number_before_any_flow(tmp_path, monk
     assert code == 3
     err = capsys.readouterr().err
     assert err == "input error: inconsistent frame dimensions: frame 9 is (64, 62), frame 1 is (64, 64)\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "segment --in {frames} --config {cfg} --out {tmp}/out --seed -1",
+        "segment --in {frames} --config {cfg} --out {tmp}/out --seed 18446744073709551616",
+        "bench --w 3 --scene-frames 8 --repeats 1 --out {tmp}/out --seed -1",
+        "bench --config {cfg} --frames {frames} --gt {gt} --w 4 --repeats 1 --out {tmp}/out "
+        "--seed 18446744073709551616",
+        "ou-check --steps 10 --seed -1",
+        "ou-check --steps 10 --seed 18446744073709551616",
+    ],
+    ids=["segment-minus-1", "segment-2**64", "bench-minus-1", "bench-config-2**64",
+         "ou-check-minus-1", "ou-check-2**64"],
+)
+def test_seed_outside_64_bits_is_a_config_error_before_any_work(tmp_path, scene_dir, monkeypatch, capsys, argv):
+    # the noise generator's key holds 64 bits: no other seed runs, so none
+    # is written to a manifest as if it had
+    def no_work(*args, **kwargs):
+        raise AssertionError("started work although the seed is out of range")
+
+    for name in ("generate_scene", "ou_statistics", "read_frame"):
+        monkeypatch.setattr(flowseg.cli, name, no_work)
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text(PIPELINE_CONFIG)
+    argv = argv.format(tmp=tmp_path, cfg=cfg, frames=scene_dir / "frames", gt=scene_dir / "gt")
+    assert main(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: seed ") and "outside 0..2**64 - 1" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_largest_seed_runs_and_is_written_to_the_manifest(tmp_path, scene_dir):
+    code, out = run_segment(tmp_path, scene_dir, extra=["--seed", str(2**64 - 1)])
+    assert code == 0
+    assert parse_config_file(out / "manifest.txt").get_int("seed") == 2**64 - 1
+
+
+def test_bench_bad_window_list(capsys):
+    assert main(["bench", "--w", "4,x", "--repeats", "1"]) == 2
+    assert "bad window list '4,x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("missing", ["--in", "--out"])
+def test_segment_without_an_input_or_output_directory_is_a_config_error(
+    tmp_path, scene_dir, monkeypatch, capsys, missing
+):
+    # neither defaults to the working directory, which stays empty
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text(PIPELINE_CONFIG)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    flags = {"--in": str(scene_dir / "frames"), "--out": str(tmp_path / "out")}
+    del flags[missing]
+    assert main(["segment", "--config", str(cfg), *[x for pair in flags.items() for x in pair]]) == 2
+    assert f"no {'input' if missing == '--in' else 'output'} directory" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert not any(cwd.iterdir())

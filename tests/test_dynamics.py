@@ -547,3 +547,31 @@ def test_propagate_empty_and_memberless_groups():
     ref = reference_propagate(seg, forces, params, NoiseSource(6), steps=2)
     assert_maps_equal(got, ref)
     assert got[-1].groups[0].size == 0
+
+
+@pytest.mark.parametrize("name", ["drift_x", "confine_y", "anchor_y"])
+def test_group_forces_must_be_finite(name):
+    values = {"drift_x": 0.0, "confine_y": 0.0, "anchor_y": 0.0, name: math.nan}
+    with pytest.raises(InputError, match=f"{name} must be finite"):
+        GroupForces(**values)
+
+
+def test_distinct_seeds_draw_distinct_noise_above_2_63():
+    # every seed keys its own generator, the largest 64-bit ones included
+    seeds = [2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1]
+    draws = [NoiseSource(seed).normals(step=0, count=4).tobytes() for seed in seeds]
+    assert len(set(draws)) == len(seeds)
+
+
+def test_seeds_below_2_63_keep_the_draws_of_a_list_key():
+    # the uint64 key holds the bits that a list of Python ints held
+    for seed in (0, 1, 42, 2**32 + 5, 2**53 + 1, 2**63 - 1):
+        bitgen = np.random.Philox(counter=[0, 0, 3, 5], key=[seed, 0])
+        expected = np.random.Generator(bitgen).standard_normal((6, 2))
+        assert NoiseSource(seed, stream=3).normals(step=5, count=6).tobytes() == expected.tobytes(), seed
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70], ids=["-1", "2**64", "2**70"])
+def test_a_seed_outside_64_bits_is_an_input_error(seed):
+    with pytest.raises(InputError, match=r"outside 0\.\.2\*\*64 - 1"):
+        NoiseSource(seed)

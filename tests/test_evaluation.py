@@ -36,6 +36,7 @@ from flowseg.evaluation import (
     resample_nearest,
     score_frames,
 )
+from flowseg.flow import scratch
 from flowseg.keypoints import Group, SegmentationMap
 from flowseg.pipeline import RunResult
 
@@ -525,8 +526,8 @@ def test_a_float_radius_leaves_a_thread_rasterizing_as_a_fresh_one():
 def test_a_thread_buffer_has_the_dtype_asked_for():
     # a buffer made for one dtype is never handed back for another
     def float_then_int():
-        evaluation._grown("corner", 8, np.float64)[:] = 0.5
-        return evaluation._grown("corner", 4, np.int64), evaluation._grown("corner", 8, np.float64)
+        scratch("rasterize.corner", 8, np.float64)[:] = 0.5
+        return scratch("rasterize.corner", 4, np.int64), scratch("rasterize.corner", 8, np.float64)
 
     ints, floats = in_fresh_thread(float_then_int)
     assert ints.dtype == np.int64 and ints.shape == (4,)
@@ -846,3 +847,25 @@ def test_overlay_table_matches_reference_on_every_gray_level(ids):
         labels[0] = label_id
         with pytest.raises(InputError, match=rf"label {label_id} is outside"):
             render_overlay(frame, LabelMask(labels))
+
+
+@pytest.mark.parametrize("radius", [np.uint64(3), np.int8(3)], ids=["uint64", "int8"])
+def test_a_numpy_integer_radius_gives_the_masks_of_an_int(radius):
+    maps = window_batch(200, 60, 3)
+    masks = rasterize_maps(maps, radius)
+    assert len(masks) == len(maps)
+    for mask, expected in zip(masks, rasterize_maps(maps, 3)):
+        assert np.array_equal(mask.labels, expected.labels)
+
+
+def test_masks_must_be_2d():
+    with pytest.raises(InputError, match="label mask must be 2-D"):
+        LabelMask(np.zeros(4, np.int32))
+    with pytest.raises(InputError, match="mask must be 2-D"):
+        accuracy(np.zeros(4), np.ones((2, 2)))
+
+
+def test_iou_refuses_two_shapes_and_scores_two_empty_masks_one():
+    with pytest.raises(InputError, match="mask dimensions differ"):
+        iou(np.zeros((2, 3)), np.zeros((3, 2)))
+    assert iou(np.zeros((4, 4)), np.zeros((4, 4))) == 1.0

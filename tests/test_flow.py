@@ -492,6 +492,19 @@ def test_alternating_frame_sizes_give_the_bits_of_fresh_calls(downscale):
         assert flow_bits(compute_dense_flow(*pairs[name], params)) == fresh[name], name
 
 
+@pytest.mark.parametrize("downscale", [1, 2])
+def test_pyramid_levels_in_buffers_give_the_bits_of_allocated_levels(downscale, monkeypatch):
+    # each level is smoothed into a buffer of its own: a buffer shared by
+    # two levels would be written while it is read
+    params = FlowParams(downscale=downscale)
+    pairs = flow_pairs()
+    fast = {name: flow_bits(compute_dense_flow(*pair, params)) for name, pair in pairs.items()}
+    monkeypatch.setattr(flow_module, "_decimate",
+                        lambda img, output=None: ndimage.gaussian_filter(img, 1.0, mode="nearest")[::2, ::2])
+    for name, pair in pairs.items():
+        assert flow_bits(compute_dense_flow(*pair, params)) == fast[name], name
+
+
 def test_threads_at_once_give_the_serial_bits():
     # More threads than cores, switching often, each on a pair of its own
     # (two frame sizes among them): every result has the serial bits.
@@ -525,22 +538,39 @@ def test_threads_at_once_give_the_serial_bits():
 
 
 def test_a_thread_holds_one_frame_sizes_buffers():
+    # A thread keeps its largest need: after a 320x240 call, calls on
+    # 64x48 and 320x240 frames neither replace a stored array nor add
+    # bytes, and the thread holds no more than one that ran 320x240 alone.
     pairs = size_pairs()
 
     def held():
-        buffers = flow_module._local.buffers
-        return sorted((name, shape, str(dtype)) for name, shape, dtype in buffers), \
-            sum(b.nbytes for b in buffers.values())
+        return dict(flow_module._local.buffers)
 
-    def one_size():
-        compute_dense_flow(*pairs["64x48"])
-        return held()
+    def large_alone():
+        compute_dense_flow(*pairs["320x240"])
+        return sum(b.nbytes for b in held().values())
 
     def alternating():
-        for name in ("64x48", "320x240", "64x48"):
+        compute_dense_flow(*pairs["320x240"])
+        before = held()
+        for name in ("64x48", "320x240", "64x48", "320x240"):
             compute_dense_flow(*pairs[name])
-        return held()
+        return before, held()
 
-    keys, nbytes = run_in_fresh_thread(one_size)
-    assert keys and all(shape[-1] <= 64 for _, shape, _ in keys)
-    assert run_in_fresh_thread(alternating) == (keys, nbytes)
+    before, after = run_in_fresh_thread(alternating)
+    assert before.keys() == after.keys()
+    assert all(after[key] is before[key] for key in before)
+    assert sum(b.nbytes for b in after.values()) <= run_in_fresh_thread(large_alone)
+
+
+def test_a_scratch_view_keeps_its_contents_while_another_name_grows():
+    def fill_then_grow():
+        kept = flow_module.scratch("test.kept", (4, 5))
+        kept[...] = np.arange(20).reshape(4, 5)
+        for n in (10, 1000, 100_000):
+            flow_module.scratch("test.other", n).fill(-1.0)
+        return kept, flow_module.scratch("test.kept", (4, 5))
+
+    kept, again = run_in_fresh_thread(fill_then_grow)
+    assert np.array_equal(kept, np.arange(20).reshape(4, 5))
+    assert np.shares_memory(kept, again) and np.array_equal(again, kept)

@@ -205,3 +205,19 @@ def test_writers_write_the_header_and_the_raster_bytes(tmp_path):
     # a strided view is written as its own pixels, row by row
     write_ppm(rgb[:, ::2], tmp_path / "s.ppm")
     assert (tmp_path / "s.ppm").read_bytes() == b"P6\n4 5\n255\n" + rgb[:, ::2].tobytes()
+
+
+@pytest.mark.parametrize("data", [np.zeros(4), np.zeros((0, 3)), np.zeros((2, 2, 2))],
+                         ids=["1-D", "empty", "3-D"])
+def test_frame_data_must_be_a_non_empty_2d_array(data):
+    with pytest.raises(InputError, match="non-empty 2-D"):
+        Frame(data)
+
+
+def test_flow_field_shape_errors():
+    with pytest.raises(InputError, match="equal-shaped 2-D"):
+        FlowField(u=np.zeros((3, 4)), v=np.zeros((4, 3)))
+    with pytest.raises(InputError, match="equal-shaped 2-D"):
+        FlowField(u=np.zeros(4), v=np.zeros(4))
+    with pytest.raises(InputError, match="validity mask shape"):
+        FlowField(u=np.zeros((3, 4)), v=np.zeros((3, 4)), valid=np.ones((4, 3), bool))

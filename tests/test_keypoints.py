@@ -17,7 +17,7 @@ from flowseg import (
     segment_flow,
 )
 from flowseg.flow import compute_dense_flow
-from flowseg.keypoints import NONE_BIN, Group, maps_identical
+from flowseg.keypoints import NONE_BIN, Group, SegmentationMap, maps_identical
 from flowseg.synth import generate_scene, preset_scene
 
 TWO_PI = 2.0 * math.pi
@@ -436,3 +436,19 @@ def test_segment_flow_matches_stage_chain(name, threshold, bin_count):
     fused = segment_flow(flow, KeypointParams(threshold, bin_count))
     assert maps_identical(fused, chain)
     assert fused.groups
+
+
+def test_maps_identical_is_false_on_frame_size_group_count_and_clamped():
+    def group(clamped=False):
+        pts = np.arange(3.0)
+        return Group(1, 0, pts, pts, pts, pts, np.full(3, clamped))
+
+    def seg_map(groups, frame_index=2, width=8):
+        return SegmentationMap(frame_index, width, 8, groups)
+
+    base = seg_map([group()])
+    assert maps_identical(base, seg_map([group()]))
+    assert not maps_identical(base, seg_map([group()], frame_index=3))
+    assert not maps_identical(base, seg_map([group()], width=9))
+    assert not maps_identical(base, seg_map([group(), group()]))
+    assert not maps_identical(base, seg_map([group(clamped=True)]))

@@ -472,3 +472,14 @@ def test_drift_confine_off_lets_damping_decay_the_seed_velocity(small_frames):
     # the switch acts: with the drift on the same run gives other maps
     drift_on = segment_video(small_frames[:12], small_config(window_size=6, langevin=langevin))
     assert not maps_identical(run.window_maps[0][-1][1], drift_on.window_maps[0][-1][1])
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["-1", "2**64"])
+def test_a_seed_outside_64_bits_is_an_input_error_or_a_config_error(seed):
+    with pytest.raises(InputError, match=r"seed .* is outside 0\.\.2\*\*64 - 1"):
+        PipelineConfig(window_size=4, seed=seed)
+    with pytest.raises(ConfigError, match=r"outside 0\.\.2\*\*64 - 1"):
+        PipelineConfig.from_config(parse_config_text("window_size = 4\n"), seed_override=seed)
+    with pytest.raises(ConfigError, match=r"outside 0\.\.2\*\*64 - 1"):
+        PipelineConfig.from_config(parse_config_text(f"window_size = 4\nseed = {seed}\n"))
+    assert PipelineConfig(window_size=4, seed=2**64 - 1).seed == 2**64 - 1

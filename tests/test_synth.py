@@ -421,3 +421,21 @@ def test_iter_scene_yields_each_frame_with_its_clipped_blocks(name):
     assert [m.tobytes() for _, m, _ in items] == [m.tobytes() for m in masks]
     assert [e for _, _, clipped in items for e in clipped] == truncated
     assert all(t == i for i, (_, _, clipped) in enumerate(items, start=1) for t, _ in clipped)
+
+
+def test_spec_refuses_an_empty_rect_and_a_non_finite_velocity():
+    for rect in ((4, 10, 0, 12), (4, 10, 16, 0)):
+        with pytest.raises(InputError, match="block 1: empty rect"):
+            SceneSpec(width=64, height=48, frame_count=4, blocks=(BlockSpec(rect=rect, velocity=(1, 0)),))
+    for velocity in ((math.nan, 0.0), (0.0, math.inf)):
+        with pytest.raises(InputError, match="block 1: non-finite velocity"):
+            SceneSpec(width=64, height=48, frame_count=4,
+                      blocks=(BlockSpec(rect=(4, 10, 16, 12), velocity=velocity),))
+
+
+def test_bench_refuses_no_window_sizes_and_repeats_below_one(bench_scene):
+    cfg = PipelineConfig(window_size=4, seed=1)
+    with pytest.raises(InputError, match="window_sizes must be nonempty"):
+        bench_compare(bench_scene.frames, bench_scene.masks, cfg, window_sizes=(), repeats=1)
+    with pytest.raises(InputError, match="repeats must be >= 1"):
+        bench_compare(bench_scene.frames, bench_scene.masks, cfg, window_sizes=(4,), repeats=0)
