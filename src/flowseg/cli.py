@@ -40,8 +40,9 @@ before any frame is read; a ``#`` elsewhere, as in ``runs/a#b``, is fine.
 ``synth`` writes each frame and its ground-truth mask ``gt_*.pgm`` as the
 scene yields them, so memory holds one frame whatever the length; masks
 hold block numbers (0 is background, so a scene holds at most 255
-blocks). Only ``synth --write-flow`` builds ground-truth flows, one pair
-at a time; ``bench`` reads none. ``eval`` counts every non-zero pixel as
+blocks). Its ``manifest.txt`` re-runs the scene as ``--spec``. Only
+``synth --write-flow`` builds ground-truth flows, one pair at a time;
+``bench`` reads none. ``eval`` counts every non-zero pixel as
 ground truth, so 0/255 masks score the same. It reads a run's windows
 from its manifest (``window_size`` frames each from ``first_frame``) and
 has no ``--window-size``; with no manifest, no frame is in a window.
@@ -81,7 +82,7 @@ from typing import Iterator
 import numpy as np
 
 from . import synth
-from .config import format_config, parse_config_file, parse_config_text
+from .config import dump, format_config, load, parse_config_file, parse_config_text
 from .errors import ConfigError, InputError, MetricError
 from .evaluation import rasterize_maps, render_overlays, score_frames
 from .evaluation import rasterize, render_overlay  # noqa: F401  (perfbench traces these names)
@@ -222,7 +223,7 @@ def cmd_segment(args) -> int:
         raise InputError(f"need at least window_size={w} frames, got {count}")
     run = {"input_dir": str(in_dir), "output_dir": str(out_dir), "first_frame": first_number}
     manifest = format_config(
-        {**cfg.to_dict(), **run},
+        {**dump(cfg), **run},
         header="flowseg segment run manifest (re-runnable as --config)",
     )
 
@@ -336,7 +337,7 @@ def cmd_synth(args) -> int:
     _at_least_one(frames=args.frames)
     if args.spec:
         cfg = parse_config_file(args.spec)
-        spec = SceneSpec.from_config(cfg)
+        spec = load(SceneSpec, cfg)
         cfg.reject_unknown()
     else:
         spec = synth.preset_scene(args.preset)
@@ -359,7 +360,7 @@ def cmd_synth(args) -> int:
         for i, flow in enumerate(SceneFlows(spec), start=1):
             write_flow_file(flow, flow_dir / f"flow_{i:06d}.flo")
     (out_dir / "manifest.txt").write_text(
-        format_config(spec.to_dict(), header="flowseg synth scene manifest")
+        format_config(dump(spec), header="flowseg synth scene manifest")
     )
     print(f"wrote {spec.frame_count} frame(s) + ground truth to {out_dir}")
     if clipped:

@@ -4,13 +4,23 @@ One assignment per line, blank lines are ignored. A ``#`` at the start
 of a line or after whitespace starts a comment; any other ``#`` is part
 of the value, so a path such as ``runs/a#b`` reads back as written.
 The same dialect serves pipeline configs, scene specs, and run manifests.
+
+``load`` reads and ``dump`` writes a settings dataclass, so this module
+is the only one that maps fields to keys. A key is a field's name or its
+``key`` metadata. A nested dataclass is a section whose keys carry its
+``prefix`` metadata, if any. A tuple of dataclasses with ``numbered``
+metadata, a scene's ``blocks``, is numbered sections ``block1_…``,
+``block2_…``, read while their first key is present and written last.
+An absent key takes the given defaults (section n's are ``numbered(n)``),
+then the dataclass's; a field with neither is a required key.
 """
 
 import math
 import re
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 
 _MISSING = object()
 _COMMENT = re.compile(r"(?:^|\s)#")
@@ -156,3 +166,55 @@ def format_config(values: dict, header: str | None = None) -> str:
             raise ConfigError(f"key '{key}': {value!r} cannot be written as a config value")
         out.append(line)
     return "\n".join(out) + "\n"
+
+
+_GETTERS = {int: ConfigDict.get_int, float: ConfigDict.get_float, bool: ConfigDict.get_bool,
+            tuple[float, float]: ConfigDict.get_pair, tuple[int, int, int, int]: ConfigDict.get_quad}
+
+
+def _key(f) -> str:
+    return f.metadata.get("key", f.name)
+
+
+def _kwargs(cls, cfg: ConfigDict, prefix: str, defaults: dict | None) -> dict:
+    """Constructor arguments of dataclass ``cls`` read from ``cfg``'s keys
+    under ``prefix``; an absent key takes ``defaults``, then the dataclass's."""
+    kwargs = dict(defaults or {})
+    for f in fields(cls):
+        key = prefix + _key(f)
+        if "numbered" in f.metadata:
+            item, items, n = f.type.__args__[0], [], 1
+            while f"{key}{n}_{_key(fields(item)[0])}" in cfg:
+                items.append(item(**_kwargs(item, cfg, f"{key}{n}_", f.metadata["numbered"](n))))
+                n += 1
+            kwargs[f.name] = tuple(items)
+        elif is_dataclass(f.type):
+            kwargs[f.name] = f.type(**_kwargs(f.type, cfg, prefix + f.metadata.get("prefix", ""), None))
+        elif key in cfg or (f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING):
+            kwargs[f.name] = _GETTERS[f.type](cfg, key)
+    return kwargs
+
+
+def load(cls, cfg: ConfigDict, defaults: dict | None = None, **overrides):
+    """The ``cls`` settings of ``cfg``, with ``overrides`` in place of what
+    was read; a setting out of range is a ConfigError."""
+    try:
+        return cls(**{**_kwargs(cls, cfg, "", defaults), **overrides})
+    except InputError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def dump(obj, prefix: str = "") -> dict:
+    """The keys and values of settings dataclass ``obj``, as ``load`` reads
+    them, in field order with numbered sections last."""
+    values, numbered = {}, {}
+    for f in fields(obj):
+        key, value = prefix + _key(f), getattr(obj, f.name)
+        if "numbered" in f.metadata:
+            for n, item in enumerate(value, start=1):
+                numbered.update(dump(item, f"{key}{n}_"))
+        elif is_dataclass(f.type):
+            values.update(dump(value, prefix + f.metadata.get("prefix", "")))
+        else:
+            values[key] = value
+    return {**values, **numbered}

@@ -7,8 +7,9 @@ a segmentation map, group forces are estimated from it, and one
 ``propagate_map`` call covers the remaining window_size - 2 frames by
 stochastic propagation instead of further flow computation, yielding
 window_size - 1 maps per window. Leftover frames that do not fill a whole
-window are skipped (and reported); a source that ends before its first
-whole window is an ``InputError`` on every path.
+window are skipped: logged, and reported only as ``skipped`` timing rows.
+A source that ends before its first whole window is an ``InputError`` on
+every path.
 
 ``run_windows`` is the one run path. It yields each window's number, first
 frame number, frames, maps and timings in order, reading the source only
@@ -36,13 +37,13 @@ errors and the leftover-frames log number frames from ``run_windows``'
 import logging
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Iterable, Iterator, Sequence
 
-from .config import ConfigDict
+from .config import ConfigDict, load
 from .dynamics import LangevinParams, NoiseSource, estimate_group_forces, propagate_map, require_seed
-from .errors import ConfigError, InputError, SourceError, require_integers
+from .errors import InputError, SourceError, require_integers
 from .flow import FlowParams, compute_dense_flow
 from .io import Frame
 from .keypoints import KeypointParams, SegmentationMap, segment_flow
@@ -55,11 +56,6 @@ PHASE_LANGEVIN = "langevin"
 PHASE_SKIPPED = "skipped"
 
 DEFAULT_DILATION_RADIUS = 3
-
-# Config key prefix of each nested parameter section of PipelineConfig;
-# every other field is a top-level key under its own name.
-SECTION_PREFIXES = {"flow": "flow_", "keypoint": "", "langevin": ""}
-_GETTERS = {int: ConfigDict.get_int, float: ConfigDict.get_float, bool: ConfigDict.get_bool}
 
 
 @dataclass
@@ -75,7 +71,7 @@ class PipelineConfig:
 
     window_size: int
     seed: int = 0
-    flow: FlowParams = field(default_factory=FlowParams)
+    flow: FlowParams = field(default_factory=FlowParams, metadata={"prefix": "flow_"})
     keypoint: KeypointParams = field(default_factory=KeypointParams)
     langevin: LangevinParams = field(default_factory=LangevinParams)
     force_drift_confine: bool = True
@@ -96,39 +92,10 @@ class PipelineConfig:
     ) -> "PipelineConfig":
         """The settings of ``cfg``; one out of range is a ConfigError. A
         ``window_size`` given here is the default of that key, which ``cfg``
-        may then omit."""
-        try:
-            defaults = {} if window_size is None else {"window_size": window_size}
-            kwargs = _config_kwargs(cls, cfg, defaults=defaults)
-            if seed_override is not None:
-                kwargs["seed"] = seed_override
-            return cls(**kwargs)
-        except InputError as exc:
-            raise ConfigError(str(exc)) from None
-
-    def to_dict(self) -> dict:
-        values = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name in SECTION_PREFIXES:
-                prefix = SECTION_PREFIXES[f.name]
-                values.update({prefix + g.name: getattr(value, g.name) for g in fields(value)})
-            else:
-                values[f.name] = value
-        return values
-
-
-def _config_kwargs(cls, cfg: ConfigDict, prefix: str = "", defaults: dict | None = None) -> dict:
-    """Constructor arguments of dataclass ``cls`` for the keys present in
-    ``cfg``; absent keys fall back to ``defaults``, then to the dataclass
-    defaults, and a field with neither is a required key."""
-    kwargs = dict(defaults or {})
-    for f in fields(cls):
-        if f.name in SECTION_PREFIXES:
-            kwargs[f.name] = f.type(**_config_kwargs(f.type, cfg, SECTION_PREFIXES[f.name]))
-        elif prefix + f.name in cfg or (f.default is MISSING and f.name not in kwargs):
-            kwargs[f.name] = _GETTERS[f.type](cfg, prefix + f.name)
-    return kwargs
+        may then omit; a ``seed_override`` replaces the ``seed`` key."""
+        defaults = {} if window_size is None else {"window_size": window_size}
+        overrides = {} if seed_override is None else {"seed": seed_override}
+        return load(cls, cfg, defaults, **overrides)
 
 
 @dataclass(frozen=True)
@@ -140,10 +107,12 @@ class PhaseTiming:
 
 @dataclass
 class RunResult:
-    window_maps: list[list[tuple[int, SegmentationMap]]]  # (frame_index, map) pairs per window
+    """A run's (frame_index, map) pairs, one list per window in window
+    order, and its timings: one row per frame, the leftover frames after
+    the last window as ``skipped`` rows."""
+
+    window_maps: list[list[tuple[int, SegmentationMap]]]
     timings: list[PhaseTiming]
-    windows: list[tuple[int, int]]  # inclusive 1-based (first, last) frame per window
-    skipped_frames: list[int]
 
     @property
     def maps(self) -> list[tuple[int, SegmentationMap]]:
@@ -284,13 +253,12 @@ def run_windows(
 def segment_video(frames: Sequence[Frame], cfg: PipelineConfig, jobs: int = 1) -> RunResult:
     """Run the windowed pipeline over an in-memory frame sequence and
     collect every window's maps and timings."""
-    result = RunResult(window_maps=[], timings=[], windows=[], skipped_frames=[])
+    result = RunResult(window_maps=[], timings=[])
     for _, first, window_frames, maps, timings in run_windows(frames, cfg, jobs):
         result.window_maps.append(maps)
         result.timings.extend(timings)
-        result.windows.append((first, first + len(window_frames) - 1))
-    result.skipped_frames = list(range(result.windows[-1][1] + 1, len(frames) + 1))
-    result.timings.extend(PhaseTiming(frame, PHASE_SKIPPED, 0.0) for frame in result.skipped_frames)
+        end = first + len(window_frames)  # the first frame after the last window
+    result.timings.extend(PhaseTiming(frame, PHASE_SKIPPED, 0.0) for frame in range(end, len(frames) + 1))
     return result
 
 

@@ -27,14 +27,13 @@ from time import perf_counter
 import numpy as np
 from scipy import ndimage
 
-from .config import ConfigDict
 from .dynamics import LangevinParams, NoiseSource, _step_arrays
-from .errors import ConfigError, InputError, require_integers
+from .errors import InputError, require_integers
 from .evaluation import report
 from .flow import compute_dense_flow
 from .io import FlowField, Frame
 from .keypoints import segment_flow
-from .pipeline import PipelineConfig, check_frame_size, segment_video
+from .pipeline import PHASE_SKIPPED, PipelineConfig, check_frame_size, segment_video
 
 log = logging.getLogger(__name__)
 
@@ -43,15 +42,18 @@ log = logging.getLogger(__name__)
 class BlockSpec:
     rect: tuple[int, int, int, int]  # x, y, w, h at t = 0
     velocity: tuple[float, float]  # px/frame
-    texture_seed: int = 1
+    texture_seed: int = field(default=1, metadata={"key": "seed"})
 
 
 @dataclass(frozen=True)
 class SceneSpec:
     width: int
     height: int
-    frame_count: int
-    blocks: tuple[BlockSpec, ...]
+    frame_count: int = field(metadata={"key": "frames"})
+    # a config block with no velocity or seed key moves at (0, 0) with its number as texture seed
+    blocks: tuple[BlockSpec, ...] = field(
+        metadata={"key": "block", "numbered": lambda n: {"velocity": (0.0, 0.0), "texture_seed": n}}
+    )
     background_seed: int = 0
     noise_level: float = 0.0
 
@@ -81,43 +83,6 @@ class SceneSpec:
             require_integers(**{f"block {i + 1} texture_seed": blk.texture_seed})
             if blk.texture_seed < 0:
                 raise InputError(f"block {i + 1}: texture seed {blk.texture_seed} must be >= 0")
-
-    @classmethod
-    def from_config(cls, cfg: ConfigDict) -> "SceneSpec":
-        """The scene of ``cfg``; a setting out of range is a ConfigError."""
-        blocks = []
-        i = 1
-        while f"block{i}_rect" in cfg:
-            rect = cfg.get_quad(f"block{i}_rect")
-            vx, vy = cfg.get_pair(f"block{i}_velocity", (0.0, 0.0))
-            seed = cfg.get_int(f"block{i}_seed", i)
-            blocks.append(BlockSpec(rect=rect, velocity=(vx, vy), texture_seed=seed))
-            i += 1
-        try:
-            return cls(
-                width=cfg.get_int("width"),
-                height=cfg.get_int("height"),
-                frame_count=cfg.get_int("frames"),
-                blocks=tuple(blocks),
-                background_seed=cfg.get_int("background_seed", 0),
-                noise_level=cfg.get_float("noise_level", 0.0),
-            )
-        except InputError as exc:
-            raise ConfigError(str(exc)) from None
-
-    def to_dict(self) -> dict:
-        out = {
-            "width": self.width,
-            "height": self.height,
-            "frames": self.frame_count,
-            "background_seed": self.background_seed,
-            "noise_level": self.noise_level,
-        }
-        for i, blk in enumerate(self.blocks, start=1):
-            out[f"block{i}_rect"] = blk.rect
-            out[f"block{i}_velocity"] = blk.velocity
-            out[f"block{i}_seed"] = blk.texture_seed
-        return out
 
 
 def _placements(spec: SceneSpec, t: int):
@@ -432,7 +397,7 @@ def bench_compare(
             run = segment_video(frames, cfg_w, jobs=1)
             times.append((perf_counter() - t0) * 1e3)
         assert run is not None
-        processed = sum(last - first + 1 for first, last in run.windows)
+        processed = sum(t.phase != PHASE_SKIPPED for t in run.timings)  # one row per frame
         proposed_ms = statistics.median(times) / processed
         rows.append(
             BenchRow(

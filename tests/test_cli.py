@@ -536,8 +536,9 @@ def test_window_bounds_come_from_the_windows_cut(tmp_path, scene_dir, monkeypatc
     frames = [flowseg.cli.read_frame(p) for p in sorted((scene_dir / "frames").glob("*.pgm"))]
     run = segment_video(frames, PipelineConfig(window_size=4), jobs=int(jobs))
     assert [(number, m.frame_index) for number, m in run.maps] == [(n, n) for n in (2, 3, 4, 5, 7, 8, 9)]
-    assert run.windows == [(1, 5), (6, 9)]
-    assert run.skipped_frames == [10, 11, 12]
+    assert [[fi for fi, _ in maps] for maps in run.window_maps] == [[2, 3, 4, 5], [7, 8, 9]]
+    assert [t.frame_index for t in run.timings if t.phase == "flow"] == [1, 6]
+    assert [t.frame_index for t in run.timings if t.phase == "skipped"] == [10, 11, 12]
 
     code, out = run_segment(tmp_path, scene_dir, extra=("--jobs", jobs))
     assert code == 0

@@ -626,7 +626,7 @@ def run_result_for(maps, window):
     count = (last + window - 1) // window
     windows = [(w * window + 1, (w + 1) * window) for w in range(count)]
     window_maps = [[m for m in maps if first <= m[0] <= last] for first, last in windows]
-    return RunResult(window_maps=window_maps, timings=[], windows=windows, skipped_frames=[])
+    return RunResult(window_maps=window_maps, timings=[])
 
 
 def test_report_all_perfect():
@@ -666,7 +666,7 @@ def test_report_missing_frame_named():
     with pytest.raises(MetricError, match="frame 2"):
         report(run_result_for(maps, window=3), {}, dilation_radius=0)
     # a run with no windows has nothing to score
-    empty = RunResult(window_maps=[], timings=[], windows=[], skipped_frames=[])
+    empty = RunResult(window_maps=[], timings=[])
     with pytest.raises(MetricError, match="no maps to score"):
         report(empty, {}, dilation_radius=0)
 

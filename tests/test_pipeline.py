@@ -19,10 +19,11 @@ from flowseg import (
     SourceError,
     generate_scene,
     maps_identical,
+    preset_scene,
     segment_video,
     stream_windows,
 )
-from flowseg.config import format_config, parse_config_text
+from flowseg.config import dump, format_config, parse_config_text
 from flowseg.flow import FlowParams
 from flowseg.pipeline import PHASE_FLOW, PHASE_KEYPOINT, PHASE_LANGEVIN, PHASE_SKIPPED
 
@@ -56,14 +57,14 @@ def expected_map_count(total, window):
 def test_twelve_frames_window_four(small_frames):
     run = segment_video(small_frames[:12], small_config())
     assert len(run.maps) == 9
-    assert run.windows == [(1, 4), (5, 8), (9, 12)]
-    assert [fi for fi, _ in run.maps] == [2, 3, 4, 6, 7, 8, 10, 11, 12]
-    assert run.skipped_frames == []
+    assert [[fi for fi, _ in maps] for maps in run.window_maps] == [[2, 3, 4], [6, 7, 8], [10, 11, 12]]
+    assert [t.frame_index for t in run.timings if t.phase == PHASE_FLOW] == [1, 5, 9]
+    assert not [t for t in run.timings if t.phase == PHASE_SKIPPED]
 
 
 def test_single_window_boundary(small_frames):
     run = segment_video(small_frames[:4], small_config())
-    assert len(run.windows) == 1
+    assert len(run.window_maps) == 1
     assert len(run.maps) == 3
 
 
@@ -120,7 +121,9 @@ def test_one_propagation_call_per_window(small_frames, monkeypatch, window_size)
     monkeypatch.setattr(flowseg.pipeline, "propagate_map", counted)
     run = segment_video(small_frames[: 3 * window_size], small_config(window_size=window_size))
     assert calls == [(n * window_size + 2, window_size - 2, (), {}) for n in range(3)]
-    for first, last in run.windows:
+    for n, maps in enumerate(run.window_maps):
+        first, last = n * window_size + 1, (n + 1) * window_size
+        assert [fi for fi, _ in maps] == list(range(first + 1, last + 1))
         rows = [t for t in run.timings if t.phase == PHASE_LANGEVIN and first <= t.frame_index <= last]
         assert [t.frame_index for t in rows] == list(range(first + 2, last + 1))
         assert len({t.milliseconds for t in rows}) == 1
@@ -128,7 +131,7 @@ def test_one_propagation_call_per_window(small_frames, monkeypatch, window_size)
 
 def test_leftover_frames_skipped(small_frames):
     run = segment_video(small_frames[:14], small_config())
-    assert run.skipped_frames == [13, 14]
+    assert run.maps[-1][0] == 12
     skipped_rows = [t for t in run.timings if t.phase == PHASE_SKIPPED]
     assert [t.frame_index for t in skipped_rows] == [13, 14]
     assert len(run.timings) == 14
@@ -229,7 +232,8 @@ def test_a_source_shorter_than_one_window_is_an_input_error_on_every_path(small_
     with pytest.raises(InputError, match=message):
         list(stream_windows(iter(small_frames[:3]), cfg))
     # one whole window and leftovers is no error
-    assert segment_video(small_frames[:7], cfg, jobs=jobs).skipped_frames == [5, 6, 7]
+    run = segment_video(small_frames[:7], cfg, jobs=jobs)
+    assert [t.frame_index for t in run.timings if t.phase == PHASE_SKIPPED] == [5, 6, 7]
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
@@ -406,8 +410,8 @@ def test_manifest_roundtrip():
         keypoint=KeypointParams(bin_count=12, min_group_size=4),
         langevin=LangevinParams(xi_d_y=0.25),
     )
-    back = PipelineConfig.from_config(parse_config_text(format_config(cfg.to_dict())))
-    assert back.to_dict() == cfg.to_dict()
+    back = PipelineConfig.from_config(parse_config_text(format_config(dump(cfg))))
+    assert dump(back) == dump(cfg)
     assert back.keypoint == cfg.keypoint
 
 
@@ -429,11 +433,20 @@ def test_format_config_rejects_a_value_that_would_not_parse_back(value):
 
 def test_config_keys_are_the_stage_settings_in_field_order():
     # the keypoint section's keys carry no prefix, so manifests keep their keys and order
-    assert list(PipelineConfig(window_size=4).to_dict()) == [
+    assert list(dump(PipelineConfig(window_size=4))) == [
         "window_size", "seed", "flow_downscale",
         "magnitude_threshold", "bin_count", "min_group_size",
         "gamma_x", "gamma_y", "xi_d_x", "xi_d_y", "confinement_stiffness",
         "force_drift_confine", "dilation_radius", "write_overlays",
+    ]
+
+
+def test_scene_keys_are_the_spec_fields_with_blocks_last():
+    # blocks is SceneSpec's 4th field, but its numbered sections close the manifest
+    assert list(dump(preset_scene("two-way"))) == [
+        "width", "height", "frames", "background_seed", "noise_level",
+        "block1_rect", "block1_velocity", "block1_seed",
+        "block2_rect", "block2_velocity", "block2_seed",
     ]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -20,8 +21,9 @@ from flowseg import (
     preset_scene,
     segment_flow,
 )
-from flowseg.config import format_config, parse_config_text
+from flowseg.config import dump, format_config, load, parse_config_text
 from flowseg.io import FlowField
+from flowseg.synth import PRESETS
 
 
 def one_block_spec(velocity=(2.0, 0.0), frames=8):
@@ -122,11 +124,26 @@ def test_spec_validation():
                   blocks=(BlockSpec(rect=(4.7, 4, 16, 16), velocity=(1, 0)),))
 
 
-def test_spec_config_roundtrip():
-    spec = preset_scene("two-way")
-    text = format_config(spec.to_dict())
-    back = SceneSpec.from_config(parse_config_text(text))
-    assert back == spec
+THREE_BLOCKS = SceneSpec(
+    width=64, height=48, frame_count=4, noise_level=6.0,
+    blocks=(
+        BlockSpec(rect=(2, 2, 8, 8), velocity=(1.0, 0.0), texture_seed=7),
+        BlockSpec(rect=(20, 2, 8, 8), velocity=(0.0, 1.0), texture_seed=2),
+        BlockSpec(rect=(40, 20, 8, 8), velocity=(0.0, 0.0), texture_seed=9),
+    ),
+)
+
+
+@pytest.mark.parametrize("spec", [*PRESETS.values(), THREE_BLOCKS], ids=[*PRESETS, "three-blocks"])
+def test_spec_config_roundtrip(spec):
+    assert load(SceneSpec, parse_config_text(format_config(dump(spec)))) == spec
+
+
+def test_spec_config_block_defaults():
+    # a block with no seed key takes its number (block 2), one with no velocity key (0, 0) (block 3)
+    lines = format_config(dump(THREE_BLOCKS)).splitlines()
+    text = "\n".join(line for line in lines if not line.startswith(("block2_seed", "block3_velocity")))
+    assert load(SceneSpec, parse_config_text(text)) == THREE_BLOCKS
 
 
 def test_unknown_preset():
@@ -331,7 +348,7 @@ def test_bench_baseline_flow_time_dominates(bench_scene):
     cfg = PipelineConfig(window_size=4, seed=1)
     run = segment_video(bench_scene.frames, cfg)
     flow_ms = sum(t.milliseconds for t in run.timings if t.phase == PHASE_FLOW)
-    proposed_flow_ms = flow_ms / (len(run.windows) * 4)
+    proposed_flow_ms = flow_ms / (len(run.window_maps) * 4)
     t0 = perf_counter()
     for a, b in zip(bench_scene.frames[:-1], bench_scene.frames[1:]):
         compute_dense_flow(a, b, cfg.flow)
@@ -344,6 +361,18 @@ def test_bench_requires_enough_frames(bench_scene):
     with pytest.raises(InputError):
         bench_compare(bench_scene.frames[:10], bench_scene.masks[:10], cfg,
                       window_sizes=(6,), repeats=1)
+
+
+def test_bench_divides_by_the_frames_in_whole_windows(bench_scene, monkeypatch):
+    # every timed region reads as 1 s; of 16 frames, |W| = 5 runs 15 and |W| = 7 runs 14
+    import flowseg.synth
+
+    clock = itertools.count()
+    monkeypatch.setattr(flowseg.synth, "perf_counter", lambda: next(clock))
+    rep = bench_compare(bench_scene.frames, bench_scene.masks, PipelineConfig(window_size=4, seed=1),
+                        window_sizes=(5, 7), repeats=1)
+    assert [r.ms_per_frame_proposed for r in rep.rows] == [pytest.approx(1000 / 15), pytest.approx(1000 / 14)]
+    assert rep.rows[0].ms_per_frame_baseline == pytest.approx(1000 / 15)
 
 
 def test_bench_mixed_sizes_names_frame_before_any_flow(monkeypatch):
