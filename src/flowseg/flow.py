@@ -2,7 +2,7 @@
 
 The estimator is a coarse-to-fine pyramidal least-squares flow of fixed
 shape: 3 pyramid levels, a 9x9 least-squares window (radius 4, which
-keeps motion boundaries tight) and 4 warp/solve iterations per level.
+keeps motion boundaries tight) and 2 warp/solve iterations per level.
 Only the ``downscale`` factor is a setting.
 
 1. Both frames are reduced by the integer ``downscale`` factor d to block
@@ -13,13 +13,18 @@ Only the ``downscale`` factor is a setting.
 3. From the coarsest level down, the current flow warps the second frame
    onto the first and a windowed 2x2 normal-equation solve (classic
    Lucas-Kanade least squares over a square window) yields an incremental
-   update; a few warp/solve iterations run per level and the flow is
-   upsampled (x2) between levels. Every level-sized array of a call that
-   does not go into the returned ``FlowField`` (the pyramid, the upsampled
-   fields, the iterations' buffers, the median's and the texture test's
-   temporaries) is a view of a buffer the calling thread keeps and reuses
-   across calls and levels (see ``scratch``): a buffer grows to a thread's
-   largest need and never shrinks, and threads never share one.
+   update; 2 warp/solve iterations run per level and the flow is upsampled
+   (x2) between levels. The gradient is the first frame's, so a level's
+   structure tensor and its determinant are built once and an iteration
+   rebuilds only the mismatch sums: the constant Hessian of Baker &
+   Matthews' inverse-compositional form ("Lucas-Kanade 20 Years On",
+   IJCV 2004), which converges where the two frames' mean gradient did not.
+   Every level-sized array of a call that does not go into the returned
+   ``FlowField`` (the pyramid, the upsampled fields, the tensor, the
+   iterations' buffers, the median's and the texture test's temporaries)
+   is a view of a buffer the calling thread keeps and reuses across calls
+   and levels (see ``scratch``): a buffer grows to a thread's largest need
+   and never shrinks, and threads never share one.
    The warp is a bilinear gather from an edge-padded copy of the level,
    which replaces index clamping, and the gradients are written in place;
    both give the same bits as ``scipy.ndimage.map_coordinates(order=1,
@@ -34,9 +39,9 @@ Only the ``downscale`` factor is a setting.
    partitions order-preserving int32 keys of the float32 field, which
    select the same element as the floats do, through views of the
    thread's buffers (see ``_median``).
-5. At the finest level the structure tensor's smaller eigenvalue decides
-   per-pixel validity: flat or single-gradient neighborhoods (aperture
-   cases) are marked invalid and their flow is zeroed.
+5. The finest level's structure tensor from step 3 also decides per-pixel
+   validity by its smaller eigenvalue: flat or single-gradient neighborhoods
+   (aperture cases) are marked invalid and their flow is zeroed.
 
 Coordinates and fields are assumed finite: NaN or infinite values make the
 exact forms and the general-purpose calls part ways.
@@ -63,7 +68,7 @@ PYRAMID_LEVELS = 3
 # magnitude transition at object edges and make segment borders depend on
 # local texture contrast.
 WINDOW_RADIUS = 4
-ITERATIONS = 4
+ITERATIONS = 2
 # Floor for the window-averaged weaker eigenvalue of the structure tensor,
 # in squared intensity units per pixel; below it a pixel is invalid.
 TEXTURE_EIGEN_FLOOR = 1.0
@@ -308,46 +313,46 @@ def _window_sum(stack: np.ndarray, radius: int, output: np.ndarray | None = None
 
 def _refine(a, b, u, v, radius: int, iterations: int, grid):
     """Run ``iterations`` warp/solve steps on one pyramid level and return
-    the refined ``(u, v)``; the inputs are not modified. ``grid`` holds
-    the level's row and column indices, as arrays that broadcast to its
-    shape. The result is a view of the thread's ``scratch``, valid until
-    its next ``_refine`` call.
+    the refined ``u``, ``v`` and the level's structure tensor ``(sxx, sxy,
+    syy)``, built once from ``a``'s gradient; the inputs are not modified.
+    ``grid`` holds the level's row and column indices, as arrays that
+    broadcast to its shape. The results are views of the thread's
+    ``scratch``, valid until its next ``_refine`` call.
 
-    Every iteration writes into the calling thread's ``scratch``, which
-    persists across calls and levels, through
-    ``out=`` ufuncs in the order of the plain expressions ``0.5 * (a +
-    bw)``, ``bw - a``, ``ix * iy``, ``sxx * syy - sxy * sxy``, ``(sxy * syt
-    - syy * sxt) / det`` and so on, so each value has the bits those
-    expressions give. Where ``det > _DET_EPS`` is false the divisor is set
-    to 1.0 and the update to 0.0 by masked assignment, as ``np.where(det >
-    _DET_EPS, ...)`` would select them.
+    Each step writes into the calling thread's ``scratch`` through ``out=``
+    ufuncs in the order of the plain expressions ``iy, ix = np.gradient(a)``,
+    ``ix * iy``, ``sxx * syy - sxy * sxy``, ``bw - a``, ``(sxy * syt - syy *
+    sxt) / det`` and so on, so each value has the bits those expressions
+    give. Where ``det <= _DET_EPS`` the divisor is set to 1.0 and the update
+    to 0.0 by masked assignment, as ``np.where(det > _DET_EPS, ...)`` would
+    select them.
     """
     shape = a.shape
     gather = _Gather(b, shape)
     fields = scratch("refine.uv", (2, *shape))
-    np.copyto(fields[0], u)
-    np.copyto(fields[1], v)
+    fields[0], fields[1] = u, v
     u, v = fields
-    rows, cols, bw, mean, it, ix, iy, det, update, term = scratch("planes", (10, *shape))
+    rows, cols, bw, it, det, update, term = scratch("planes", (7, *shape))
+    ix, iy = gradient = scratch("refine.gradient", (2, *shape))
     products = scratch("products", (5, *shape))
+    tensor, mismatch = products[:3], products[3:]
     flat = scratch("refine.flat", shape, bool)
+    _gradient(a, iy, ix)
+    for slot, (p, q) in zip(tensor, ((ix, ix), (ix, iy), (iy, iy))):
+        np.multiply(p, q, out=slot)
+    sxx, sxy, syy = _window_sum(tensor, radius, output=tensor)
+    np.multiply(sxx, syy, out=det)
+    np.multiply(sxy, sxy, out=term)
+    det -= term
+    np.less_equal(det, _DET_EPS, out=flat)
+    np.copyto(det, 1.0, where=flat)
     for _ in range(iterations):
         np.add(grid[0], v, out=rows)
         np.add(grid[1], u, out=cols)
         gather(rows, cols, bw)
-        np.add(a, bw, out=mean)
-        mean *= 0.5
-        _gradient(mean, iy, ix)
         np.subtract(bw, a, out=it)
-        for slot, (p, q) in zip(products, ((ix, ix), (ix, iy), (iy, iy), (ix, it), (iy, it))):
-            np.multiply(p, q, out=slot)
-        sxx, sxy, syy, sxt, syt = _window_sum(products, radius, output=products)
-        np.multiply(sxx, syy, out=det)
-        np.multiply(sxy, sxy, out=term)
-        det -= term
-        np.greater(det, _DET_EPS, out=flat)
-        np.logical_not(flat, out=flat)
-        np.copyto(det, 1.0, where=flat)
+        np.multiply(gradient, it, out=mismatch)
+        sxt, syt = _window_sum(mismatch, radius, output=mismatch)
         for field, (p, q, r, s) in ((u, (sxy, syt, syy, sxt)), (v, (sxy, sxt, sxx, syt))):
             np.multiply(p, q, out=update)
             np.multiply(r, s, out=term)
@@ -355,7 +360,7 @@ def _refine(a, b, u, v, radius: int, iterations: int, grid):
             update /= det
             np.copyto(update, 0.0, where=flat)
             field += update
-    return u, v
+    return u, v, tensor
 
 
 def _median(field: np.ndarray) -> np.ndarray:
@@ -424,20 +429,15 @@ def _median(field: np.ndarray) -> np.ndarray:
     return out
 
 
-def _textured(img: np.ndarray, radius: int) -> np.ndarray:
-    """Where the window-averaged weaker eigenvalue of ``img``'s structure
-    tensor reaches ``TEXTURE_EIGEN_FLOOR``. The temporaries are the fronts
-    of the calling thread's ``_refine`` buffers (``scratch``), written
-    through ``out=`` in the order of the plain expressions ``iy, ix =
-    np.gradient(img)``, ``disc = sqrt(maximum((sxx - syy)**2 + 4.0 * sxy
-    * sxy, 0.0))`` and ``0.5 * (sxx + syy - disc)``, so each value has
-    their bits (``x**2`` is ``x * x``)."""
-    iy, ix, disc, lam_min = scratch("planes", (4, *img.shape))
-    products = scratch("products", (3, *img.shape))
-    _gradient(img, iy, ix)
-    for slot, (p, q) in zip(products, ((ix, ix), (ix, iy), (iy, iy))):
-        np.multiply(p, q, out=slot)
-    sxx, sxy, syy = _window_sum(products, radius, output=products)
+def _textured(sxx: np.ndarray, sxy: np.ndarray, syy: np.ndarray, radius: int) -> np.ndarray:
+    """Where the window-averaged weaker eigenvalue of the structure tensor
+    ``sxx, sxy, syy`` (window sums over ``radius``; flow passes the finest
+    level's from ``_refine``) reaches ``TEXTURE_EIGEN_FLOOR``. The
+    temporaries are the fronts of the thread's ``_refine`` planes
+    (``scratch``), written through ``out=`` in the order of the plain
+    expressions ``disc = sqrt(maximum((sxx - syy)**2 + 4.0 * sxy * sxy,
+    0.0))`` and ``0.5 * (sxx + syy - disc)``: they have their bits."""
+    disc, lam_min = scratch("planes", (2, *sxx.shape))
     np.subtract(sxx, syy, out=disc)
     disc *= disc
     np.multiply(4.0, sxy, out=lam_min)
@@ -492,9 +492,9 @@ def compute_dense_flow(a: Frame, b: Frame, params: FlowParams = FlowParams()) ->
             _upsample(u, shape, out=start[0])
             _upsample(v, shape, out=start[1])
             start *= 2.0
-        u, v = _refine(pyr_a[level], pyr_b[level], start[0], start[1], WINDOW_RADIUS, ITERATIONS, grid)
+        u, v, tensor = _refine(pyr_a[level], pyr_b[level], *start, WINDOW_RADIUS, ITERATIONS, grid)
 
     u = _median(u)
     v = _median(v)
-    valid = _textured(pyr_a[0], WINDOW_RADIUS)
+    valid = _textured(*tensor, WINDOW_RADIUS)
     return FlowField(u=u, v=v, valid=valid)

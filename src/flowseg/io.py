@@ -23,15 +23,22 @@ UNKNOWN_FLOW = 1e10
 
 @dataclass(eq=False)
 class Frame:
-    """A single 8-bit grayscale video frame, row-major."""
+    """A single 8-bit grayscale video frame, row-major. Data of another
+    type than uint8 or bool must hold whole numbers in 0..255, which the
+    cast to uint8 keeps; anything else is an InputError, not a wrapped,
+    truncated or zeroed pixel."""
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=np.uint8)
+        arr = np.asarray(self.data)
         if arr.ndim != 2 or arr.size == 0:
             raise InputError("frame data must be a non-empty 2-D array")
-        self.data = arr
+        if arr.dtype not in (np.uint8, np.bool_):
+            # NaN fails every comparison, and an infinity the range
+            if not ((arr >= 0) & (arr <= 255) & (np.floor(arr) == arr)).all():
+                raise InputError("frame data must be whole numbers in 0..255")
+        self.data = np.ascontiguousarray(arr, dtype=np.uint8)
 
     @property
     def width(self) -> int:

@@ -213,8 +213,8 @@ def test_segment_outputs(tmp_path, scene_dir, capsys):
     groups = (out / "groups.jsonl").read_text().splitlines()
     assert len(groups) == 12
     assert groups[:2] == [
-        '{"frame": 2, "id": 1, "bin": 0, "centroid": [7.4336, 15.2832], "members": 113}',
-        '{"frame": 3, "id": 1, "bin": 0, "centroid": [8.1022, 15.1601], "members": 113}',
+        '{"frame": 2, "id": 1, "bin": 0, "centroid": [7.7105, 15.5263], "members": 114}',
+        '{"frame": 3, "id": 1, "bin": 0, "centroid": [8.3659, 15.4960], "members": 114}',
     ]
 
 

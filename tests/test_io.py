@@ -214,6 +214,27 @@ def test_frame_data_must_be_a_non_empty_2d_array(data):
         Frame(data)
 
 
+@pytest.mark.parametrize(
+    "data",
+    [np.array([[300, 0]]), np.array([[0, -1]]), np.array([[1.7, 2.0]]), np.array([[np.nan, 0.0]]),
+     np.array([[np.inf, 0.0]]), np.array([[0.0, -np.inf]]), np.array([[255.5]])],
+    ids=["above-255", "negative", "fraction", "nan", "inf", "-inf", "above-255-fraction"],
+)
+def test_frame_data_out_of_range_fractional_or_non_finite_is_an_input_error(data):
+    # a cast to uint8 would wrap 300 to 44 and -1 to 255, truncate 1.7 to 1
+    # and turn NaN into 0
+    with pytest.raises(InputError, match="whole numbers in 0..255"):
+        Frame(data)
+
+
+def test_frame_keeps_whole_numbers_in_range_and_uint8_data_uncopied():
+    assert Frame(np.array([[0.0, 255.0]])).data.tolist() == [[0, 255]]
+    assert Frame(np.array([[0, 255]], np.int64)).data.tolist() == [[0, 255]]
+    assert Frame(np.array([[True, False]])).data.tolist() == [[1, 0]]
+    data = np.array([[0, 128], [255, 7]], np.uint8)
+    assert Frame(data).data is data
+
+
 def test_flow_field_shape_errors():
     with pytest.raises(InputError, match="equal-shaped 2-D"):
         FlowField(u=np.zeros((3, 4)), v=np.zeros((4, 3)))
